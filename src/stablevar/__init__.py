@@ -5,7 +5,6 @@ covariance (with least-squares and Yule-Walker baselines), Monte Carlo
 benchmarking, and residual diagnostics for heavy-tailed data.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .diagnostics import (
     AutoFlocSeries,
     KsTestResult,
@@ -36,7 +35,6 @@ from .floc import (
     FlocConfig,
     LagMatrixSet,
     cross_floc,
-    floc_vs_covariation_check,
     lag_matrix,
     lag_matrix_set,
     signed_power,
@@ -65,7 +63,6 @@ from .var_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "StableVarError",
     "ValidationError",
     "NumericalError",
@@ -90,7 +87,6 @@ __all__ = [
     "cross_floc",
     "lag_matrix",
     "lag_matrix_set",
-    "floc_vs_covariation_check",
     "EstimationReport",
     "estimate_floc",
     "estimate_ls",

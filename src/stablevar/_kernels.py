@@ -1,21 +1,17 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels in plain numpy: the CMS transform, the VAR
+recursion, the cross-FLOC window sum and the bulk Gil-Pelaez CDF.
 
-The active implementation is chosen at import time. Set the environment
-variable ``STABLEVAR_NUMBA=0`` (or ``false``/``off``) to force the numpy
-path; it is also used automatically when numba is not importable. The
-benchmark in ``benchmarks/bench_kernels.py`` times both paths via the
-``py_*`` / ``nb_*`` names exported here.
+Callers reach them as attributes of this module (``_kernels.var_recursion``
+and so on), so each kernel has one implementation under one name.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "stable_transform",
     "var_recursion",
     "cross_floc_sum",
@@ -23,16 +19,7 @@ __all__ = [
 ]
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("STABLEVAR_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def py_stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Chambers-Mallows-Stuck transform of a uniform angle and an exponential.
 
     ``phi`` is uniform on (-pi/2, pi/2), ``w`` standard exponential. Returns
@@ -61,7 +48,7 @@ def py_stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: floa
     )
 
 
-def py_var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Drive x[t] = sum_k coeffs[k-1] @ x[t-k] + noise[t] from zero states.
 
     ``coeffs`` has shape (p, r, r), ``noise`` shape (m, r); returns (m, r).
@@ -76,7 +63,7 @@ def py_var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out
 
 
-def py_cross_floc_sum(xi: np.ndarray, xj: np.ndarray, k: int, a: float, b: float) -> float:
+def cross_floc_sum(xi: np.ndarray, xj: np.ndarray, k: int, a: float, b: float) -> float:
     """Window sum of |xi[n]|^a |xj[n-k]|^b sign(xi[n] xj[n-k]), unnormalized.
 
     Valid window: n in [max(0, k), min(n, n+k)) so neither series is indexed
@@ -92,7 +79,7 @@ def py_cross_floc_sum(xi: np.ndarray, xj: np.ndarray, k: int, a: float, b: float
     return float(np.sum(terms))
 
 
-def py_gil_pelaez_cdf(
+def gil_pelaez_cdf(
     z: np.ndarray,
     t: np.ndarray,
     amp: np.ndarray,
@@ -115,121 +102,3 @@ def py_gil_pelaez_cdf(
         acc += w0 * (-z[s : s + chunk])
         out[s : s + chunk] = 0.5 - acc / np.pi
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba-jitted implementations
-# ---------------------------------------------------------------------------
-
-NUMBA_ENABLED = False
-nb_stable_transform = None
-nb_var_recursion = None
-nb_cross_floc_sum = None
-nb_gil_pelaez_cdf = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def nb_stable_transform(phi, w, alpha, beta):  # pragma: no cover - mirrored by py_
-            n = phi.shape[0]
-            out = np.empty(n)
-            if alpha == 1.0:
-                for i in range(n):
-                    bphi = 0.5 * np.pi + beta * phi[i]
-                    out[i] = (2.0 / np.pi) * (
-                        bphi * np.tan(phi[i])
-                        - beta * np.log((0.5 * np.pi * w[i] * np.cos(phi[i])) / bphi)
-                    )
-                return out
-            inv_alpha = 1.0 / alpha
-            expo = (1.0 - alpha) / alpha
-            if beta == 0.0:
-                for i in range(n):
-                    out[i] = (
-                        np.sin(alpha * phi[i]) / np.cos(phi[i]) ** inv_alpha
-                    ) * (np.cos((1.0 - alpha) * phi[i]) / w[i]) ** expo
-                return out
-            zeta = beta * np.tan(0.5 * np.pi * alpha)
-            b_ab = np.arctan(zeta) / alpha
-            s_ab = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-            for i in range(n):
-                shifted = phi[i] + b_ab
-                out[i] = (
-                    s_ab
-                    * (np.sin(alpha * shifted) / np.cos(phi[i]) ** inv_alpha)
-                    * (np.cos(phi[i] - alpha * shifted) / w[i]) ** expo
-                )
-            return out
-
-        @njit(cache=True)
-        def nb_var_recursion(coeffs, noise):  # pragma: no cover
-            p = coeffs.shape[0]
-            m = noise.shape[0]
-            r = noise.shape[1]
-            out = noise.copy()
-            for t in range(m):
-                kmax = min(p, t)
-                for k in range(1, kmax + 1):
-                    for i in range(r):
-                        acc = 0.0
-                        for j in range(r):
-                            acc += coeffs[k - 1, i, j] * out[t - k, j]
-                        out[t, i] += acc
-            return out
-
-        @njit(cache=True)
-        def nb_cross_floc_sum(xi, xj, k, a, b):  # pragma: no cover
-            n = xi.shape[0]
-            lo = max(0, k)
-            hi = min(n, n + k)
-            s = 0.0
-            c = 0.0  # Kahan compensation; heavy-tailed terms cancel badly
-            for m in range(lo, hi):
-                u = xi[m]
-                v = xj[m - k]
-                sgn = 0.0
-                if u > 0.0:
-                    sgn = 1.0
-                elif u < 0.0:
-                    sgn = -1.0
-                if v < 0.0:
-                    sgn = -sgn
-                elif v == 0.0:
-                    sgn = 0.0
-                term = abs(u) ** a * abs(v) ** b * sgn
-                y = term - c
-                tt = s + y
-                c = (tt - s) - y
-                s = tt
-            return s
-
-        @njit(cache=True, fastmath=True)
-        def nb_gil_pelaez_cdf(z, t, amp, ph, w0):  # pragma: no cover
-            nz = z.shape[0]
-            nt = t.shape[0]
-            out = np.empty(nz)
-            for i in range(nz):
-                zi = z[i]
-                acc = w0 * (-zi)
-                for j in range(nt):
-                    acc += amp[j] * np.sin(ph[j] - t[j] * zi)
-                out[i] = 0.5 - acc / np.pi
-            return out
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
-
-
-if NUMBA_ENABLED:
-    stable_transform = nb_stable_transform
-    var_recursion = nb_var_recursion
-    cross_floc_sum = nb_cross_floc_sum
-    gil_pelaez_cdf = nb_gil_pelaez_cdf
-else:
-    stable_transform = py_stable_transform
-    var_recursion = py_var_recursion
-    cross_floc_sum = py_cross_floc_sum
-    gil_pelaez_cdf = py_gil_pelaez_cdf

@@ -6,9 +6,16 @@ coefficient report), montecarlo (experiment config -> table CSVs), diagnose
 writes is self-describing: it declares its order and dimension on its first
 line, and diagnose refuses a report without that declaration or whose rows
 do not match it. Floats are written as shortest round-trip text, so files
-read back to the same numbers. Exit codes: 0 success,
-1 validation error, 2 numerical failure. Outputs carry no timestamps, so a
-fixed seed reproduces files byte for byte.
+read back to the same numbers.
+
+The subcommands only read inputs and write outputs; the numbers come from
+the library. estimate's default B is ``experiments.default_b``, and
+diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
+writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
+same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
+of 1 is rejected, as in the library. Exit codes: 0 success, 1 validation
+error, 2 numerical failure. Outputs carry no timestamps, so a fixed seed
+reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,27 +25,20 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .diagnostics import (
-    auto_floc,
-    auto_floc_null_band,
-    ks_summary_line,
-    ks_test_stable,
-    qq_data,
-    write_auto_floc_csv,
-    write_qq_csv,
-)
+from .diagnostics import ks_summary_line, write_auto_floc_csv, write_qq_csv
 from .errors import NumericalError, ValidationError
 from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_yw, residuals
 from .experiments import (
-    DEFAULT_B_OFFSET,
+    column_alphas,
+    default_b,
+    diagnose_residuals,
     load_experiment_config,
     load_model_config,
     run_monte_carlo,
 )
 from .floc import FlocConfig
 from .series import SeriesMatrix
-from .stable_noise import fit_stable_params
-from .var_core import mean_correct, simulate
+from .var_core import DEFAULT_BURN_IN, mean_correct, simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,23 +104,17 @@ def _cmd_simulate(args) -> int:
     if args.burn_in is not None:
         burn_in = args.burn_in
     else:
-        burn_in = int(kv["burn_in"]) if "burn_in" in kv else 500
+        burn_in = int(kv["burn_in"]) if "burn_in" in kv else DEFAULT_BURN_IN
     series = simulate(model, n, burn_in, seed)
     series.to_csv(args.out)
     print(f"wrote {series.n}x{series.dim} series to {args.out}")
     return 0
 
 
-def _default_b(series: SeriesMatrix) -> float:
-    corrected = mean_correct(series)
-    alphas = [fit_stable_params(corrected.values[:, j]).alpha for j in range(series.dim)]
-    return max(max(alphas) - DEFAULT_B_OFFSET, 0.0)
-
-
 def _cmd_estimate(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
-        b = args.b_exp if args.b_exp is not None else _default_b(series)
+        b = args.b_exp if args.b_exp is not None else default_b(column_alphas(series))
         cfg = FlocConfig(1.0, b)
         normalizer = args.normalizer or "window"
         report = estimate_floc(series, args.order, cfg, normalizer=normalizer)
@@ -161,31 +155,19 @@ def _cmd_diagnose(args) -> int:
         raise ValidationError(
             f"report dimension {coeffs[0].shape[0]} does not match series dimension {series.dim}"
         )
-    corrected = mean_correct(series)
-    res = residuals(corrected, coeffs)
+    res = residuals(mean_correct(series), coeffs)
+    columns = diagnose_residuals(
+        res, args.seed, args.ks_repetitions, args.max_lag, args.band_replicates, args.qq_grid
+    )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     res.to_csv(out / "residuals.csv")
-    ks_lines = []
-    for j in range(res.dim):
-        col = res.values[:, j]
-        fitted = fit_stable_params(col)
-        b_col = max(fitted.alpha - DEFAULT_B_OFFSET, 0.0)
-        cfg_col = FlocConfig(1.0, b_col)
-        af = auto_floc(col, args.max_lag, cfg_col)
-        band = auto_floc_null_band(
-            fitted,
-            col.shape[0],
-            args.max_lag,
-            cfg_col,
-            replicates=args.band_replicates,
-            rng_seed=args.seed * 1000 + 2 * j,
-        )
-        write_auto_floc_csv(out / f"autofloc_x{j + 1}.csv", af, band)
-        ks = ks_test_stable(col, args.ks_repetitions, rng_seed=args.seed * 1000 + 2 * j + 1)
-        ks_lines.append(f"x{j + 1}: {ks_summary_line(ks)}")
-        if args.qq_grid >= 2:
-            write_qq_csv(out / f"qq_x{j + 1}.csv", qq_data(col, fitted, args.qq_grid))
+    for j, diag in enumerate(columns, start=1):
+        band = (diag.band_lo, diag.band_hi)
+        write_auto_floc_csv(out / f"autofloc_x{j}.csv", diag.auto_floc, band)
+        if diag.qq is not None:
+            write_qq_csv(out / f"qq_x{j}.csv", diag.qq)
+    ks_lines = [f"x{j}: {ks_summary_line(diag.ks)}" for j, diag in enumerate(columns, start=1)]
     (out / "ks.txt").write_text("\n".join(ks_lines) + "\n")
     print(f"wrote diagnostics for {res.dim} column(s) to {out}")
     return 0

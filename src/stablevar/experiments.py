@@ -7,8 +7,11 @@ adding methods or changing worker counts never perturbs the simulated
 paths, and reports are reproducible byte for byte.
 
 ``run_pipeline`` is the real-data path: mean-correct, pick the FLOC
-exponent from per-column stability estimates, estimate the coefficients,
-and run residual diagnostics per component.
+exponent from per-column stability estimates (``default_b``), estimate the
+coefficients, and diagnose each residual column (``diagnose_residuals``).
+``stablevar estimate`` and ``stablevar diagnose`` call the same two
+functions, so a fixed seed gives the same diagnostics from either entry
+point.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ __all__ = [
     "ColumnDiagnostics",
     "PipelineReport",
     "run_pipeline",
+    "column_alphas",
+    "default_b",
+    "diagnose_residuals",
     "load_experiment_config",
     "load_model_config",
     "coefficient_label",
@@ -84,10 +90,14 @@ class ExperimentConfig:
         for m in methods:
             if m not in _METHODS:
                 raise ValidationError(f"unknown method {m!r}; choose from {_METHODS}")
+        if len(set(methods)) != len(methods):
+            raise ValidationError(f"methods must not repeat, got {methods}")
         b_values = tuple(float(b) for b in self.b_values)
         for b in b_values:
             if b < 0.0:
                 raise ValidationError(f"B values must be >= 0, got {b}")
+        if len(set(b_values)) != len(b_values):
+            raise ValidationError(f"B values must not repeat, got {b_values}")
         if "floc" in methods and not b_values:
             raise ValidationError("b_values must be nonempty for FLOC runs")
         object.__setattr__(self, "methods", methods)
@@ -125,15 +135,6 @@ class MonteCarloReport:
             if (c.method, c.b, c.k, c.i, c.j) == (method, b, k, i, j):
                 return c
         raise KeyError((method, b, k, i, j))
-
-    def estimate_keys(self):
-        keys = []
-        for method in self.config.methods:
-            if method == "floc":
-                keys.extend(("floc", b) for b in self.config.b_values)
-            else:
-                keys.append((method, None))
-        return keys
 
     def to_long_csv(self, path) -> None:
         """`method,b,coefficient,k,i,j,true,mean,rmse,used` rows."""
@@ -175,7 +176,7 @@ class MonteCarloReport:
             "b_values: " + ",".join(f"{b:g}" for b in cfg.b_values),
             f"failed_replications: {self.failed_replications}",
         ]
-        for key in self.estimate_keys():
+        for key in _estimate_keys(cfg):
             method, b = key
             name = method if b is None else f"{method} B={b:g}"
             lines.append(f"failures[{name}]: {self.failures.get(key, 0)}")
@@ -296,39 +297,39 @@ def _child_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([int(seed), *path]).generate_state(1, np.uint64)[0])
 
 
-def run_pipeline(
-    series: SeriesMatrix,
-    p: int,
-    b: Optional[float] = None,
+def column_alphas(series: SeriesMatrix) -> np.ndarray:
+    """Stability index estimate of each mean-corrected column."""
+    corrected = mean_correct(series)
+    return np.array(
+        [fit_stable_params(corrected.values[:, j]).alpha for j in range(series.dim)]
+    )
+
+
+def default_b(alphas) -> float:
+    """Working FLOC exponent B: max alpha estimate - 1.05, clamped at 0."""
+    return max(float(np.max(alphas)) - DEFAULT_B_OFFSET, 0.0)
+
+
+def diagnose_residuals(
+    res: SeriesMatrix,
     rng_seed: int = 0,
     ks_repetitions: int = 100,
     max_lag: int = 20,
     band_replicates: int = 200,
     qq_grid: int = 99,
-) -> PipelineReport:
-    """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
+) -> Tuple[ColumnDiagnostics, ...]:
+    """Diagnostics of each residual column, one ``ColumnDiagnostics`` each.
 
-    When ``b`` is omitted it defaults to max over per-column stability
-    estimates minus 1.05 (clamped at 0). Diagnostics per residual column:
-    stable parameter fit, auto-FLOC with a simulated null band, bootstrap
-    KS test, and optional QQ data (``qq_grid = 0`` skips it).
+    Per column: stable parameter fit, auto-FLOC at B = default_b(alpha
+    fit) with a simulated null band, bootstrap KS test, and QQ data
+    (``qq_grid = 0`` skips it). Column j's band and KS draws come from
+    ``rng_seed`` through seed paths (2, j) and (1, j).
     """
-    corrected = mean_correct(series)
-    alphas = np.array(
-        [fit_stable_params(corrected.values[:, j]).alpha for j in range(series.dim)]
-    )
-    if b is None:
-        b = max(float(np.max(alphas)) - DEFAULT_B_OFFSET, 0.0)
-    cfg = FlocConfig(1.0, float(b))
-    cfg.warn_if_invalid_for(float(np.min(alphas)))
-    estimation = estimate_floc(series, p, cfg)
-
     columns = []
-    for j in range(series.dim):
-        col = estimation.residuals.values[:, j]
+    for j in range(res.dim):
+        col = res.values[:, j]
         fitted = fit_stable_params(col)
-        b_col = max(fitted.alpha - DEFAULT_B_OFFSET, 0.0)
-        cfg_col = FlocConfig(1.0, b_col)
+        cfg_col = FlocConfig(1.0, default_b(fitted.alpha))
         af = auto_floc(col, max_lag, cfg_col)
         lo, hi = auto_floc_null_band(
             fitted,
@@ -345,11 +346,38 @@ def run_pipeline(
                 fitted=fitted, auto_floc=af, band_lo=lo, band_hi=hi, ks=ks, qq=qq
             )
         )
+    return tuple(columns)
+
+
+def run_pipeline(
+    series: SeriesMatrix,
+    p: int,
+    b: Optional[float] = None,
+    rng_seed: int = 0,
+    ks_repetitions: int = 100,
+    max_lag: int = 20,
+    band_replicates: int = 200,
+    qq_grid: int = 99,
+) -> PipelineReport:
+    """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
+
+    When ``b`` is omitted it is ``default_b`` of the per-column stability
+    estimates. The residuals are diagnosed by ``diagnose_residuals``.
+    """
+    alphas = column_alphas(series)
+    if b is None:
+        b = default_b(alphas)
+    cfg = FlocConfig(1.0, float(b))
+    cfg.warn_if_invalid_for(float(np.min(alphas)))
+    estimation = estimate_floc(series, p, cfg)
+    columns = diagnose_residuals(
+        estimation.residuals, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
+    )
     return PipelineReport(
         estimation=estimation,
         alpha_estimates=alphas,
         b_used=float(b),
-        columns=tuple(columns),
+        columns=columns,
     )
 
 

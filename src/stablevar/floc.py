@@ -26,7 +26,6 @@ __all__ = [
     "cross_floc",
     "lag_matrix",
     "lag_matrix_set",
-    "floc_vs_covariation_check",
 ]
 
 
@@ -150,33 +149,3 @@ def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> LagMatrixSe
     matrices = {lag: lag_matrix(series, lag, cfg) for lag in range(-(p - 1), p + 1)}
     return LagMatrixSet(dim=series.dim, matrices=matrices)
 
-
-def floc_vs_covariation_check(
-    xi, xj, cfg: FlocConfig, sigma_y: float, alpha: float
-) -> Tuple[float, float]:
-    """Evaluate both sides of the FLOC/covariation identity with empirical moments.
-
-    With A = 1 and B = q - 1, the cross-FLOC equals
-    CV(X, Y) * E|Y|^q / (q * sigma_Y^alpha) where
-    CV(X, Y) = q * E[X Y^<q-1>] / E|Y|^q * sigma_Y^alpha. Returns
-    (floc value, covariation-implied value); the pair agrees to machine
-    precision, which makes this a useful wiring check.
-    """
-    if not (1.0 < alpha < 2.0):
-        raise ValidationError(f"identity requires 1 < alpha < 2, got {alpha}")
-    q = cfg.exp_b + 1.0
-    if not (1.0 <= q < alpha):
-        raise ValidationError(f"q = B + 1 = {q} must lie in [1, alpha) = [1, {alpha})")
-    if cfg.exp_a != 1.0:
-        raise ValidationError(f"identity holds for A = 1, got A = {cfg.exp_a}")
-    if sigma_y <= 0.0:
-        raise ValidationError(f"sigma_y must be positive, got {sigma_y}")
-    xi = _as_column(xi, "xi")
-    xj = _as_column(xj, "xj")
-    if xi.shape[0] != xj.shape[0]:
-        raise ValidationError("trajectories must share a length")
-    floc_value = float(np.mean(xi * signed_power(xj, q - 1.0)))
-    abs_moment = float(np.mean(np.abs(xj) ** q))
-    covariation = q * floc_value / abs_moment * sigma_y**alpha
-    implied = covariation * abs_moment / (q * sigma_y**alpha)
-    return floc_value, implied

@@ -48,6 +48,12 @@ class SeriesMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "SeriesMatrix":
+        """Read `t,x1,...,xr` rows as written by ``to_csv``.
+
+        Column names must be distinct and the ``t`` field of the data rows
+        must read 1, 2, ..., n in order, so a shuffled, repeated or spliced
+        file is refused rather than estimated as if it were in order.
+        """
         with open(path, "r") as fh:
             header = fh.readline().strip()
             if not header:
@@ -57,6 +63,8 @@ class SeriesMatrix:
                 raise ValidationError(
                     f"{path}: expected header 't,x1,...,xr', got {header!r}"
                 )
+            if len(set(names)) != len(names):
+                raise ValidationError(f"{path}:1: repeated column name in {header!r}")
             rows = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
@@ -66,6 +74,10 @@ class SeriesMatrix:
                 if len(parts) != len(names):
                     raise ValidationError(
                         f"{path}:{lineno}: expected {len(names)} fields, got {len(parts)}"
+                    )
+                if parts[0].strip() != str(len(rows) + 1):
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected t = {len(rows) + 1}, got {parts[0]!r}"
                     )
                 try:
                     rows.append([float(v) for v in parts[1:]])

@@ -8,6 +8,7 @@ prefix so the retained path is effectively stationary.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -111,6 +112,18 @@ def _require_causal(model: VarModel) -> None:
         )
 
 
+def _psi_terms(model: VarModel):
+    """Yield Psi_1, Psi_2, ... with Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}."""
+    r, p = model.dim, model.order
+    psi = [np.eye(r)]
+    for j in itertools.count(1):
+        acc = np.zeros((r, r))
+        for k in range(1, min(j, p) + 1):
+            acc += model.coeffs[k - 1] @ psi[j - k]
+        psi.append(acc)
+        yield acc
+
+
 def psi_matrices(model: VarModel, count: int) -> list:
     """Moving-average weights Psi_0 ... Psi_count of the causal representation.
 
@@ -120,28 +133,15 @@ def psi_matrices(model: VarModel, count: int) -> list:
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
     _require_causal(model)
-    r, p = model.dim, model.order
-    psi = [np.eye(r)]
-    for j in range(1, count + 1):
-        acc = np.zeros((r, r))
-        for k in range(1, min(j, p) + 1):
-            acc += model.coeffs[k - 1] @ psi[j - k]
-        psi.append(acc)
-    return psi
+    return [np.eye(model.dim), *itertools.islice(_psi_terms(model), count)]
 
 
 def psi_count_for_tolerance(model: VarModel, tol: float = 1e-12, max_count: int = 100_000) -> int:
     """Smallest j with max-abs entry of Psi_j below ``tol``."""
     _require_causal(model)
-    r, p = model.dim, model.order
-    psi = [np.eye(r)]
-    for j in range(1, max_count + 1):
-        acc = np.zeros((r, r))
-        for k in range(1, min(j, p) + 1):
-            acc += model.coeffs[k - 1] @ psi[j - k]
-        if np.max(np.abs(acc)) < tol:
+    for j, psi in enumerate(itertools.islice(_psi_terms(model), max_count), start=1):
+        if np.max(np.abs(psi)) < tol:
             return j
-        psi.append(acc)
     raise ValidationError(f"Psi entries did not fall below {tol} within {max_count} terms")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import stablevar as sv
 from stablevar.cli import main
+from stablevar.diagnostics import ks_summary_line, write_auto_floc_csv, write_qq_csv
 
 MODEL_CFG = """\
 dim = 2
@@ -144,6 +145,36 @@ class TestDiagnose:
             assert qq[0] == "level,empirical,fitted" and len(qq) == 10
         res = sv.SeriesMatrix.from_csv(out / "residuals.csv")
         assert res.n == 298  # n - p rows
+
+    def test_matches_run_pipeline(self, model_cfg, tmp_path):
+        # estimate (FLOC, default B) + diagnose --seed s writes what the
+        # library's writers make of run_pipeline(..., rng_seed=s)
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        report, summary = tmp_path / "report.csv", tmp_path / "summary.txt"
+        assert main(["estimate", "--data", str(data), "--order", "2",
+                     "--out", str(report), "--summary", str(summary)]) == 0
+        out = tmp_path / "diag"
+        assert main([
+            "diagnose", "--data", str(data), "--report", str(report),
+            "--out-dir", str(out), "--seed", "3",
+            "--ks-repetitions", "100", "--max-lag", "8",
+            "--band-replicates", "20", "--qq-grid", "9",
+        ]) == 0
+        lib = sv.run_pipeline(sv.SeriesMatrix.from_csv(data), 2, rng_seed=3,
+                              ks_repetitions=100, max_lag=8, band_replicates=20, qq_grid=9)
+        assert f"exp_b: {lib.b_used!r}" in summary.read_text().splitlines()
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        ks_lines = []
+        for j, col in enumerate(lib.columns, start=1):
+            write_auto_floc_csv(ref / f"autofloc_x{j}.csv", col.auto_floc, (col.band_lo, col.band_hi))
+            write_qq_csv(ref / f"qq_x{j}.csv", col.qq)
+            ks_lines.append(f"x{j}: {ks_summary_line(col.ks)}")
+        (ref / "ks.txt").write_text("\n".join(ks_lines) + "\n")
+        names = ["ks.txt"] + [f"{kind}_x{j}.csv" for kind in ("autofloc", "qq") for j in (1, 2)]
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_dimension_mismatch(self, model_cfg, tmp_path, capsys):
         data = tmp_path / "series.csv"

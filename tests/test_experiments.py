@@ -102,6 +102,19 @@ class TestExperimentConfigValidation:
         cfg = small_config(methods=("ls",), b_values=())
         assert cfg.methods == ("ls",)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(methods=("floc", "ls", "ls")), "methods must not repeat"),
+            (dict(methods=("ls", "LS")), "methods must not repeat"),
+            (dict(b_values=(0.5, 0.5)), "B values must not repeat"),
+            (dict(methods=("floc", "ls", "ls"), b_values=(0.5, 0.5)), "must not repeat"),
+        ],
+    )
+    def test_repeats_rejected(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            small_config(**overrides)
+
 
 class TestCoefficientLabels:
     def test_column_major_block_layout(self):

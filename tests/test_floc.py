@@ -166,27 +166,3 @@ class TestLagMatrixSet:
         assert (int(lag), int(i), int(j)) == (-1, 1, 1)
         assert float(value) == built[-1][0, 0]
 
-
-class TestCovariationIdentity:
-    def test_machine_precision_identity(self):
-        x = sv.sample_sas(sv.StableParams.symmetric(1.6, 1.0), 5000, 31)
-        y = 0.4 * x + sv.sample_sas(sv.StableParams.symmetric(1.6, 1.0), 5000, 32)
-        cfg = FlocConfig(1.0, 0.4)  # q = 1.4
-        lhs, rhs = sv.floc_vs_covariation_check(x, y, cfg, sigma_y=1.1, alpha=1.6)
-        assert rhs == pytest.approx(lhs, rel=1e-12)
-
-    def test_q_equal_one_reduces_to_sign_moment(self):
-        rng = np.random.default_rng(41)
-        x, y = rng.standard_normal(500), rng.standard_normal(500)
-        lhs, rhs = sv.floc_vs_covariation_check(x, y, FlocConfig(1.0, 0.0), 1.0, 1.5)
-        assert lhs == pytest.approx(np.mean(x * np.sign(y)), abs=1e-15)
-        assert rhs == pytest.approx(lhs, rel=1e-13)
-
-    def test_q_range_validation(self):
-        x = np.ones(10)
-        with pytest.raises(ValidationError):
-            sv.floc_vs_covariation_check(x, x, FlocConfig(1.0, 0.8), 1.0, 1.6)  # q >= alpha
-        with pytest.raises(ValidationError):
-            sv.floc_vs_covariation_check(x, x, FlocConfig(1.0, 0.2), 1.0, 2.5)  # alpha >= 2
-        with pytest.raises(ValidationError):
-            sv.floc_vs_covariation_check(x, x, FlocConfig(0.5, 0.2), 1.0, 1.6)  # A != 1

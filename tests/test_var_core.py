@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -192,6 +194,17 @@ class TestSeriesCsv:
         p.write_text("t,x1\n")
         with pytest.raises(ValidationError):
             sv.SeriesMatrix.from_csv(p)
+        # t must read 1..n in order and column names must be distinct
+        for text, line in [
+            ("t,x1\n2,1.0\n1,2.0\n", 2),  # shuffled
+            ("t,x1\n1,1.0\n2,2.0\n2,3.0\n", 4),  # repeated
+            ("t,x1\n1,1.0\n2.0,2.0\n", 3),  # non-integer
+            ("t,x1,x2\nabc,1.0,2.0\n", 2),  # not a number
+            ("t,x1,x1\n1,1.0,2.0\n", 1),  # repeated column name
+        ]:
+            p.write_text(text)
+            with pytest.raises(ValidationError, match=re.escape(f"{p}:{line}:")):
+                sv.SeriesMatrix.from_csv(p)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
