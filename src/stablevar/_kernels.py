@@ -1,5 +1,5 @@
-"""Hot numeric kernels in plain numpy: the CMS transform, the VAR
-recursion, the cross-FLOC window sum and the bulk Gil-Pelaez CDF.
+"""Hot numeric kernels in plain numpy: the Chambers-Mallows-Stuck
+transform and the VAR recursion.
 
 Callers reach them as attributes of this module (``_kernels.var_recursion``
 and so on), so each kernel has one implementation under one name.
@@ -11,12 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "stable_transform",
-    "var_recursion",
-    "cross_floc_sum",
-    "gil_pelaez_cdf",
-]
+__all__ = ["stable_transform", "var_recursion"]
 
 
 def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -62,43 +57,3 @@ def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
             out[t] += coeffs[k - 1] @ out[t - k]
     return out
 
-
-def cross_floc_sum(xi: np.ndarray, xj: np.ndarray, k: int, a: float, b: float) -> float:
-    """Window sum of |xi[n]|^a |xj[n-k]|^b sign(xi[n] xj[n-k]), unnormalized.
-
-    Valid window: n in [max(0, k), min(n, n+k)) so neither series is indexed
-    out of range; the caller divides by the window length n - |k|.
-    np.sum keeps the accumulation pairwise.
-    """
-    n = xi.shape[0]
-    lo = max(0, k)
-    hi = min(n, n + k)
-    u = xi[lo:hi]
-    v = xj[lo - k : hi - k]
-    terms = np.abs(u) ** a * np.abs(v) ** b * np.sign(u) * np.sign(v)
-    return float(np.sum(terms))
-
-
-def gil_pelaez_cdf(
-    z: np.ndarray,
-    t: np.ndarray,
-    amp: np.ndarray,
-    ph: np.ndarray,
-    w0: float,
-) -> np.ndarray:
-    """CDF of a standard stable law at points ``z`` by a fixed quadrature grid.
-
-    ``t`` holds the strictly positive quadrature nodes, ``amp`` the combined
-    exp(-t^alpha) * weight / t factors, ``ph`` the skewness phase at each
-    node, and ``w0`` the weight of the t=0 node whose integrand limit is -z
-    (valid for alpha > 1). Chunked to bound the temporary (len(z) x len(t))
-    matrix.
-    """
-    out = np.empty(z.shape[0])
-    chunk = max(1, int(4_000_000 // max(1, t.shape[0])))
-    for s in range(0, z.shape[0], chunk):
-        zz = z[s : s + chunk, None]
-        acc = np.sin(ph[None, :] - t[None, :] * zz) @ amp
-        acc += w0 * (-z[s : s + chunk])
-        out[s : s + chunk] = 0.5 - acc / np.pi
-    return out

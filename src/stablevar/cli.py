@@ -9,7 +9,8 @@ do not match it. Floats are written as shortest round-trip text, so files
 read back to the same numbers.
 
 The subcommands only read inputs and write outputs; the numbers come from
-the library. estimate's default B is ``experiments.default_b``, and
+the library. estimate's default B is ``experiments.default_b``, and FLOC
+warns as ``run_pipeline`` does when A + B reaches a column alpha estimate;
 diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
 writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
 same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
@@ -114,8 +115,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
-        b = args.b_exp if args.b_exp is not None else default_b(column_alphas(series))
+        alphas = column_alphas(series)
+        b = args.b_exp if args.b_exp is not None else default_b(alphas)
         cfg = FlocConfig(1.0, b)
+        cfg.warn_if_invalid_for(float(min(alphas)))
         normalizer = args.normalizer or "window"
         report = estimate_floc(series, args.order, cfg, normalizer=normalizer)
     elif args.method == "yw":

@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .floc import FlocConfig, cross_floc
+from .floc import FlocConfig, _floc_moments
 from .seeding import substream
 from .stable_dist import stable_cdf_bulk, stable_quantile
 from .stable_noise import StableParams, fit_stable_params, sample_stable
@@ -75,7 +75,7 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     if not np.any(col != 0.0):
         raise ValidationError("degenerate all-zero column")
     lags = np.arange(max_lag + 1)
-    values = np.array([cross_floc(col, col, int(k), cfg) for k in lags])
+    values = _floc_moments(col[:, None], col[:, None], lags, cfg)[:, 0, 0]
     return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
 
 
@@ -100,8 +100,8 @@ def auto_floc_null_band(
         raise ValidationError(f"level must be in (0, 1), got {level}")
     sims = np.empty((replicates, max_lag + 1))
     for rep in range(replicates):
-        sample = sample_stable(fitted, n, substream(rng_seed, rep))
-        sims[rep] = [cross_floc(sample, sample, k, cfg) for k in range(max_lag + 1)]
+        sample = sample_stable(fitted, n, substream(rng_seed, rep))[:, None]
+        sims[rep] = _floc_moments(sample, sample, range(max_lag + 1), cfg)[:, 0, 0]
     tail = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(sims, tail, axis=0)
     hi = np.percentile(sims, 100.0 - tail, axis=0)

@@ -5,17 +5,19 @@ The cross-FLOC of two trajectories at lag k averages
 |x_i[n]|^A |x_j[n-k]|^B sign(x_i[n] x_j[n-k]) over the n for which both
 indices are in range; the normalizer is the window length N - |k|. With
 A = B = 1 this is the plain lagged cross-moment.
+
+Every lag moment goes through ``_floc_moments``: with U = X^<A> and V = X^<B>
+formed once, lag k >= 0 is the matrix product U[k:]^T V[:N-k] / (N - k).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .errors import ValidationError
 from .series import SeriesMatrix
 
@@ -73,6 +75,18 @@ def _as_column(x, name: str) -> np.ndarray:
     return arr
 
 
+def _floc_moments(x, y, lags: Iterable[int], cfg: FlocConfig) -> np.ndarray:
+    """Entry [l, i, j]: cross-FLOC of x[:, i] against y[:, j] at lag lags[l].
+
+    ``x`` and ``y`` are (N, r) and (N, s); callers check every |k| < N.
+    """
+    u, v = signed_power(x, cfg.exp_a), signed_power(y, cfg.exp_b)
+    n = u.shape[0]
+    return np.array(
+        [(u[k:].T @ v[: n - k] if k >= 0 else u[: n + k].T @ v[-k:]) / (n - abs(k)) for k in lags]
+    )
+
+
 def cross_floc(xi, xj, k: int, cfg: FlocConfig) -> float:
     """Sample cross-FLOC of ``xi`` against ``xj`` lagged by ``k``.
 
@@ -89,20 +103,14 @@ def cross_floc(xi, xj, k: int, cfg: FlocConfig) -> float:
     k = int(k)
     if abs(k) >= n:
         raise ValidationError(f"lag {k} out of range for length {n}: empty window")
-    total = _kernels.cross_floc_sum(xi, xj, k, cfg.exp_a, cfg.exp_b)
-    return float(total) / (n - abs(k))
+    return float(_floc_moments(xi[:, None], xj[:, None], [k], cfg)[0, 0, 0])
 
 
 def lag_matrix(series: SeriesMatrix, lag: int, cfg: FlocConfig) -> np.ndarray:
     """r x r matrix with entry (i, j) = cross_floc(column i, column j, lag)."""
     if abs(int(lag)) >= series.n:
         raise ValidationError(f"lag {lag} out of range for series of length {series.n}")
-    r = series.dim
-    out = np.empty((r, r))
-    for i in range(r):
-        for j in range(r):
-            out[i, j] = cross_floc(series.values[:, i], series.values[:, j], lag, cfg)
-    return out
+    return _floc_moments(series.values, series.values, [int(lag)], cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,7 @@ def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> LagMatrixSe
         raise ValidationError(f"order must be >= 1, got {p}")
     if series.n <= 2 * p:
         raise ValidationError(f"series of length {series.n} too short for order {p}")
-    matrices = {lag: lag_matrix(series, lag, cfg) for lag in range(-(p - 1), p + 1)}
+    lags = range(-(p - 1), p + 1)
+    matrices = dict(zip(lags, _floc_moments(series.values, series.values, lags, cfg)))
     return LagMatrixSet(dim=series.dim, matrices=matrices)
 

@@ -50,3 +50,15 @@ def brute_lag_moment_matrix(values: np.ndarray, lag: int):
                 s += values[m, i] * values[m - lag, j]
             out[i, j] = s / (hi - lo)
     return out
+
+
+def brute_gil_pelaez_cdf(z, t, amp, ph, w0):
+    """Dense node sum of the Gil-Pelaez inversion: one sin per (point, node).
+
+    ``t``, ``amp``, ``ph`` and ``w0`` are the fixed-grid nodes, combined
+    exp(-t^alpha) * weight / t factors, skewness phases and t = 0 weight of
+    ``stable_dist._bulk_grid``; the caller subtracts its correction / pi.
+    """
+    z = np.asarray(z, dtype=float)
+    acc = np.sin(ph[None, :] - t[None, :] * z[:, None]) @ amp - w0 * z
+    return 0.5 - acc / np.pi

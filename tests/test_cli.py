@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,6 +105,31 @@ class TestEstimate:
             "--method", "ls", "--out", str(tmp_path / "r.csv"),
         ])
         assert code == 1
+
+
+    def test_floc_warns_when_a_plus_b_reaches_an_alpha(self, model_cfg, tmp_path):
+        # default B follows the larger column alpha estimate (1.668), so
+        # A + B = 1.6175 reaches the other column's estimate (1.488)
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "stablevar.cli", "estimate", "--data", str(data),
+             "--order", "2", "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0
+        assert "A + B = 1.618 >= estimated alpha 1.488" in run.stderr
+        assert "exp_b: 0.6175" in run.stdout
+
+    def test_floc_silent_when_a_plus_b_below_alphas(self, model_cfg, tmp_path):
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--data", str(data), "--order", "2",
+                         "--b-exp", "0.3", "--out", str(tmp_path / "r.csv")])
+        assert code == 0
 
 
 class TestMonteCarlo:

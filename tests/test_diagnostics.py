@@ -5,6 +5,7 @@ import stablevar as sv
 from stablevar.diagnostics import ks_statistic, write_auto_floc_csv, write_qq_csv
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig
+from stablevar.seeding import substream
 from stablevar.stable_dist import stable_cdf
 
 
@@ -46,6 +47,18 @@ class TestAutoFloc:
         inside = (af.values[1:] >= lo[1:]) & (af.values[1:] <= hi[1:])
         assert inside.mean() >= 0.8
         assert np.all(lo <= hi)
+
+    def test_null_band_is_percentiles_of_replicate_auto_floc(self):
+        fitted = sv.StableParams(1.7, 0.2, 1.3, 0.1)
+        cfg = FlocConfig(1.0, 0.6)
+        lo, hi = sv.auto_floc_null_band(fitted, 150, 6, cfg, replicates=20, level=0.9, rng_seed=5)
+        sims = [
+            sv.auto_floc(sv.sample_stable(fitted, 150, substream(5, rep)), 6, cfg).values
+            for rep in range(20)
+        ]
+        tail = 100.0 * (1.0 - 0.9) / 2.0
+        assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
+        assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
 
 
 class TestKsTest:

@@ -105,6 +105,32 @@ class TestCrossFloc:
             sv.cross_floc([1.0, 2.0], [1.0], 0, FlocConfig(1.0, 1.0))
 
 
+class TestLagMoments:
+    def test_paths_match_brute_force_with_zeros(self):
+        # cross_floc, lag_matrix and auto_floc share one signed-power matmul path
+        rng = np.random.default_rng(77)
+        values = rng.standard_t(1.5, (40, 2))
+        values[[0, 5, 6, 17, 39], 0] = 0.0
+        values[[3, 5, 22], 1] = 0.0
+        series = sv.SeriesMatrix(values)
+        for a in (0.5, 1.0):
+            for b in (0.0, 0.3, 0.55):
+                cfg = FlocConfig(a, b)
+                auto = sv.auto_floc(values[:, 0], 3, cfg).values
+                for k in range(-3, 4):
+                    mat = sv.lag_matrix(series, k, cfg)
+                    for i in range(2):
+                        for j in range(2):
+                            want, count, terms = brute_cross_floc(values[:, i], values[:, j], k, a, b)
+                            assert count == 40 - abs(k)
+                            tol = 1e-12 * max(np.mean(np.abs(terms)), 1e-30)
+                            assert abs(mat[i, j] - want) <= tol
+                            got = sv.cross_floc(values[:, i], values[:, j], k, cfg)
+                            assert abs(got - want) <= tol
+                            if i == j == 0 and k >= 0:
+                                assert abs(auto[k] - want) <= tol
+
+
 class TestLagMatrix:
     def test_unit_exponents_equal_cross_moments(self):
         series = sv.mean_correct(sv.simulate(var2_model(2.0), 2000, 200, 3))

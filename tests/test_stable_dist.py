@@ -3,8 +3,23 @@ import pytest
 from scipy.stats import levy_stable, norm
 
 import stablevar as sv
+from helpers import brute_gil_pelaez_cdf
+from stablevar import stable_dist
 from stablevar.errors import ValidationError
-from stablevar.stable_dist import stable_cdf, stable_cdf_bulk, stable_quantile
+from stablevar.stable_dist import _BULK_TAIL_Z, stable_cdf, stable_cdf_bulk, stable_quantile
+
+ENGINE_ALPHAS = (1.05, 1.3, 1.6, 1.9, 2.0)
+ENGINE_BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+TAIL_LEVELS = np.array([1e-4, 0.005, 0.5, 0.995, 1.0 - 1e-4])
+
+
+def _engine_points(alpha, beta, seed):
+    """Standardized draws from the law plus the points just inside the tail
+    switch; the largest |z| sets the node spacing of the grid."""
+    edge = _BULK_TAIL_Z - 0.01
+    draws = sv.sample_stable(sv.StableParams(alpha, beta, 1.0, 0.0), 40, seed)
+    draws = draws[np.abs(draws) < edge]
+    return np.concatenate([[-edge, edge], draws, np.linspace(-6.0, 6.0, 13)])
 
 
 class TestCdf:
@@ -89,3 +104,76 @@ class TestQuantile:
             stable_quantile(0.0, p)
         with pytest.raises(ValidationError):
             stable_quantile(np.array([0.5, 1.0]), p)
+
+
+class TestGridEngine:
+    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
+    def test_matches_dense_node_sum(self, alpha):
+        for i, beta in enumerate(ENGINE_BETAS):
+            for z in (_engine_points(alpha, beta, i), np.linspace(-3.0, 2.5, 23)):
+                zmax = float(np.max(np.abs(z)))
+                t, amp, ph, w0, correction = stable_dist._bulk_grid(alpha, beta, zmax)
+                want = np.clip(brute_gil_pelaez_cdf(z, t, amp, ph, w0) - correction / np.pi, 0, 1)
+                got = stable_cdf_bulk(z, sv.StableParams(alpha, beta, 1.0, 0.0))
+                assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
+    def test_matches_quad(self, alpha):
+        for i, beta in enumerate(ENGINE_BETAS):
+            z = _engine_points(alpha, beta, 100 + i)[:12]
+            p = sv.StableParams(alpha, beta, 1.0, 0.0)
+            assert np.max(np.abs(stable_cdf_bulk(z, p) - stable_cdf(z, p))) <= 1e-6
+
+    def test_no_quadrature_above_alpha_one(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive path reached")
+
+        monkeypatch.setattr(stable_dist.integrate, "quad", refuse)
+        monkeypatch.setattr(stable_dist.optimize, "brentq", refuse)
+        p = sv.StableParams(1.4, 0.3, 2.0, 1.0)
+        stable_cdf_bulk(np.linspace(-200.0, 200.0, 41), p)
+        stable_quantile(TAIL_LEVELS, p)
+
+
+class TestVectorizedQuantile:
+    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
+    def test_roundtrip_and_tail_levels(self, alpha):
+        for beta in (-1.0, 0.0, 0.5, 1.0):
+            p = sv.StableParams(alpha, beta, 1.0, 0.0)
+            qs = stable_quantile(TAIL_LEVELS, p)
+            assert np.all(np.isfinite(qs)) and np.all(np.diff(qs) > 0)
+            for level, q in zip(TAIL_LEVELS, qs):
+                assert stable_quantile(level, p) == q
+            inner = np.abs(qs) <= _BULK_TAIL_Z
+            back = stable_cdf(qs[inner], p)
+            assert np.max(np.abs(back - TAIL_LEVELS[inner])) < 1e-6
+            # past the cutoff the quantile inverts the bulk path's tail expansion
+            outer = ~inner
+            bulk = stable_cdf_bulk(qs[outer], p)
+            assert np.allclose(bulk, TAIL_LEVELS[outer], rtol=1e-12, atol=0.0)
+
+    def test_tail_levels_reached(self):
+        p = sv.StableParams(1.05, 0.0, 1.0, 0.0)
+        qs = stable_quantile(TAIL_LEVELS, p)
+        assert qs[0] < -_BULK_TAIL_Z and qs[-1] > _BULK_TAIL_Z
+
+    def test_levels_in_the_tail_switch_jump(self):
+        # at alpha = 1.05, beta = 0.5 the lower tail expansion at the switch
+        # (0.00284) sits below the grid CDF there (0.00325); levels in that
+        # jump map to the switch point itself
+        p = sv.StableParams(1.05, 0.5, 1.0, 0.0)
+        qs = stable_quantile(np.array([0.0028, 0.003, 0.0033]), p)
+        assert qs[0] < -_BULK_TAIL_Z < qs[2]
+        assert qs[1] == -_BULK_TAIL_Z
+
+    def test_shape_kept(self):
+        p = sv.StableParams(1.6, 0.2, 1.0, 0.0)
+        levels = np.array([[0.1, 0.2], [0.7, 0.9]])
+        assert stable_quantile(levels, p).shape == (2, 2)
+        assert isinstance(stable_quantile(0.3, p), float)
+
+    def test_alpha_below_one_fallback(self):
+        p = sv.StableParams(0.9, 0.2, 1.0, 0.0)
+        levels = np.array([0.2, 0.5, 0.8])
+        back = stable_cdf(stable_quantile(levels, p), p)
+        assert np.max(np.abs(back - levels)) < 1e-9
