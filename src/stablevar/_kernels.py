@@ -1,5 +1,7 @@
 """Hot numeric kernels in plain numpy: the Chambers-Mallows-Stuck
-transform and the VAR recursion.
+transform, the VAR recursion, the cross-FLOC window sums (one matrix
+product per lag) and the bulk Gil-Pelaez CDF on an equispaced grid (one
+inverse real FFT).
 
 Callers reach them as attributes of this module (``_kernels.var_recursion``
 and so on), so each kernel has one implementation under one name.
@@ -10,8 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import fft
 
-__all__ = ["stable_transform", "var_recursion"]
+__all__ = ["stable_transform", "var_recursion", "cross_floc_sum", "gil_pelaez_cdf"]
 
 
 def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -57,3 +60,41 @@ def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
             out[t] += coeffs[k - 1] @ out[t - k]
     return out
 
+
+def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:
+    """Window sums of u[n, i] v[n-k, j] for each lag k in ``lags``, unnormalized.
+
+    ``u`` (N, r) and ``v`` (N, s) hold the signed powers x^<A> and y^<B>.
+    Entry [l, i, j] sums over the valid window n in [max(0, k), min(N, N+k))
+    of k = lags[l]; the caller divides by the window length N - |k|.
+    """
+    n = u.shape[0]
+    return np.array([u[k:].T @ v[: n - k] if k >= 0 else u[: n + k].T @ v[-k:] for k in lags])
+
+
+def gil_pelaez_cdf(
+    z: np.ndarray,
+    t: np.ndarray,
+    amp: np.ndarray,
+    ph: np.ndarray,
+    w0: float,
+) -> np.ndarray:
+    """CDF of a standard stable law and its first two z-derivatives on a grid.
+
+    ``t`` holds the quadrature nodes t_j = j h (j >= 1), ``amp`` the combined
+    exp(-t^alpha) * weight / t factors, ``ph`` the skewness phase at each
+    node, and ``w0`` the weight of the t=0 node whose integrand limit is -z
+    (valid for alpha > 1). Row 0 is 0.5 - (S(z) - w0 z) / pi with
+    S(z) = sum_j amp_j sin(ph_j - t_j z) = Im sum_j c_j exp(-i j h z),
+    c_j = amp_j exp(i ph_j). ``z`` must be m dz for m = -M..M with
+    dz = 2 pi / (h N), N an integer: there S is one length-N inverse real
+    FFT of i conj(c_j) N / 2, and each z-derivative multiplies c_j by -i t_j.
+    """
+    m = z.shape[0] // 2
+    n_fft = int(round(2.0 * math.pi / (t[0] * (z[m + 1] - z[m]))))
+    coef = np.zeros((3, n_fft // 2 + 1), dtype=complex)
+    c = (0.5j * n_fft) * amp * np.exp(-1j * ph)
+    coef[:, 1 : t.shape[0] + 1] = (1j * t) ** np.arange(3)[:, None] * c
+    s = fft.irfft(coef, n_fft, axis=1)
+    s = np.concatenate([s[:, n_fft - m :], s[:, : m + 1]], axis=1)
+    return np.stack([0.5 * math.pi - (s[0] - w0 * z), w0 - s[1], -s[2]]) / math.pi

@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .floc import FlocConfig, _floc_moments
+from .floc import FlocConfig, cross_floc
 from .seeding import substream
 from .stable_dist import stable_cdf_bulk, stable_quantile
 from .stable_noise import StableParams, fit_stable_params, sample_stable
@@ -75,7 +75,7 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     if not np.any(col != 0.0):
         raise ValidationError("degenerate all-zero column")
     lags = np.arange(max_lag + 1)
-    values = _floc_moments(col[:, None], col[:, None], lags, cfg)[:, 0, 0]
+    values = cross_floc(col, col, lags, cfg)
     return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
 
 
@@ -94,14 +94,17 @@ def auto_floc_null_band(
     fitted law and takes per-lag percentiles, so an observed auto-FLOC can
     be judged against what pure noise produces.
     """
+    if max_lag < 0 or max_lag >= n:
+        raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
     if replicates < 2:
         raise ValidationError(f"need at least 2 replicates, got {replicates}")
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
+    lags = np.arange(max_lag + 1)
     sims = np.empty((replicates, max_lag + 1))
     for rep in range(replicates):
-        sample = sample_stable(fitted, n, substream(rng_seed, rep))[:, None]
-        sims[rep] = _floc_moments(sample, sample, range(max_lag + 1), cfg)[:, 0, 0]
+        sample = sample_stable(fitted, n, substream(rng_seed, rep))
+        sims[rep] = cross_floc(sample, sample, lags, cfg)
     tail = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(sims, tail, axis=0)
     hi = np.percentile(sims, 100.0 - tail, axis=0)

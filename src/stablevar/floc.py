@@ -7,7 +7,8 @@ indices are in range; the normalizer is the window length N - |k|. With
 A = B = 1 this is the plain lagged cross-moment.
 
 Every lag moment goes through ``_floc_moments``: with U = X^<A> and V = X^<B>
-formed once, lag k >= 0 is the matrix product U[k:]^T V[:N-k] / (N - k).
+formed once, lag k >= 0 is the matrix product U[k:]^T V[:N-k] / (N - k)
+(``_kernels.cross_floc_sum``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .errors import ValidationError
 from .series import SeriesMatrix
 
@@ -80,18 +82,17 @@ def _floc_moments(x, y, lags: Iterable[int], cfg: FlocConfig) -> np.ndarray:
 
     ``x`` and ``y`` are (N, r) and (N, s); callers check every |k| < N.
     """
-    u, v = signed_power(x, cfg.exp_a), signed_power(y, cfg.exp_b)
-    n = u.shape[0]
-    return np.array(
-        [(u[k:].T @ v[: n - k] if k >= 0 else u[: n + k].T @ v[-k:]) / (n - abs(k)) for k in lags]
-    )
+    lags = np.asarray(lags, dtype=int)
+    sums = _kernels.cross_floc_sum(signed_power(x, cfg.exp_a), signed_power(y, cfg.exp_b), lags)
+    return sums / (x.shape[0] - np.abs(lags))[:, None, None]
 
 
-def cross_floc(xi, xj, k: int, cfg: FlocConfig) -> float:
+def cross_floc(xi, xj, k, cfg: FlocConfig):
     """Sample cross-FLOC of ``xi`` against ``xj`` lagged by ``k``.
 
     Averages signed_power(xi[n], A) * signed_power(xj[n-k], B) over the
-    valid window, which has exactly N - |k| terms.
+    valid window, which has exactly N - |k| terms. An int ``k`` gives a
+    float; a sequence of lags gives an array with one value per lag.
     """
     xi = _as_column(xi, "xi")
     xj = _as_column(xj, "xj")
@@ -100,10 +101,12 @@ def cross_floc(xi, xj, k: int, cfg: FlocConfig) -> float:
             f"trajectories must share a length, got {xi.shape[0]} and {xj.shape[0]}"
         )
     n = xi.shape[0]
-    k = int(k)
-    if abs(k) >= n:
-        raise ValidationError(f"lag {k} out of range for length {n}: empty window")
-    return float(_floc_moments(xi[:, None], xj[:, None], [k], cfg)[0, 0, 0])
+    lags = np.asarray(k).astype(int)
+    out = np.abs(lags) >= n
+    if lags.size == 0 or np.any(out):
+        raise ValidationError(f"lag {lags[out]} out of range for length {n}: empty window")
+    values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), cfg)[:, 0, 0]
+    return float(values[0]) if lags.ndim == 0 else values
 
 
 def lag_matrix(series: SeriesMatrix, lag: int, cfg: FlocConfig) -> np.ndarray:

@@ -4,11 +4,13 @@ characteristic function.
 ``stable_cdf`` runs adaptive quadrature of the Gil-Pelaez integral at each
 point: the reference path, and the path for alpha <= 1. For alpha > 1,
 ``stable_cdf_bulk`` and ``stable_quantile`` share ``_cdf_grid``: on fixed
-Simpson nodes the integral is a Fourier sum in z, so one FFT gives the CDF
-and two derivatives on an equispaced z grid (Mittnik, Doganoglu and
-Chenyao, 1999). Quintic Hermite interpolation of the grid gives the CDF at
-sample points, and bisection in the bracketing cell gives quantiles.
-Beyond ``_BULK_TAIL_Z`` both use the power-law tail expansion.
+Simpson nodes the integral is a Fourier sum in z, so one FFT
+(``_kernels.gil_pelaez_cdf``) gives the CDF and two derivatives on an
+equispaced z grid (Mittnik, Doganoglu and Chenyao, 1999). Quintic Hermite
+interpolation of the grid gives the CDF at sample points, and bisection in
+the bracketing cell gives quantiles. Past the grid both use the power-law
+tail expansion: beyond ``_BULK_TAIL_Z`` for the bulk CDF, beyond
+``_QUAD_TAIL_Z`` (where ``stable_cdf`` switches too) for quantiles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import numpy as np
 from scipy import fft, integrate, optimize
 
+from . import _kernels
 from .errors import NumericalError, ValidationError
 from .stable_noise import StableParams
 
@@ -124,24 +127,17 @@ def _cdf_grid(alpha: float, beta: float, zmax: float):
     """(z0, dz, f): f[d] is the d-th z-derivative of the standard CDF at
     z0 + k dz, on a grid symmetric about 0 that covers [-zmax, zmax].
 
-    On the ``_bulk_grid`` nodes t_j = j h the CDF is 0.5 - (S(z) - w0 z +
-    correction) / pi with S(z) = Im sum_j c_j exp(-i j h z), c_j = amp_j
-    exp(i ph_j). At z = m dz, dz = 2 pi / (h N), S is one length-N inverse
-    real FFT of i conj(c_j) N / 2; each z-derivative multiplies c_j by -i t_j.
+    The spacing dz <= _GRID_DZ makes 2 pi / (h dz) a fast FFT length for the
+    node spacing h of ``_bulk_grid``, as ``_kernels.gil_pelaez_cdf`` needs.
     """
     t, amp, ph, w0, correction = _bulk_grid(alpha, beta, zmax)
-    h = float(t[0])
-    n_fft = fft.next_fast_len(int(math.ceil(2.0 * math.pi / (h * _GRID_DZ))), real=True)
-    dz = 2.0 * math.pi / (h * n_fft)
+    n_fft = fft.next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
+    dz = 2.0 * math.pi / (t[0] * n_fft)
     m = int(zmax / dz) + 2
-    coef = np.zeros((3, n_fft // 2 + 1), dtype=complex)
-    c = (0.5j * n_fft) * amp * np.exp(-1j * ph)
-    coef[:, 1 : t.shape[0] + 1] = (1j * t) ** np.arange(3)[:, None] * c
-    s = fft.irfft(coef, n_fft, axis=1)
-    s = np.concatenate([s[:, n_fft - m :], s[:, : m + 1]], axis=1)
     z = dz * np.arange(-m, m + 1)
-    f = np.stack([0.5 * math.pi - (s[0] - w0 * z + correction), w0 - s[1], -s[2]]) / math.pi
-    return -m * dz, dz, f
+    f = _kernels.gil_pelaez_cdf(z, t, amp, ph, w0)
+    f[0] -= correction / math.pi
+    return z[0], dz, f
 
 
 def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
@@ -181,26 +177,34 @@ def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
 def _std_quantile(p: float, alpha: float, beta: float) -> float:
     lo, hi = -2.0, 2.0
     for _ in range(80):
-        below, above = _std_cdf_quad(lo, alpha, beta) < p, _std_cdf_quad(hi, alpha, beta) > p
-        if below and above:
+        if _std_cdf_quad(lo, alpha, beta) < p:
             break
-        lo, hi = lo if below else 2.0 * lo, hi if above else 2.0 * hi
+        lo *= 2.0
     else:
         raise NumericalError(f"failed to bracket quantile at level {p}")
-    excess = lambda z: _std_cdf_quad(z, alpha, beta) - p  # noqa: E731
-    return float(optimize.brentq(excess, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    for _ in range(80):
+        if _std_cdf_quad(hi, alpha, beta) > p:
+            break
+        hi *= 2.0
+    else:
+        raise NumericalError(f"failed to bracket quantile at level {p}")
+    return float(
+        optimize.brentq(
+            lambda z: _std_cdf_quad(z, alpha, beta) - p, lo, hi, xtol=1e-12, rtol=8.9e-16
+        )
+    )
 
 
 def _grid_quantile(p: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Standard quantiles (alpha > 1) of the CDF that ``stable_cdf_bulk``
-    evaluates: the FFT grid within +-_BULK_TAIL_Z, the tail expansion beyond."""
-    grid = z0, dz, f = _cdf_grid(alpha, beta, _BULK_TAIL_Z)
-    lo_edge, hi_edge = _grid_cdf(grid, np.array([-_BULK_TAIL_Z, _BULK_TAIL_Z]))
+    """Standard quantiles (alpha > 1) of the CDF that ``stable_cdf`` evaluates:
+    the FFT grid within +-_QUAD_TAIL_Z, the tail expansion beyond."""
+    grid = z0, dz, f = _cdf_grid(alpha, beta, _QUAD_TAIL_Z)
+    lo_edge, hi_edge = _grid_cdf(grid, np.array([-_QUAD_TAIL_Z, _QUAD_TAIL_Z]))
     out = np.empty(p.shape)
     lo, hi = p < lo_edge, p > hi_edge
     # _tail_prob(1, ...) is the constant C of P(Z > z) ~ C z^(-alpha)
-    out[lo] = -np.maximum(_BULK_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
-    out[hi] = np.maximum(_BULK_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
+    out[lo] = -np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
+    out[hi] = np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
     mid = ~(lo | hi)
     pm = p[mid]
     # rounding noise can dent the grid where the CDF is flat; the running
@@ -217,8 +221,14 @@ def _grid_quantile(p: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 
 def stable_quantile(p, params: StableParams):
-    """Quantile(s) of the stable law: for alpha > 1 all levels at once on the
-    FFT grid of ``stable_cdf_bulk``, else root-finding on ``stable_cdf``."""
+    """Quantile(s) of the stable law, inverting ``stable_cdf``.
+
+    For alpha > 1 all levels are inverted at once on one FFT grid over
+    +-_QUAD_TAIL_Z standardized units (within 1e-6 of ``stable_cdf`` in
+    probability there) and by the leading-order tail term beyond, as
+    ``stable_cdf`` switches; levels between the two at the switch map to
+    the switch point. For alpha <= 1, root-finding on ``stable_cdf``.
+    """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")

@@ -149,22 +149,37 @@ def sample_noise_matrix(
     return SeriesMatrix(np.column_stack(cols))
 
 
-def _quantile_init(x: np.ndarray) -> tuple[float, float]:
-    """(sigma0, delta0) from sample quantiles."""
-    q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75])
-    if q[4] - q[0] <= 0.0:
+# McCulloch (1986) quantile-ratio table for the symmetric case:
+# nu = (q95 - q05) / (q75 - q25) indexed by alpha from 2.0 down to 0.5.
+_MCCULLOCH_ALPHA = np.arange(2.0, 0.45, -0.1)
+_MCCULLOCH_NU = np.array(
+    [
+        2.4388, 2.5120, 2.6080, 2.7369, 2.9115, 3.1480, 3.4635, 3.8824,
+        4.4468, 5.2172, 6.3140, 7.9098, 10.4480, 14.8378, 23.4831, 44.2813,
+    ]
+)
+
+
+def _quantile_init(x: np.ndarray) -> tuple[float, float, float]:
+    """(alpha0, sigma0, delta0) from sample quantiles."""
+    q = np.quantile(x, [0.05, 0.25, 0.28, 0.50, 0.72, 0.75, 0.95])
+    spread = q[5] - q[1]
+    if spread <= 0.0:
         raise ValidationError("degenerate sample: interquartile range is zero")
+    nu = (q[6] - q[0]) / spread
+    # table is increasing in nu as alpha decreases
+    alpha0 = float(np.interp(nu, _MCCULLOCH_NU, _MCCULLOCH_ALPHA))
     # Fama-Roll 28%/72% spread; nearly alpha-free scale for symmetric laws
-    sigma0 = (q[3] - q[1]) / 1.654
-    return float(sigma0), float(q[2])
+    sigma0 = (q[4] - q[2]) / 1.654
+    return alpha0, float(sigma0), float(q[3])
 
 
 def fit_stable_params(sample: Sequence[float]) -> StableParams:
     """Fit (alpha, beta, sigma, delta) to a univariate sample.
 
-    Sample quantiles give a starting scale and shift; regressing the log
-    modulus and the phase of the empirical characteristic function on a
-    fixed frequency grid then gives all four parameters.
+    Quantile-based initialization gives alpha and scale starting points;
+    both are then refined by regressing the log modulus and the phase of
+    the empirical characteristic function on a fixed frequency grid.
     """
     x = np.asarray(sample, dtype=float).ravel()
     if x.shape[0] < 100:
@@ -174,7 +189,7 @@ def fit_stable_params(sample: Sequence[float]) -> StableParams:
     if np.ptp(x) == 0.0:
         raise ValidationError("degenerate sample: all values equal")
 
-    sigma0, delta0 = _quantile_init(x)
+    _, sigma0, delta0 = _quantile_init(x)
     z = (x - delta0) / sigma0
 
     u = np.arange(0.1, 1.01, 0.1)

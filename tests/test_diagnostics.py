@@ -48,6 +48,12 @@ class TestAutoFloc:
         assert inside.mean() >= 0.8
         assert np.all(lo <= hi)
 
+    def test_null_band_rejects_lags_past_the_series(self):
+        fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)
+        for max_lag in (-1, 150, 151):
+            with pytest.raises(ValidationError, match="max_lag"):
+                sv.auto_floc_null_band(fitted, 150, max_lag, FlocConfig(1.0, 0.5), replicates=2)
+
     def test_null_band_is_percentiles_of_replicate_auto_floc(self):
         fitted = sv.StableParams(1.7, 0.2, 1.3, 0.1)
         cfg = FlocConfig(1.0, 0.6)

@@ -131,6 +131,20 @@ class TestLagMoments:
                                 assert abs(auto[k] - want) <= tol
 
 
+    def test_lag_sequence_equals_scalar_calls(self):
+        rng = np.random.default_rng(78)
+        xi, xj = rng.standard_t(1.5, (2, 30))
+        cfg = FlocConfig(1.0, 0.4)
+        lags = np.array([2, -1, 0, 29, -29])
+        got = sv.cross_floc(xi, xj, lags, cfg)
+        assert got.shape == (5,)
+        for k, v in zip(lags, got):
+            assert v == sv.cross_floc(xi, xj, int(k), cfg)
+        for bad in ([0, 30], [-30], []):
+            with pytest.raises(ValidationError, match="empty window"):
+                sv.cross_floc(xi, xj, bad, cfg)
+
+
 class TestLagMatrix:
     def test_unit_exponents_equal_cross_moments(self):
         series = sv.mean_correct(sv.simulate(var2_model(2.0), 2000, 200, 3))

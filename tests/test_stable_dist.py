@@ -6,7 +6,13 @@ import stablevar as sv
 from helpers import brute_gil_pelaez_cdf
 from stablevar import stable_dist
 from stablevar.errors import ValidationError
-from stablevar.stable_dist import _BULK_TAIL_Z, stable_cdf, stable_cdf_bulk, stable_quantile
+from stablevar.stable_dist import (
+    _BULK_TAIL_Z,
+    _QUAD_TAIL_Z,
+    stable_cdf,
+    stable_cdf_bulk,
+    stable_quantile,
+)
 
 ENGINE_ALPHAS = (1.05, 1.3, 1.6, 1.9, 2.0)
 ENGINE_BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -144,27 +150,29 @@ class TestVectorizedQuantile:
             assert np.all(np.isfinite(qs)) and np.all(np.diff(qs) > 0)
             for level, q in zip(TAIL_LEVELS, qs):
                 assert stable_quantile(level, p) == q
-            inner = np.abs(qs) <= _BULK_TAIL_Z
-            back = stable_cdf(qs[inner], p)
-            assert np.max(np.abs(back - TAIL_LEVELS[inner])) < 1e-6
-            # past the cutoff the quantile inverts the bulk path's tail expansion
-            outer = ~inner
-            bulk = stable_cdf_bulk(qs[outer], p)
-            assert np.allclose(bulk, TAIL_LEVELS[outer], rtol=1e-12, atol=0.0)
+            back = stable_cdf(qs, p)
+            inner = np.abs(qs) <= _QUAD_TAIL_Z
+            assert np.max(np.abs(back[inner] - TAIL_LEVELS[inner])) < 1e-6
+            # past the grid the quantile inverts stable_cdf's tail expansion
+            assert np.allclose(back[~inner], TAIL_LEVELS[~inner], rtol=1e-12, atol=0.0)
 
     def test_tail_levels_reached(self):
         p = sv.StableParams(1.05, 0.0, 1.0, 0.0)
         qs = stable_quantile(TAIL_LEVELS, p)
-        assert qs[0] < -_BULK_TAIL_Z and qs[-1] > _BULK_TAIL_Z
+        assert qs[0] < -_QUAD_TAIL_Z and qs[-1] > _QUAD_TAIL_Z
+        # between the bulk CDF's tail switch and the grid edge: inverted on the grid
+        qs = stable_quantile(np.array([0.004, 0.996]), p)
+        assert np.all((np.abs(qs) > _BULK_TAIL_Z) & (np.abs(qs) < _QUAD_TAIL_Z))
+        assert np.max(np.abs(stable_cdf(qs, p) - [0.004, 0.996])) < 1e-6
 
     def test_levels_in_the_tail_switch_jump(self):
-        # at alpha = 1.05, beta = 0.5 the lower tail expansion at the switch
-        # (0.00284) sits below the grid CDF there (0.00325); levels in that
-        # jump map to the switch point itself
+        # at alpha = 1.05, beta = 0.5 stable_cdf's lower tail expansion at the
+        # switch (0.001227) sits below its quadrature value there (0.001298);
+        # levels in that jump map to the switch point itself
         p = sv.StableParams(1.05, 0.5, 1.0, 0.0)
-        qs = stable_quantile(np.array([0.0028, 0.003, 0.0033]), p)
-        assert qs[0] < -_BULK_TAIL_Z < qs[2]
-        assert qs[1] == -_BULK_TAIL_Z
+        qs = stable_quantile(np.array([0.0012, 0.00126, 0.00135]), p)
+        assert qs[0] < -_QUAD_TAIL_Z < qs[2]
+        assert qs[1] == -_QUAD_TAIL_Z
 
     def test_shape_kept(self):
         p = sv.StableParams(1.6, 0.2, 1.0, 0.0)
