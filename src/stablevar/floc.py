@@ -102,9 +102,11 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
         )
     n = xi.shape[0]
     lags = np.asarray(k).astype(int)
-    out = np.abs(lags) >= n
-    if lags.size == 0 or np.any(out):
-        raise ValidationError(f"lag {lags[out]} out of range for length {n}: empty window")
+    if lags.size == 0:
+        raise ValidationError("no lags given")
+    bad = lags[np.abs(lags) >= n]
+    if bad.size:
+        raise ValidationError(f"lag {bad[0]} out of range for length {n}: empty window")
     values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), cfg)[:, 0, 0]
     return float(values[0]) if lags.ndim == 0 else values
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft, integrate, optimize
+from scipy import integrate, optimize
+from scipy.fft import next_fast_len
 
 from . import _kernels
 from .errors import NumericalError, ValidationError
@@ -131,7 +132,7 @@ def _cdf_grid(alpha: float, beta: float, zmax: float):
     node spacing h of ``_bulk_grid``, as ``_kernels.gil_pelaez_cdf`` needs.
     """
     t, amp, ph, w0, correction = _bulk_grid(alpha, beta, zmax)
-    n_fft = fft.next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
+    n_fft = next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
     dz = 2.0 * math.pi / (t[0] * n_fft)
     m = int(zmax / dz) + 2
     z = dz * np.arange(-m, m + 1)

@@ -140,9 +140,11 @@ class TestLagMoments:
         assert got.shape == (5,)
         for k, v in zip(lags, got):
             assert v == sv.cross_floc(xi, xj, int(k), cfg)
-        for bad in ([0, 30], [-30], []):
-            with pytest.raises(ValidationError, match="empty window"):
+        for bad, message in (([0, 30], "lag 30 out"), ([-30], "lag -30 out"), (30, "lag 30 out")):
+            with pytest.raises(ValidationError, match=message):
                 sv.cross_floc(xi, xj, bad, cfg)
+        with pytest.raises(ValidationError, match="no lags"):
+            sv.cross_floc(xi, xj, [], cfg)
 
 
 class TestLagMatrix:
