@@ -48,27 +48,39 @@ def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) 
 def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Drive x[t] = sum_k coeffs[k-1] @ x[t-k] + noise[t] from zero states.
 
-    ``coeffs`` has shape (p, r, r), ``noise`` shape (m, r); returns (m, r).
+    ``coeffs`` has shape (p, r, r), ``noise`` shape (..., m, r), one series
+    per leading index; returns (..., m, r). The loop runs over time only:
+    each step multiplies the stacked [A_p ... A_1] (r x pr) elementwise with
+    the flattened window x[t-p .. t-1], zero before the start, and sums the
+    rows. That sum does not depend on the batch shape, so a series gives the
+    same bits alone or in a stack (a BLAS product does not promise that).
     """
-    p = coeffs.shape[0]
-    m = noise.shape[0]
-    out = noise.copy()
-    for t in range(m):
-        kmax = min(p, t)
-        for k in range(1, kmax + 1):
-            out[t] += coeffs[k - 1] @ out[t - k]
-    return out
+    p, r = coeffs.shape[0], coeffs.shape[1]
+    lead, m = noise.shape[:-2], noise.shape[-2]
+    big = np.concatenate(coeffs[::-1], axis=1)
+    state = np.zeros(lead + (p + m, r))
+    state[..., p:, :] = noise
+    for t in range(p, p + m):
+        window = state[..., t - p : t, :].reshape(lead + (p * r,))
+        state[..., t, :] += (big * window[..., None, :]).sum(-1)
+    return state[..., p:, :]
 
 
 def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:
     """Window sums of u[n, i] v[n-k, j] for each lag k in ``lags``, unnormalized.
 
-    ``u`` (N, r) and ``v`` (N, s) hold the signed powers x^<A> and y^<B>.
+    ``u`` (..., N, r) and ``v`` (..., N, s) hold the signed powers x^<A> and
+    y^<B>, one series per leading index; returns (..., len(lags), r, s).
     Entry [l, i, j] sums over the valid window n in [max(0, k), min(N, N+k))
     of k = lags[l]; the caller divides by the window length N - |k|.
     """
-    n = u.shape[0]
-    return np.array([u[k:].T @ v[: n - k] if k >= 0 else u[: n + k].T @ v[-k:] for k in lags])
+    n = u.shape[-2]
+    ut = np.swapaxes(u, -1, -2)
+    return np.stack(
+        [ut[..., k:] @ v[..., : n - k, :] if k >= 0 else ut[..., : n + k] @ v[..., -k:, :]
+         for k in lags],
+        axis=-3,
+    )
 
 
 def gil_pelaez_cdf(

@@ -12,6 +12,11 @@ for FLOC, plain cross-moments for Yule-Walker. The window normalizer
 (divide by n - |lag|) and the classical one (divide by n) are both
 available; each method defaults to its literature-standard choice, and
 with matched normalizers FLOC at A = B = 1 and Yule-Walker coincide.
+
+The checks, lag moments and block solve work on a stack of R series at
+once; ``estimate_floc`` and ``estimate_yw`` are the stack of one, and the
+Monte Carlo harness passes a chunk of replications to
+``_block_coefficients``, which returns coefficients only.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .floc import FlocConfig, lag_matrix_set
+from .floc import FlocConfig, _floc_moments
 from .series import SeriesMatrix
 from .var_core import mean_correct
 
@@ -178,61 +183,123 @@ def residuals(series: SeriesMatrix, coeffs: Sequence[np.ndarray]) -> SeriesMatri
     return SeriesMatrix(res)
 
 
-def _check_columns_not_constant(series: SeriesMatrix) -> None:
-    spans = np.ptp(series.values, axis=0)
-    flat = np.nonzero(spans == 0.0)[0]
-    if flat.size:
-        raise ValidationError(
-            f"constant column(s) {', '.join(str(j + 1) for j in flat)}: "
-            "lag-0 moment matrix would be singular"
-        )
-
-
 def _validate_normalizer(normalizer: str) -> None:
     if normalizer not in ("window", "n"):
         raise ValidationError(f"normalizer must be 'window' or 'n', got {normalizer!r}")
 
 
-def _lag_moments(
-    series: SeriesMatrix, p: int, cfg: FlocConfig, normalizer: str
-) -> dict:
-    """Lag moment matrices for lags -(p-1)..p under the chosen normalizer."""
-    lags = lag_matrix_set(series, p, cfg)
-    n = series.n
-    if normalizer == "window":
-        return dict(lags.matrices)
-    return {lag: mat * ((n - abs(lag)) / n) for lag, mat in lags.matrices.items()}
+def _prepare(values: np.ndarray, p: int, min_n: int):
+    """Mean-correct each series of a stack (R, n, r) after the estimators' checks.
 
-
-def _solve_block(gammas: dict, p: int, r: int, label: str):
-    """Solve [A_1..A_p] Block = [Gamma_1..Gamma_p] with Block_{k,l} = Gamma_{l-k}."""
-    block = np.empty((p * r, p * r))
-    for k in range(1, p + 1):
-        for l in range(1, p + 1):
-            block[(k - 1) * r : k * r, (l - 1) * r : l * r] = gammas[l - k]
-    rhs = np.hstack([gammas[l] for l in range(1, p + 1)])
-    condition = float(np.linalg.cond(block))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise NumericalError(
-            f"{label} block matrix ({p * r}x{p * r} of lag matrices "
-            f"Gamma_-{p - 1}..Gamma_{p - 1}) is numerically singular: "
-            f"condition {condition:.3g}"
-        )
-    stacked = np.linalg.solve(block.T, rhs.T).T
-    coeffs = tuple(np.ascontiguousarray(stacked[:, (k - 1) * r : k * r]) for k in range(1, p + 1))
-    return coeffs, condition
-
-
-def _prepare(series: SeriesMatrix, p: int, min_n: int):
+    Raises ValidationError for what all series share (order, length).
+    Returns the corrected stack and, for each series with a constant
+    column, the ValidationError its estimates fail with.
+    """
     if p < 1:
         raise ValidationError(f"order must be >= 1, got {p}")
-    if series.n <= min_n:
-        raise ValidationError(
-            f"series of length {series.n} too short: need more than {min_n} rows"
-        )
-    _check_columns_not_constant(series)
-    means = series.values.mean(axis=0)
-    return mean_correct(series), means
+    n = values.shape[-2]
+    if n <= min_n:
+        raise ValidationError(f"series of length {n} too short: need more than {min_n} rows")
+    errors = {}
+    for i, spans in enumerate(np.ptp(values, axis=-2)):
+        flat = np.nonzero(spans == 0.0)[0]
+        if flat.size:
+            errors[i] = ValidationError(
+                f"constant column(s) {', '.join(str(j + 1) for j in flat)}: "
+                "lag-0 moment matrix would be singular"
+            )
+    return values - values.mean(axis=-2, keepdims=True), errors
+
+
+def _lag_moments(values: np.ndarray, p: int, cfg: FlocConfig, normalizer: str) -> np.ndarray:
+    """Lag moment matrices (..., 2p, r, r) at lags -(p-1)..p under the chosen normalizer."""
+    lags = np.arange(-(p - 1), p + 1)
+    gammas = _floc_moments(values, values, lags, cfg)
+    if normalizer == "window":
+        return gammas
+    n = values.shape[-2]
+    return gammas * ((n - np.abs(lags)) / n)[:, None, None]
+
+
+def _solve_block(gammas: np.ndarray):
+    """Solve [A_1..A_p] Block = [Gamma_1..Gamma_p] with Block_{k,l} = Gamma_{l-k}.
+
+    ``gammas`` (R, 2p, r, r) holds each replication's lag moments at lags
+    -(p-1)..p. Returns the coefficients (R, p, r, r), the block condition
+    number of each replication and the mask of replications whose
+    condition is non-finite or above CONDITION_LIMIT; their coefficients
+    are NaN and the condition of a block with a non-finite entry is NaN.
+    """
+    reps, lags, r, _ = gammas.shape
+    p = lags // 2
+    k = np.arange(p)
+    block = gammas[:, k[None, :] - k[:, None] + p - 1]  # [R, k, l] = Gamma_{l-k}
+    block = block.transpose(0, 1, 3, 2, 4).reshape(reps, p * r, p * r)
+    rhs = gammas[:, p:].transpose(0, 2, 1, 3).reshape(reps, r, p * r)
+    condition = np.full(reps, np.nan)
+    finite = np.isfinite(block).all(axis=(1, 2))
+    condition[finite] = np.linalg.cond(block[finite])
+    bad = ~(condition <= CONDITION_LIMIT)
+    stacked = np.full((reps, p * r, r), np.nan)
+    stacked[~bad] = np.linalg.solve(block[~bad].transpose(0, 2, 1), rhs[~bad].transpose(0, 2, 1))
+    return stacked.reshape(reps, p, r, r).transpose(0, 1, 3, 2), condition, bad
+
+
+def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, normalizer: str,
+               label: str):
+    """Block-system coefficients of each mean-corrected series in a stack (R, n, r).
+
+    ``failed`` maps the series that failed the checks of ``_prepare`` to
+    their errors. Returns the coefficients (R, p, r, r), the block
+    condition numbers (R,), NaN for those series, and {index: exception}
+    with the exception that estimating each failing series alone raises.
+    """
+    coeffs, condition, bad = _solve_block(_lag_moments(corrected, p, cfg, normalizer))
+    condition[list(failed)] = np.nan
+    errors = dict(failed)
+    size = p * corrected.shape[-1]
+    for i in np.flatnonzero(bad):
+        errors.setdefault(int(i), NumericalError(
+            f"{label} block matrix ({size}x{size} of lag matrices "
+            f"Gamma_-{p - 1}..Gamma_{p - 1}) is numerically singular: "
+            f"condition {condition[i]:.3g}"
+        ))
+    return coeffs, condition, errors
+
+
+# method -> (default normalizer, name of its lag matrices in errors)
+_BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
+
+
+def _block_coefficients(values: np.ndarray, p: int, keys) -> dict:
+    """FLOC and Yule-Walker coefficients of each series in a stack (R, n, r).
+
+    ``keys`` holds (method, b) pairs: ("floc", B) for exponents (1, B),
+    ("yw", None) for Yule-Walker. Each uses its method's default normalizer
+    and gives the coefficients of ``estimate_floc`` / ``estimate_yw``,
+    without residuals or reports; the checks and the mean correction run
+    once for all keys. Returns {key: (coefficients (R, p, r, r), condition
+    numbers (R,), {index: exception} for the series that fail)} and raises
+    ValidationError for what all series share (order, length).
+    """
+    corrected, failed = _prepare(values, p, 2 * p * values.shape[-1])
+    out = {}
+    for method, b in keys:
+        cfg = FlocConfig(1.0, 1.0 if method == "yw" else b)
+        out[(method, b)] = _block_fit(corrected, failed, p, cfg, *_BLOCK_METHODS[method])
+    return out
+
+
+def _report(method: str, series: SeriesMatrix, coeffs, condition, **extra) -> EstimationReport:
+    coeffs = tuple(np.ascontiguousarray(a) for a in coeffs)
+    return EstimationReport(
+        method=method,
+        coeffs=coeffs,
+        condition=float(condition),
+        residuals=residuals(mean_correct(series), coeffs),
+        column_means=series.values.mean(axis=0),
+        **extra,
+    )
 
 
 def estimate_floc(
@@ -249,42 +316,32 @@ def estimate_floc(
     _validate_normalizer(normalizer)
     if cfg.exp_a != 1.0:
         raise ValidationError(f"FLOC estimation fixes A = 1, got A = {cfg.exp_a}")
-    corrected, means = _prepare(series, p, 2 * p * series.dim)
-    gammas = _lag_moments(corrected, p, cfg, normalizer)
-    coeffs, condition = _solve_block(gammas, p, series.dim, "cross-FLOC")
-    return EstimationReport(
-        method="floc",
-        coeffs=coeffs,
-        condition=condition,
-        residuals=residuals(corrected, coeffs),
-        column_means=means,
-        cfg=cfg,
-        normalizer=normalizer,
-    )
+    corrected, failed = _prepare(series.values[None], p, 2 * p * series.dim)
+    coeffs, condition, errors = _block_fit(corrected, failed, p, cfg, normalizer, "cross-FLOC")
+    if errors:
+        raise errors[0]
+    return _report("floc", series, coeffs[0], condition[0], cfg=cfg, normalizer=normalizer)
 
 
 def estimate_yw(series: SeriesMatrix, p: int, normalizer: str = "n") -> EstimationReport:
     """Classical Yule-Walker: the block system with sample cross-moments."""
     _validate_normalizer(normalizer)
-    corrected, means = _prepare(series, p, 2 * p * series.dim)
-    gammas = _lag_moments(corrected, p, FlocConfig(exp_a=1.0, exp_b=1.0), normalizer)
-    coeffs, condition = _solve_block(gammas, p, series.dim, "autocovariance")
-    return EstimationReport(
-        method="yw",
-        coeffs=coeffs,
-        condition=condition,
-        residuals=residuals(corrected, coeffs),
-        column_means=means,
-        normalizer=normalizer,
-    )
+    corrected, failed = _prepare(series.values[None], p, 2 * p * series.dim)
+    unit = FlocConfig(exp_a=1.0, exp_b=1.0)
+    coeffs, condition, errors = _block_fit(corrected, failed, p, unit, normalizer, "autocovariance")
+    if errors:
+        raise errors[0]
+    return _report("yw", series, coeffs[0], condition[0], normalizer=normalizer)
 
 
 def estimate_ls(series: SeriesMatrix, p: int) -> EstimationReport:
     """Least squares: regress x[t] on (x[t-1], ..., x[t-p])."""
     r = series.dim
-    corrected, means = _prepare(series, p, p * r + p)
-    x = corrected.values
-    n = corrected.n
+    corrected, errors = _prepare(series.values[None], p, p * r + p)
+    if errors:
+        raise errors[0]
+    x = corrected[0]
+    n = x.shape[0]
     design = np.hstack([x[p - k : n - k] for k in range(1, p + 1)])
     target = x[p:]
     theta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
@@ -292,14 +349,6 @@ def estimate_ls(series: SeriesMatrix, p: int) -> EstimationReport:
         raise NumericalError(
             f"rank-deficient regressor matrix: rank {rank} < {p * r}"
         )
-    condition = float(np.linalg.cond(design))
-    coeffs = tuple(
-        np.ascontiguousarray(theta[(k - 1) * r : k * r].T) for k in range(1, p + 1)
-    )
-    return EstimationReport(
-        method="ls",
-        coeffs=coeffs,
-        condition=condition,
-        residuals=residuals(corrected, coeffs),
-        column_means=means,
-    )
+    condition = np.linalg.cond(design)
+    coeffs = [theta[(k - 1) * r : k * r].T for k in range(1, p + 1)]
+    return _report("ls", series, coeffs, condition)

@@ -2,8 +2,9 @@
 
 ``run_monte_carlo`` simulates many realisations of a known model, estimates
 the coefficients with each requested method, and reports per-coefficient
-means and RMSEs. Replication i always draws from substream (seed, i), so
-adding methods or changing worker counts never perturbs the simulated
+means and RMSEs. It simulates and estimates a chunk of replications as
+arrays at a time. Replication i always draws from substream (seed, i), so
+adding methods or changing the chunk size never perturbs the simulated
 paths, and reports are reproducible byte for byte.
 
 ``run_pipeline`` is the real-data path: mean-correct, pick the FLOC
@@ -17,7 +18,6 @@ point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -33,16 +33,17 @@ from .diagnostics import (
     qq_data,
 )
 from .errors import NumericalError, ValidationError
-from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_yw
+from .estimators import EstimationReport, _block_coefficients, estimate_floc, estimate_ls
 from .floc import FlocConfig
 from .seeding import substream
 from .series import SeriesMatrix
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
-from .var_core import DEFAULT_BURN_IN, VarModel, mean_correct, simulate
+from .var_core import DEFAULT_BURN_IN, VarModel, _simulate_paths, mean_correct
 
 __all__ = [
     "ExperimentConfig",
     "CellStats",
+    "FailureRecord",
     "MonteCarloReport",
     "run_monte_carlo",
     "ColumnDiagnostics",
@@ -58,11 +59,22 @@ __all__ = [
 
 _METHODS = ("floc", "ls", "yw")
 DEFAULT_B_OFFSET = 1.05  # working default B = alpha_hat - 1.05, clamped at 0
+# Path values (1 MiB of floats) per chunk of Monte Carlo replications. On
+# the paper grid (1,500 rows of 2 columns) that is 43 replications: 0.39 s
+# and +4 MB peak RSS per 200; all 200 at once took 0.31 s and +20 MB, one
+# at a time 3.0 s (the time loop's per-step cost is paid once per chunk).
+_BATCH_VALUES = 2**17
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Monte Carlo study description: truth, sample size, estimator grid."""
+    """Monte Carlo study description: truth, sample size, estimator grid.
+
+    ``workers`` is accepted and checked but selects nothing: replications
+    run in chunks of arrays in one thread, which was faster than the thread
+    pool it once chose (that pool was bound by the interpreter lock). It
+    stays because existing config files and callers still pass it.
+    """
 
     model: VarModel
     n: int
@@ -94,8 +106,8 @@ class ExperimentConfig:
             raise ValidationError(f"methods must not repeat, got {methods}")
         b_values = tuple(float(b) for b in self.b_values)
         for b in b_values:
-            if b < 0.0:
-                raise ValidationError(f"B values must be >= 0, got {b}")
+            if not 0.0 <= b < math.inf:
+                raise ValidationError(f"B values must be finite and >= 0, got {b}")
         if len(set(b_values)) != len(b_values):
             raise ValidationError(f"B values must not repeat, got {b_values}")
         if "floc" in methods and not b_values:
@@ -124,11 +136,29 @@ class CellStats:
 
 
 @dataclass(frozen=True)
+class FailureRecord:
+    """Why one estimator failed on one replication.
+
+    ``error`` is the exception class name; ``condition`` is the block
+    condition number of a failed FLOC or Yule-Walker solve, NaN when the
+    estimator failed before a solve or is least squares.
+    """
+
+    replication: int
+    method: str
+    b: Optional[float]
+    error: str
+    message: str
+    condition: float
+
+
+@dataclass(frozen=True)
 class MonteCarloReport:
     config: ExperimentConfig
     cells: tuple
     failures: Dict[Tuple[str, Optional[float]], int]
     failed_replications: int
+    failure_records: Tuple[FailureRecord, ...] = ()
 
     def cell(self, method: str, b: Optional[float], k: int, i: int, j: int) -> CellStats:
         for c in self.cells:
@@ -166,6 +196,7 @@ class MonteCarloReport:
                         fh.write(f"{cells[0].label},{float(cells[0].true_value)!r},{row}\n")
 
     def summary_text(self) -> str:
+        """Run settings and failure counts, then one line per failure record."""
         cfg = self.config
         lines = [
             f"replications: {cfg.replications}",
@@ -177,9 +208,12 @@ class MonteCarloReport:
             f"failed_replications: {self.failed_replications}",
         ]
         for key in _estimate_keys(cfg):
-            method, b = key
-            name = method if b is None else f"{method} B={b:g}"
-            lines.append(f"failures[{name}]: {self.failures.get(key, 0)}")
+            lines.append(f"failures[{_key_name(*key)}]: {self.failures.get(key, 0)}")
+        for rec in self.failure_records:
+            lines.append(
+                f"failure[{_key_name(rec.method, rec.b)}]: replication {rec.replication}, "
+                f"{rec.error}, condition {rec.condition:.6g}: {rec.message}"
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -193,55 +227,73 @@ def _estimate_keys(cfg: ExperimentConfig):
     return keys
 
 
-def _one_replication(cfg: ExperimentConfig, rep: int):
-    series = simulate(cfg.model, cfg.n, cfg.burn_in, substream(cfg.seed, rep))
-    out = {}
-    for method, b in _estimate_keys(cfg):
-        try:
-            if method == "floc":
-                report = estimate_floc(series, cfg.model.order, FlocConfig(1.0, b))
-            elif method == "ls":
-                report = estimate_ls(series, cfg.model.order)
-            else:
-                report = estimate_yw(series, cfg.model.order)
-            out[(method, b)] = report.coeff_array()
-        except (NumericalError, ValidationError):
-            out[(method, b)] = None
+def _key_name(method: str, b: Optional[float]) -> str:
+    return method if b is None else f"{method} B={b:g}"
+
+
+def _estimate_chunk(paths: np.ndarray, p: int, keys) -> dict:
+    """{key: (coefficients (R, p, r, r), condition numbers (R,), {index: exception})}
+    of every estimator on the R replicated paths of a chunk."""
+    reps, r = paths.shape[0], paths.shape[-1]
+    series = [SeriesMatrix(path) for path in paths]  # rejects non-finite paths
+    block_keys = [key for key in keys if key[0] != "ls"]
+    try:
+        out = _block_coefficients(paths, p, block_keys) if block_keys else {}
+    except ValidationError as exc:  # shared by the whole chunk: order or length
+        nan = np.full((reps, p, r, r), np.nan)
+        out = {key: (nan, np.full(reps, np.nan), dict.fromkeys(range(reps), exc))
+               for key in block_keys}
+    if ("ls", None) in keys:
+        coeffs, errors = np.full((reps, p, r, r), np.nan), {}
+        for i, one in enumerate(series):
+            try:
+                coeffs[i] = estimate_ls(one, p).coeff_array()
+            except (NumericalError, ValidationError) as exc:
+                errors[i] = exc
+        out[("ls", None)] = (coeffs, np.full(reps, np.nan), errors)
     return out
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
     """Mean and RMSE of every coefficient estimate over seeded replications.
 
-    Failed replications (singular systems) are counted per estimator and
-    excluded from the statistics; the run aborts if any estimator fails in
-    more than 1% of replications.
+    Replications are simulated and estimated a chunk at a time, as arrays
+    of about ``_BATCH_VALUES`` path values. Failed estimates (singular
+    systems, constant columns) are recorded per replication and estimator
+    and excluded from the statistics; the run aborts if any estimator fails
+    in more than 1% of replications.
     """
-    reps = range(cfg.replications)
-    if cfg.workers == 1:
-        results = [_one_replication(cfg, rep) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda rep: _one_replication(cfg, rep), reps))
-
     keys = _estimate_keys(cfg)
-    failures = {key: sum(1 for res in results if res[key] is None) for key in keys}
-    failed_replications = sum(
-        1 for res in results if any(res[key] is None for key in keys)
-    )
+    r, p = cfg.model.dim, cfg.model.order
+    estimates = {key: np.empty((cfg.replications, p, r, r)) for key in keys}
+    failed = {key: np.zeros(cfg.replications, dtype=bool) for key in keys}
+    records = []
+    chunk = max(1, _BATCH_VALUES // ((cfg.n + cfg.burn_in) * r))
+    for start in range(0, cfg.replications, chunk):
+        reps = range(start, min(start + chunk, cfg.replications))
+        paths = _simulate_paths(
+            cfg.model, cfg.n, cfg.burn_in, [substream(cfg.seed, rep) for rep in reps]
+        )
+        for key, (coeffs, condition, errors) in _estimate_chunk(paths, p, keys).items():
+            estimates[key][reps.start : reps.stop] = coeffs
+            failed[key][[start + i for i in errors]] = True
+            records += [
+                FailureRecord(start + i, *key, type(exc).__name__, str(exc), float(condition[i]))
+                for i, exc in errors.items()
+            ]
+
+    failures = {key: int(failed[key].sum()) for key in keys}
+    failed_replications = int(np.logical_or.reduce([failed[key] for key in keys]).sum())
     for key, count in failures.items():
         if count > 0.01 * cfg.replications:
-            method, b = key
-            name = method if b is None else f"{method} B={b:g}"
             raise NumericalError(
-                f"{name} failed in {count} of {cfg.replications} replications (> 1%)"
+                f"{_key_name(*key)} failed in {count} of {cfg.replications} replications (> 1%)"
             )
 
     truth = cfg.model.coeff_array()
-    r, p = cfg.model.dim, cfg.model.order
     cells = []
     for method, b in keys:
-        stack = np.stack([res[(method, b)] for res in results if res[(method, b)] is not None])
+        stack = estimates[(method, b)][~failed[(method, b)]]
         mean = stack.mean(axis=0)
         rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
         used = stack.shape[0]
@@ -267,6 +319,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
         cells=tuple(cells),
         failures=failures,
         failed_replications=failed_replications,
+        failure_records=tuple(
+            sorted(records, key=lambda rec: (rec.replication, keys.index((rec.method, rec.b))))
+        ),
     )
 
 

@@ -8,11 +8,12 @@ A = B = 1 this is the plain lagged cross-moment.
 
 Every lag moment goes through ``_floc_moments``: with U = X^<A> and V = X^<B>
 formed once, lag k >= 0 is the matrix product U[k:]^T V[:N-k] / (N - k)
-(``_kernels.cross_floc_sum``).
+(``_kernels.cross_floc_sum``), for one series or a stack of them.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
@@ -42,9 +43,10 @@ class FlocConfig:
     alpha_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.exp_a < 0.0 or self.exp_b < 0.0:
+        # written so that NaN fails too: NaN < 0 is False
+        if not (0.0 <= self.exp_a < math.inf and 0.0 <= self.exp_b < math.inf):
             raise ValidationError(
-                f"exponents must be >= 0, got A={self.exp_a}, B={self.exp_b}"
+                f"exponents must be finite and >= 0, got A={self.exp_a}, B={self.exp_b}"
             )
         if self.alpha_hint is not None and self.exp_a + self.exp_b >= self.alpha_hint:
             raise ValidationError(
@@ -78,13 +80,14 @@ def _as_column(x, name: str) -> np.ndarray:
 
 
 def _floc_moments(x, y, lags: Iterable[int], cfg: FlocConfig) -> np.ndarray:
-    """Entry [l, i, j]: cross-FLOC of x[:, i] against y[:, j] at lag lags[l].
+    """Entry [..., l, i, j]: cross-FLOC of x[..., :, i] against y[..., :, j] at lag lags[l].
 
-    ``x`` and ``y`` are (N, r) and (N, s); callers check every |k| < N.
+    ``x`` and ``y`` are (..., N, r) and (..., N, s), one series per leading
+    index; callers check every |k| < N.
     """
     lags = np.asarray(lags, dtype=int)
     sums = _kernels.cross_floc_sum(signed_power(x, cfg.exp_a), signed_power(y, cfg.exp_b), lags)
-    return sums / (x.shape[0] - np.abs(lags))[:, None, None]
+    return sums / (x.shape[-2] - np.abs(lags))[:, None, None]
 
 
 def cross_floc(xi, xj, k, cfg: FlocConfig):

@@ -2,8 +2,8 @@
 
 ``as_generator`` normalizes ints / SeedSequences / Generators to a
 numpy Generator. ``substream`` derives an independent stream from
-(seed, index) so parallel Monte Carlo workers never share state and
-replication i sees the same draws no matter how work is scheduled.
+(seed, index), so Monte Carlo replication i sees the same draws whichever
+chunk of replications it is simulated in.
 """
 
 from __future__ import annotations

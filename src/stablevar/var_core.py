@@ -145,6 +145,23 @@ def psi_count_for_tolerance(model: VarModel, tol: float = 1e-12, max_count: int 
     raise ValidationError(f"Psi entries did not fall below {tol} within {max_count} terms")
 
 
+def _simulate_paths(model: VarModel, n: int, burn_in: int, generators) -> np.ndarray:
+    """Paths (R, n, r) of the model, one per seed in ``generators``, burn-in dropped.
+
+    Series i draws its noise from ``generators[i]`` alone and all R run
+    through one recursion, which gives each the same bits as on its own.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    _require_causal(model)
+    noise = np.stack(
+        [sample_noise_matrix(model.noise, n + burn_in, g).values for g in generators]
+    )
+    return _kernels.var_recursion(model.coeff_array(), noise)[:, burn_in:]
+
+
 def simulate(
     model: VarModel,
     n: int,
@@ -156,14 +173,7 @@ def simulate(
     Initial states are zero vectors; with burn_in = 0 and all-zero
     coefficients the output reproduces sample_noise_matrix draws exactly.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    _require_causal(model)
-    noise = sample_noise_matrix(model.noise, n + burn_in, rng_seed)
-    path = _kernels.var_recursion(model.coeff_array(), noise.values)
-    return SeriesMatrix(path[burn_in:])
+    return SeriesMatrix(_simulate_paths(model, n, burn_in, [rng_seed])[0])
 
 
 def mean_correct(series: SeriesMatrix) -> SeriesMatrix:

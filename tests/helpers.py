@@ -27,6 +27,19 @@ def sign0(v: float) -> int:
     return int(v > 0) - int(v < 0)
 
 
+def brute_var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Loop oracle of ``_kernels.var_recursion`` for one (m, r) noise matrix:
+    x[t] = noise[t] + sum_k coeffs[k-1] @ x[t-k] from zero states."""
+    p = coeffs.shape[0]
+    m = noise.shape[0]
+    out = noise.copy()
+    for t in range(m):
+        kmax = min(p, t)
+        for k in range(1, kmax + 1):
+            out[t] += coeffs[k - 1] @ out[t - k]
+    return out
+
+
 def brute_cross_floc(xi, xj, k, a, b):
     """Independent double-loop oracle. Returns (value, term count, terms)."""
     n = len(xi)

@@ -98,6 +98,14 @@ class TestEstimate:
         ])
         assert code == 2
 
+    def test_non_finite_b_is_validation_error(self, model_cfg, tmp_path, capsys):
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        code = main(["estimate", "--data", str(data), "--order", "2", "--b", "nan",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "exponents must be finite" in capsys.readouterr().err
+
     def test_short_series_validation_exit_code(self, tmp_path):
         sv.SeriesMatrix(np.ones((3, 1)) * np.arange(3)[:, None]).to_csv(tmp_path / "tiny.csv")
         code = main([

@@ -3,9 +3,10 @@ import pytest
 
 import stablevar as sv
 from helpers import A1, A2, var2_model
-from stablevar import experiments
+from stablevar import estimators, experiments
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.experiments import ExperimentConfig, coefficient_label
+from stablevar.seeding import substream
 
 MC_CONFIG_TEXT = """\
 # experiment description
@@ -53,6 +54,12 @@ class TestConfigFile:
         assert cfg.methods == ("floc", "ls", "yw")
         assert cfg.n == 120 and cfg.burn_in == 50 and cfg.seed == 7
 
+    def test_non_finite_b_value(self, tmp_path):
+        path = tmp_path / "mc.cfg"
+        path.write_text(MC_CONFIG_TEXT.replace("b_values = 0.0, 0.55", "b_values = nan"))
+        with pytest.raises(ValidationError, match="finite"):
+            sv.load_experiment_config(path)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "mc.cfg"
         path.write_text(MC_CONFIG_TEXT + "bogus = 1\n")
@@ -93,6 +100,13 @@ class TestExperimentConfigValidation:
     def test_negative_b(self):
         with pytest.raises(ValidationError):
             small_config(b_values=(-0.1,))
+
+    @pytest.mark.parametrize(
+        "b_values", [(float("nan"),), (float("inf"),), (0.5, float("nan"), float("nan"))]
+    )
+    def test_non_finite_b_rejected(self, b_values):
+        with pytest.raises(ValidationError, match="B values must be finite"):
+            small_config(b_values=b_values)
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
@@ -147,11 +161,33 @@ class TestRunMonteCarlo:
         b = sv.run_monte_carlo(small_config())
         assert a.cells == b.cells
 
-    def test_parallel_equals_serial(self):
-        a = sv.run_monte_carlo(small_config(workers=1))
-        b = sv.run_monte_carlo(small_config(workers=4))
-        assert a.cells == b.cells
-        assert a.failures == b.failures
+    # chunks of one replication, of four (6 = 4 + 2) and of all six
+    @pytest.mark.parametrize("batch_values", [1, 4 * 250 * 2, 10**9])
+    def test_cells_equal_per_replication_estimates(self, monkeypatch, batch_values):
+        monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
+        cfg = small_config(b_values=(0.0, 0.55))
+        report = sv.run_monte_carlo(cfg)
+        series = [
+            sv.simulate(cfg.model, cfg.n, cfg.burn_in, substream(cfg.seed, i))
+            for i in range(cfg.replications)
+        ]
+        fits = {
+            ("floc", 0.0): lambda s: sv.estimate_floc(s, 2, sv.FlocConfig(1.0, 0.0)),
+            ("floc", 0.55): lambda s: sv.estimate_floc(s, 2, sv.FlocConfig(1.0, 0.55)),
+            ("ls", None): lambda s: sv.estimate_ls(s, 2),
+            ("yw", None): lambda s: sv.estimate_yw(s, 2),
+        }
+        truth = cfg.model.coeff_array()
+        for (method, b), fit in fits.items():
+            stack = np.stack([fit(s).coeff_array() for s in series])
+            mean = stack.mean(axis=0)
+            rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
+            for k, i, j in np.ndindex(2, 2, 2):
+                c = report.cell(method, b, k + 1, i + 1, j + 1)
+                assert c.mean == pytest.approx(mean[k, i, j], rel=1e-12, abs=0.0)
+                assert c.rmse == pytest.approx(rmse[k, i, j], rel=1e-12, abs=0.0)
+                assert c.used == cfg.replications
+        assert report.failure_records == ()
 
     def test_adding_methods_keeps_floc_cells(self):
         a = sv.run_monte_carlo(small_config(methods=("floc",)))
@@ -161,29 +197,83 @@ class TestRunMonteCarlo:
         assert floc_a == floc_b
 
     def test_failure_accounting(self, monkeypatch):
-        real = experiments.estimate_floc
+        real = estimators._solve_block
         calls = {"i": -1}
 
-        def flaky(series, p, cfg, normalizer="window"):
+        def flaky(gammas):
+            coeffs, condition, bad = real(gammas)
             calls["i"] += 1
-            if calls["i"] == 2:
-                raise NumericalError("synthetic failure")
-            return real(series, p, cfg, normalizer=normalizer)
+            if calls["i"] == 0:  # the FLOC solve of the one chunk of 150
+                condition[2], bad[2] = np.inf, True
+            return coeffs, condition, bad
 
-        monkeypatch.setattr(experiments, "estimate_floc", flaky)
+        monkeypatch.setattr(estimators, "_solve_block", flaky)
         report = sv.run_monte_carlo(small_config(replications=150))
         assert report.failed_replications == 1
         assert report.failures[("floc", 0.55)] == 1
         cell = report.cells[0]
         assert cell.used == 149
+        (record,) = report.failure_records
+        assert (record.replication, record.method, record.b) == (2, "floc", 0.55)
+        assert record.error == "NumericalError"
+        assert record.condition == np.inf
+        assert record.message.endswith("numerically singular: condition inf")
+        assert record.message.startswith("cross-FLOC block matrix (4x4")
+        assert report.summary_text().endswith(
+            f"failure[floc B=0.55]: replication 2, NumericalError, condition inf: "
+            f"{record.message}\n"
+        )
 
     def test_failure_rate_above_threshold_aborts(self, monkeypatch):
-        def broken(series, p, cfg, normalizer="window"):
-            raise NumericalError("synthetic failure")
+        real = estimators._solve_block
 
-        monkeypatch.setattr(experiments, "estimate_floc", broken)
+        def broken(gammas):
+            coeffs, condition, bad = real(gammas)
+            bad[:] = True
+            return coeffs, condition, bad
+
+        monkeypatch.setattr(estimators, "_solve_block", broken)
         with pytest.raises(NumericalError, match="> 1%"):
             sv.run_monte_carlo(small_config(replications=10))
+
+    def test_constant_column_fails_every_estimator(self, monkeypatch):
+        real = experiments._simulate_paths
+
+        def with_flat_column(*args):
+            paths = real(*args)
+            paths[1, :, 0] = 2.5
+            return paths
+
+        monkeypatch.setattr(experiments, "_simulate_paths", with_flat_column)
+        report = sv.run_monte_carlo(small_config(replications=150))
+        assert report.failed_replications == 1
+        assert report.failures == {("floc", 0.55): 1, ("ls", None): 1, ("yw", None): 1}
+        records = [(rec.replication, rec.method, rec.b, rec.error) for rec in report.failure_records]
+        assert records == [
+            (1, "floc", 0.55, "ValidationError"),
+            (1, "ls", None, "ValidationError"),
+            (1, "yw", None, "ValidationError"),
+        ]
+        for rec in report.failure_records:
+            assert rec.message.startswith("constant column(s) 1:")
+            assert np.isnan(rec.condition)
+        assert all(c.used == 149 for c in report.cells)
+
+    def test_series_too_short_for_block_solve(self):
+        # n = 8 is too short for the 4x4 block system (needs n > 8), not for LS (n > 6)
+        with pytest.raises(NumericalError, match=r"floc B=0.55 failed in 6 of 6 replications"):
+            sv.run_monte_carlo(small_config(n=8))
+        report = sv.run_monte_carlo(small_config(n=8, methods=("ls",), b_values=()))
+        assert report.failures == {("ls", None): 0}
+        assert all(c.used == 6 for c in report.cells)
+
+    def test_summary_without_failures(self):
+        report = sv.run_monte_carlo(small_config())
+        assert report.summary_text() == (
+            "replications: 6\nn: 150\nburn_in: 100\nseed: 11\nmethods: floc,ls,yw\n"
+            "b_values: 0.55\nfailed_replications: 0\n"
+            "failures[floc B=0.55]: 0\nfailures[ls]: 0\nfailures[yw]: 0\n"
+        )
 
     def test_csv_outputs(self, tmp_path):
         report = sv.run_monte_carlo(small_config())

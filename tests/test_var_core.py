@@ -6,10 +6,12 @@ from numpy.polynomial import polynomial as P
 from scipy.linalg import solve_discrete_lyapunov
 
 import stablevar as sv
-from helpers import A1, A2, var2_model
+from helpers import A1, A2, brute_var_recursion, var2_model
+from stablevar import _kernels
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig, lag_matrix
-from stablevar.var_core import companion_matrix, psi_count_for_tolerance
+from stablevar.seeding import substream
+from stablevar.var_core import _simulate_paths, companion_matrix, psi_count_for_tolerance
 
 
 def det_polynomial_roots(coeffs):
@@ -153,6 +155,32 @@ class TestSimulate:
         g = {lag: lag_matrix(series, lag, cfg) for lag in (-1, 0, 1)}
         gap = g[1] - (A1 @ g[0] + A2 @ g[-1])
         assert np.max(np.abs(gap)) < 0.05
+
+
+class TestBatchedRecursion:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_matches_loop_oracle(self, p, r, reps):
+        rng = np.random.default_rng(100 * p + 10 * r + reps)
+        coeffs = rng.uniform(-0.4, 0.4, (p, r, r)) / p
+        for m in (1, p, p + 1, 60):  # m <= p: no step sees a full window
+            noise = rng.standard_cauchy((reps, m, r))
+            path = _kernels.var_recursion(coeffs, noise)
+            assert path.shape == noise.shape
+            for i in range(reps):
+                oracle = brute_var_recursion(coeffs, noise[i])
+                assert np.max(np.abs(path[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+                # a stack gives each series the bits it gets alone
+                assert np.array_equal(path[i], _kernels.var_recursion(coeffs, noise[i]))
+
+    def test_replication_path_equals_simulate(self):
+        model = var2_model(1.6)
+        paths = _simulate_paths(model, 120, 40, [substream(5, i) for i in range(4)])
+        assert paths.shape == (4, 120, 2)
+        for i, path in enumerate(paths):
+            alone = sv.simulate(model, 120, 40, substream(5, i))
+            assert np.array_equal(path, alone.values)
 
 
 class TestMeanCorrect:
