@@ -41,6 +41,29 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def assert_cells_match_per_replication(report, cfg, skip):
+    """Cells equal mean and RMSE of per-replication estimate_* calls, leaving out ``skip``."""
+    series = [
+        sv.simulate(cfg.model, cfg.n, cfg.burn_in, substream(cfg.seed, i))
+        for i in range(cfg.replications)
+        if i not in skip
+    ]
+    p = cfg.model.order
+    fits = {("floc", b): lambda s, b=b: sv.estimate_floc(s, p, sv.FlocConfig(1.0, b)) for b in cfg.b_values}
+    fits[("ls", None)] = lambda s: sv.estimate_ls(s, p)
+    fits[("yw", None)] = lambda s: sv.estimate_yw(s, p)
+    truth = cfg.model.coeff_array()
+    for (method, b), fit in fits.items():
+        stack = np.stack([fit(s).coeff_array() for s in series])
+        mean = stack.mean(axis=0)
+        rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
+        for k, i, j in np.ndindex(truth.shape):
+            c = report.cell(method, b, k + 1, i + 1, j + 1)
+            assert c.mean == pytest.approx(mean[k, i, j], rel=1e-12, abs=0.0)
+            assert c.rmse == pytest.approx(rmse[k, i, j], rel=1e-12, abs=0.0)
+            assert c.used == len(series)
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "mc.cfg"
@@ -167,26 +190,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
         cfg = small_config(b_values=(0.0, 0.55))
         report = sv.run_monte_carlo(cfg)
-        series = [
-            sv.simulate(cfg.model, cfg.n, cfg.burn_in, substream(cfg.seed, i))
-            for i in range(cfg.replications)
-        ]
-        fits = {
-            ("floc", 0.0): lambda s: sv.estimate_floc(s, 2, sv.FlocConfig(1.0, 0.0)),
-            ("floc", 0.55): lambda s: sv.estimate_floc(s, 2, sv.FlocConfig(1.0, 0.55)),
-            ("ls", None): lambda s: sv.estimate_ls(s, 2),
-            ("yw", None): lambda s: sv.estimate_yw(s, 2),
-        }
-        truth = cfg.model.coeff_array()
-        for (method, b), fit in fits.items():
-            stack = np.stack([fit(s).coeff_array() for s in series])
-            mean = stack.mean(axis=0)
-            rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
-            for k, i, j in np.ndindex(2, 2, 2):
-                c = report.cell(method, b, k + 1, i + 1, j + 1)
-                assert c.mean == pytest.approx(mean[k, i, j], rel=1e-12, abs=0.0)
-                assert c.rmse == pytest.approx(rmse[k, i, j], rel=1e-12, abs=0.0)
-                assert c.used == cfg.replications
+        assert_cells_match_per_replication(report, cfg, skip=())
         assert report.failure_records == ()
 
     def test_adding_methods_keeps_floc_cells(self):
@@ -236,28 +240,35 @@ class TestRunMonteCarlo:
         with pytest.raises(NumericalError, match="> 1%"):
             sv.run_monte_carlo(small_config(replications=10))
 
-    def test_constant_column_fails_every_estimator(self, monkeypatch):
+    # replication 9 lies in the third chunk of four, or in the only chunk
+    @pytest.mark.parametrize("batch_values", [4 * 250 * 2, 10**9])
+    def test_constant_column_fails_every_estimator(self, monkeypatch, batch_values):
+        monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
         real = experiments._simulate_paths
+        seen = [0]
 
-        def with_flat_column(*args):
-            paths = real(*args)
-            paths[1, :, 0] = 2.5
+        def with_flat_column(model, n, burn_in, generators):
+            paths = real(model, n, burn_in, generators)
+            if seen[0] <= 9 < seen[0] + len(paths):
+                paths[9 - seen[0], :, 0] = 2.5
+            seen[0] += len(paths)
             return paths
 
         monkeypatch.setattr(experiments, "_simulate_paths", with_flat_column)
-        report = sv.run_monte_carlo(small_config(replications=150))
+        cfg = small_config(replications=150)
+        report = sv.run_monte_carlo(cfg)
         assert report.failed_replications == 1
         assert report.failures == {("floc", 0.55): 1, ("ls", None): 1, ("yw", None): 1}
         records = [(rec.replication, rec.method, rec.b, rec.error) for rec in report.failure_records]
         assert records == [
-            (1, "floc", 0.55, "ValidationError"),
-            (1, "ls", None, "ValidationError"),
-            (1, "yw", None, "ValidationError"),
+            (9, "floc", 0.55, "ValidationError"),
+            (9, "ls", None, "ValidationError"),
+            (9, "yw", None, "ValidationError"),
         ]
         for rec in report.failure_records:
             assert rec.message.startswith("constant column(s) 1:")
             assert np.isnan(rec.condition)
-        assert all(c.used == 149 for c in report.cells)
+        assert_cells_match_per_replication(report, cfg, skip={9})
 
     def test_series_too_short_for_block_solve(self):
         # n = 8 is too short for the 4x4 block system (needs n > 8), not for LS (n > 6)
