@@ -49,7 +49,10 @@ def assert_cells_match_per_replication(report, cfg, skip):
         if i not in skip
     ]
     p = cfg.model.order
-    fits = {("floc", b): lambda s, b=b: sv.estimate_floc(s, p, sv.FlocConfig(1.0, b)) for b in cfg.b_values}
+    fits = {
+        ("floc", b): lambda s, b=b: sv.estimate_floc(s, p, sv.FlocConfig(1.0, b))
+        for b in cfg.b_values
+    }
     fits[("ls", None)] = lambda s: sv.estimate_ls(s, p)
     fits[("yw", None)] = lambda s: sv.estimate_yw(s, p)
     truth = cfg.model.coeff_array()
@@ -259,7 +262,7 @@ class TestRunMonteCarlo:
         report = sv.run_monte_carlo(cfg)
         assert report.failed_replications == 1
         assert report.failures == {("floc", 0.55): 1, ("ls", None): 1, ("yw", None): 1}
-        records = [(rec.replication, rec.method, rec.b, rec.error) for rec in report.failure_records]
+        records = [(r.replication, r.method, r.b, r.error) for r in report.failure_records]
         assert records == [
             (9, "floc", 0.55, "ValidationError"),
             (9, "ls", None, "ValidationError"),

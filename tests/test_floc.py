@@ -14,7 +14,9 @@ class TestFlocConfig:
         with pytest.raises(ValidationError):
             FlocConfig(1.0, -0.5)
 
-    @pytest.mark.parametrize("a, b", [(1.0, float("nan")), (1.0, float("inf")), (float("nan"), 0.5)])
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, float("nan")), (1.0, float("inf")), (float("nan"), 0.5)]
+    )
     def test_non_finite_exponents_rejected(self, a, b):
         with pytest.raises(ValidationError, match="finite"):
             FlocConfig(a, b)
