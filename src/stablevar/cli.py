@@ -9,8 +9,9 @@ do not match it. Floats are written as shortest round-trip text, so files
 read back to the same numbers.
 
 The subcommands only read inputs and write outputs; the numbers come from
-the library. estimate's default B is ``experiments.default_b``, and FLOC
-warns as ``run_pipeline`` does when A + B reaches a column alpha estimate;
+the library. estimate picks FLOC's exponents with ``experiments.floc_config``,
+as ``run_pipeline`` does: the same default B and the same warning when
+A + B reaches a column alpha estimate;
 diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
 writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
 same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
@@ -30,14 +31,12 @@ from .diagnostics import ks_summary_line, write_auto_floc_csv, write_qq_csv
 from .errors import NumericalError, ValidationError
 from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_yw, residuals
 from .experiments import (
-    column_alphas,
-    default_b,
     diagnose_residuals,
+    floc_config,
     load_experiment_config,
     load_model_config,
     run_monte_carlo,
 )
-from .floc import FlocConfig
 from .series import SeriesMatrix
 from .var_core import DEFAULT_BURN_IN, mean_correct, simulate
 
@@ -115,10 +114,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
-        alphas = column_alphas(series)
-        b = args.b_exp if args.b_exp is not None else default_b(alphas)
-        cfg = FlocConfig(1.0, b)
-        cfg.warn_if_invalid_for(float(min(alphas)))
+        cfg, _ = floc_config(series, args.b_exp)
         normalizer = args.normalizer or "window"
         report = estimate_floc(series, args.order, cfg, normalizer=normalizer)
     elif args.method == "yw":

@@ -13,10 +13,10 @@ for FLOC, plain cross-moments for Yule-Walker. The window normalizer
 available; each method defaults to its literature-standard choice, and
 with matched normalizers FLOC at A = B = 1 and Yule-Walker coincide.
 
-The checks, lag moments and block solve work on a stack of R series at
-once; ``estimate_floc`` and ``estimate_yw`` are the stack of one, and the
-Monte Carlo harness passes a chunk of replications to
-``_block_coefficients``, which returns coefficients only.
+All three run through one core on a stack of R series: ``_prepare``
+checks and mean-corrects once, then ``_block_fit`` or ``_ls_fit`` fits
+each series. ``estimate_*`` are the stack of one; the Monte Carlo harness
+passes a chunk of replications to ``_estimate_stack``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .floc import FlocConfig, _floc_moments
 from .series import SeriesMatrix
-from .var_core import mean_correct
 
 __all__ = [
     "EstimationReport",
@@ -188,27 +187,37 @@ def _validate_normalizer(normalizer: str) -> None:
         raise ValidationError(f"normalizer must be 'window' or 'n', got {normalizer!r}")
 
 
-def _prepare(values: np.ndarray, p: int, min_n: int):
-    """Mean-correct each series of a stack (R, n, r) after the estimators' checks.
+def _prepare(values: np.ndarray, p: int):
+    """Mean-correct each series of a stack (R, n, r) after the checks all methods share.
 
-    Raises ValidationError for what all series share (order, length).
-    Returns the corrected stack and, for each series with a constant
-    column, the ValidationError its estimates fail with.
+    Raises ValidationError for an order below 1. Returns the corrected
+    stack, the column means (R, r) and, for each series with a non-finite
+    entry or a constant column, the ValidationError its estimates fail with.
     """
     if p < 1:
         raise ValidationError(f"order must be >= 1, got {p}")
-    n = values.shape[-2]
-    if n <= min_n:
-        raise ValidationError(f"series of length {n} too short: need more than {min_n} rows")
+    finite = np.isfinite(values).all(axis=(-2, -1))
+    if not finite.all():  # fit those series as zeros, so no step sees inf or NaN
+        values = np.where(finite[:, None, None], values, 0.0)
     errors = {}
     for i, spans in enumerate(np.ptp(values, axis=-2)):
         flat = np.nonzero(spans == 0.0)[0]
-        if flat.size:
+        if not finite[i]:
+            errors[i] = ValidationError("series contains non-finite entries")
+        elif flat.size:
             errors[i] = ValidationError(
                 f"constant column(s) {', '.join(str(j + 1) for j in flat)}: "
                 "lag-0 moment matrix would be singular"
             )
-    return values - values.mean(axis=-2, keepdims=True), errors
+    means = values.mean(axis=-2, keepdims=True)
+    return values - means, means[:, 0], errors
+
+
+def _too_short(corrected: np.ndarray, p: int, min_n: int):
+    """The fit of a stack of series too short for a method: every series fails."""
+    reps, n, r = corrected.shape
+    exc = ValidationError(f"series of length {n} too short: need more than {min_n} rows")
+    return np.full((reps, p, r, r), np.nan), np.full(reps, np.nan), dict.fromkeys(range(reps), exc)
 
 
 def _lag_moments(values: np.ndarray, p: int, cfg: FlocConfig, normalizer: str) -> np.ndarray:
@@ -254,10 +263,12 @@ def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, nor
     condition numbers (R,), NaN for those series, and {index: exception}
     with the exception that estimating each failing series alone raises.
     """
+    size = p * corrected.shape[-1]
+    if corrected.shape[-2] <= 2 * size:
+        return _too_short(corrected, p, 2 * size)
     coeffs, condition, bad = _solve_block(_lag_moments(corrected, p, cfg, normalizer))
     condition[list(failed)] = np.nan
     errors = dict(failed)
-    size = p * corrected.shape[-1]
     for i in np.flatnonzero(bad):
         errors.setdefault(int(i), NumericalError(
             f"{label} block matrix ({size}x{size} of lag matrices "
@@ -267,39 +278,63 @@ def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, nor
     return coeffs, condition, errors
 
 
+def _ls_fit(corrected: np.ndarray, failed: dict, p: int):
+    """Least-squares coefficients of each mean-corrected series in a stack (R, n, r).
+
+    Returns as ``_block_fit`` does, with the condition number of each
+    series' regressor matrix from the singular values ``lstsq`` returns.
+    """
+    reps, n, r = corrected.shape
+    if n <= p * r + p:
+        return _too_short(corrected, p, p * r + p)
+    coeffs = np.full((reps, p, r, r), np.nan)
+    condition = np.full(reps, np.nan)
+    errors = dict(failed)
+    for i, x in enumerate(corrected):
+        if i in failed:
+            continue
+        design = np.hstack([x[p - k : n - k] for k in range(1, p + 1)])
+        theta, _, rank, s = np.linalg.lstsq(design, x[p:], rcond=None)
+        condition[i] = s[0] / s[-1] if s[-1] else np.inf
+        if rank < p * r:
+            errors[i] = NumericalError(f"rank-deficient regressor matrix: rank {rank} < {p * r}")
+        else:
+            coeffs[i] = theta.reshape(p, r, r).transpose(0, 2, 1)
+    return coeffs, condition, errors
+
+
 # method -> (default normalizer, name of its lag matrices in errors)
 _BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
 
 
-def _block_coefficients(values: np.ndarray, p: int, keys) -> dict:
-    """FLOC and Yule-Walker coefficients of each series in a stack (R, n, r).
+def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
+    """FLOC, least-squares and Yule-Walker coefficients of each series in a stack (R, n, r).
 
-    ``keys`` holds (method, b) pairs: ("floc", B) for exponents (1, B),
-    ("yw", None) for Yule-Walker. Each uses its method's default normalizer
-    and gives the coefficients of ``estimate_floc`` / ``estimate_yw``,
-    without residuals or reports; the checks and the mean correction run
-    once for all keys. Returns {key: (coefficients (R, p, r, r), condition
-    numbers (R,), {index: exception} for the series that fail)} and raises
-    ValidationError for what all series share (order, length).
+    ``keys`` holds ("floc", B) for exponents (1, B), ("ls", None) and
+    ("yw", None), each giving the coefficients of its ``estimate_*`` at the
+    default normalizer, without residuals or reports. Returns {key: fit},
+    each fit as ``_block_fit`` returns it, from one mean correction.
     """
-    corrected, failed = _prepare(values, p, 2 * p * values.shape[-1])
+    corrected, _, failed = _prepare(values, p)
     out = {}
     for method, b in keys:
-        cfg = FlocConfig(1.0, 1.0 if method == "yw" else b)
-        out[(method, b)] = _block_fit(corrected, failed, p, cfg, *_BLOCK_METHODS[method])
+        if method == "ls":
+            out[(method, b)] = _ls_fit(corrected, failed, p)
+        else:
+            cfg = FlocConfig(1.0, 1.0 if method == "yw" else b)
+            out[(method, b)] = _block_fit(corrected, failed, p, cfg, *_BLOCK_METHODS[method])
     return out
 
 
-def _report(method: str, series: SeriesMatrix, coeffs, condition, **extra) -> EstimationReport:
-    coeffs = tuple(np.ascontiguousarray(a) for a in coeffs)
-    return EstimationReport(
-        method=method,
-        coeffs=coeffs,
-        condition=float(condition),
-        residuals=residuals(mean_correct(series), coeffs),
-        column_means=series.values.mean(axis=0),
-        **extra,
-    )
+def _estimate_one(method: str, series: SeriesMatrix, p: int, fit, *args, **extra):
+    """Report of ``fit(corrected, failed, p, *args)`` on one series: the stack of one."""
+    corrected, means, failed = _prepare(series.values[None], p)
+    coeffs, condition, errors = fit(corrected, failed, p, *args)
+    if errors:
+        raise errors[0]
+    coeffs = tuple(np.ascontiguousarray(a) for a in coeffs[0])
+    res = residuals(SeriesMatrix(corrected[0]), coeffs)
+    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], **extra)
 
 
 def estimate_floc(
@@ -316,39 +351,17 @@ def estimate_floc(
     _validate_normalizer(normalizer)
     if cfg.exp_a != 1.0:
         raise ValidationError(f"FLOC estimation fixes A = 1, got A = {cfg.exp_a}")
-    corrected, failed = _prepare(series.values[None], p, 2 * p * series.dim)
-    coeffs, condition, errors = _block_fit(corrected, failed, p, cfg, normalizer, "cross-FLOC")
-    if errors:
-        raise errors[0]
-    return _report("floc", series, coeffs[0], condition[0], cfg=cfg, normalizer=normalizer)
+    return _estimate_one("floc", series, p, _block_fit, cfg, normalizer, "cross-FLOC",
+                         cfg=cfg, normalizer=normalizer)
 
 
 def estimate_yw(series: SeriesMatrix, p: int, normalizer: str = "n") -> EstimationReport:
     """Classical Yule-Walker: the block system with sample cross-moments."""
     _validate_normalizer(normalizer)
-    corrected, failed = _prepare(series.values[None], p, 2 * p * series.dim)
-    unit = FlocConfig(exp_a=1.0, exp_b=1.0)
-    coeffs, condition, errors = _block_fit(corrected, failed, p, unit, normalizer, "autocovariance")
-    if errors:
-        raise errors[0]
-    return _report("yw", series, coeffs[0], condition[0], normalizer=normalizer)
+    return _estimate_one("yw", series, p, _block_fit, FlocConfig(1.0, 1.0), normalizer,
+                         "autocovariance", normalizer=normalizer)
 
 
 def estimate_ls(series: SeriesMatrix, p: int) -> EstimationReport:
     """Least squares: regress x[t] on (x[t-1], ..., x[t-p])."""
-    r = series.dim
-    corrected, errors = _prepare(series.values[None], p, p * r + p)
-    if errors:
-        raise errors[0]
-    x = corrected[0]
-    n = x.shape[0]
-    design = np.hstack([x[p - k : n - k] for k in range(1, p + 1)])
-    target = x[p:]
-    theta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < p * r:
-        raise NumericalError(
-            f"rank-deficient regressor matrix: rank {rank} < {p * r}"
-        )
-    condition = np.linalg.cond(design)
-    coeffs = [theta[(k - 1) * r : k * r].T for k in range(1, p + 1)]
-    return _report("ls", series, coeffs, condition)
+    return _estimate_one("ls", series, p, _ls_fit)

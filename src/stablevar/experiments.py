@@ -2,17 +2,18 @@
 
 ``run_monte_carlo`` simulates many realisations of a known model, estimates
 the coefficients with each requested method, and reports per-coefficient
-means and RMSEs. It simulates and estimates a chunk of replications as
-arrays at a time. Replication i always draws from substream (seed, i), so
-adding methods or changing the chunk size never perturbs the simulated
-paths, and reports are reproducible byte for byte.
+means and RMSEs. It simulates a chunk of replications as arrays at a time
+and fits every method on the chunk through the estimators' stacked core.
+Replication i always draws from substream (seed, i), so adding methods or
+changing the chunk size never perturbs the simulated paths, and reports
+are reproducible byte for byte.
 
 ``run_pipeline`` is the real-data path: mean-correct, pick the FLOC
-exponent from per-column stability estimates (``default_b``), estimate the
-coefficients, and diagnose each residual column (``diagnose_residuals``).
-``stablevar estimate`` and ``stablevar diagnose`` call the same two
-functions, so a fixed seed gives the same diagnostics from either entry
-point.
+exponents from per-column stability estimates (``floc_config``), estimate
+the coefficients, and diagnose each residual column (``diagnose_residuals``).
+``stablevar estimate`` and ``stablevar diagnose`` call the same functions,
+so either entry point picks the same B, and a fixed seed gives the same
+diagnostics.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .diagnostics import (
     qq_data,
 )
 from .errors import NumericalError, ValidationError
-from .estimators import EstimationReport, _block_coefficients, estimate_floc, estimate_ls
+from .estimators import EstimationReport, _estimate_stack, estimate_floc
 from .floc import FlocConfig
 from .seeding import substream
 from .series import SeriesMatrix
@@ -49,8 +50,8 @@ __all__ = [
     "ColumnDiagnostics",
     "PipelineReport",
     "run_pipeline",
-    "column_alphas",
     "default_b",
+    "floc_config",
     "diagnose_residuals",
     "load_experiment_config",
     "load_model_config",
@@ -139,9 +140,9 @@ class CellStats:
 class FailureRecord:
     """Why one estimator failed on one replication.
 
-    ``error`` is the exception class name; ``condition`` is the block
-    condition number of a failed FLOC or Yule-Walker solve, NaN when the
-    estimator failed before a solve or is least squares.
+    ``error`` is the exception class name; ``condition`` is the condition
+    number of the block matrix (FLOC, Yule-Walker) or of the regressor
+    matrix (least squares), NaN when the estimate failed before any solve.
     """
 
     replication: int
@@ -231,37 +232,15 @@ def _key_name(method: str, b: Optional[float]) -> str:
     return method if b is None else f"{method} B={b:g}"
 
 
-def _estimate_chunk(paths: np.ndarray, p: int, keys) -> dict:
-    """{key: (coefficients (R, p, r, r), condition numbers (R,), {index: exception})}
-    of every estimator on the R replicated paths of a chunk."""
-    reps, r = paths.shape[0], paths.shape[-1]
-    series = [SeriesMatrix(path) for path in paths]  # rejects non-finite paths
-    block_keys = [key for key in keys if key[0] != "ls"]
-    try:
-        out = _block_coefficients(paths, p, block_keys) if block_keys else {}
-    except ValidationError as exc:  # shared by the whole chunk: order or length
-        nan = np.full((reps, p, r, r), np.nan)
-        out = {key: (nan, np.full(reps, np.nan), dict.fromkeys(range(reps), exc))
-               for key in block_keys}
-    if ("ls", None) in keys:
-        coeffs, errors = np.full((reps, p, r, r), np.nan), {}
-        for i, one in enumerate(series):
-            try:
-                coeffs[i] = estimate_ls(one, p).coeff_array()
-            except (NumericalError, ValidationError) as exc:
-                errors[i] = exc
-        out[("ls", None)] = (coeffs, np.full(reps, np.nan), errors)
-    return out
-
-
 def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
     """Mean and RMSE of every coefficient estimate over seeded replications.
 
-    Replications are simulated and estimated a chunk at a time, as arrays
-    of about ``_BATCH_VALUES`` path values. Failed estimates (singular
-    systems, constant columns) are recorded per replication and estimator
-    and excluded from the statistics; the run aborts if any estimator fails
-    in more than 1% of replications.
+    Replications are simulated and estimated (``estimators._estimate_stack``)
+    a chunk at a time, as arrays of about ``_BATCH_VALUES`` path values.
+    Failed estimates (non-finite paths, constant columns, too few rows,
+    singular systems) are recorded per replication and estimator and
+    excluded from the statistics; the run aborts if any estimator fails in
+    more than 1% of replications.
     """
     keys = _estimate_keys(cfg)
     r, p = cfg.model.dim, cfg.model.order
@@ -274,7 +253,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
         paths = _simulate_paths(
             cfg.model, cfg.n, cfg.burn_in, [substream(cfg.seed, rep) for rep in reps]
         )
-        for key, (coeffs, condition, errors) in _estimate_chunk(paths, p, keys).items():
+        for key, (coeffs, condition, errors) in _estimate_stack(paths, p, keys).items():
             estimates[key][reps.start : reps.stop] = coeffs
             failed[key][[start + i for i in errors]] = True
             records += [
@@ -352,17 +331,21 @@ def _child_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([int(seed), *path]).generate_state(1, np.uint64)[0])
 
 
-def column_alphas(series: SeriesMatrix) -> np.ndarray:
-    """Stability index estimate of each mean-corrected column."""
-    corrected = mean_correct(series)
-    return np.array(
-        [fit_stable_params(corrected.values[:, j]).alpha for j in range(series.dim)]
-    )
-
-
 def default_b(alphas) -> float:
     """Working FLOC exponent B: max alpha estimate - 1.05, clamped at 0."""
     return max(float(np.max(alphas)) - DEFAULT_B_OFFSET, 0.0)
+
+
+def floc_config(series: SeriesMatrix, b: Optional[float] = None):
+    """FLOC exponents (1, B) and the stability index estimate of each mean-corrected column.
+
+    B defaults to ``default_b`` of the estimates; warns when A + B reaches the smallest.
+    """
+    corrected = mean_correct(series).values
+    alphas = np.array([fit_stable_params(corrected[:, j]).alpha for j in range(series.dim)])
+    cfg = FlocConfig(1.0, default_b(alphas) if b is None else float(b))
+    cfg.warn_if_invalid_for(float(np.min(alphas)))
+    return cfg, alphas
 
 
 def diagnose_residuals(
@@ -375,15 +358,16 @@ def diagnose_residuals(
 ) -> Tuple[ColumnDiagnostics, ...]:
     """Diagnostics of each residual column, one ``ColumnDiagnostics`` each.
 
-    Per column: stable parameter fit, auto-FLOC at B = default_b(alpha
-    fit) with a simulated null band, bootstrap KS test, and QQ data
-    (``qq_grid = 0`` skips it). Column j's band and KS draws come from
-    ``rng_seed`` through seed paths (2, j) and (1, j).
+    Per column: bootstrap KS test, whose stable fit is the ``fitted`` law
+    of the rest; auto-FLOC at B = default_b(alpha fit) with a simulated
+    null band; QQ data (``qq_grid = 0`` skips it). Column j's band and KS
+    draws come from ``rng_seed`` through seed paths (2, j) and (1, j).
     """
     columns = []
     for j in range(res.dim):
         col = res.values[:, j]
-        fitted = fit_stable_params(col)
+        ks = ks_test_stable(col, ks_repetitions, rng_seed=_child_seed(rng_seed, 1, j))
+        fitted = ks.fitted
         cfg_col = FlocConfig(1.0, default_b(fitted.alpha))
         af = auto_floc(col, max_lag, cfg_col)
         lo, hi = auto_floc_null_band(
@@ -394,7 +378,6 @@ def diagnose_residuals(
             replicates=band_replicates,
             rng_seed=_child_seed(rng_seed, 2, j),
         )
-        ks = ks_test_stable(col, ks_repetitions, rng_seed=_child_seed(rng_seed, 1, j))
         qq = qq_data(col, fitted, qq_grid) if qq_grid else None
         columns.append(
             ColumnDiagnostics(
@@ -416,14 +399,11 @@ def run_pipeline(
 ) -> PipelineReport:
     """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
 
-    When ``b`` is omitted it is ``default_b`` of the per-column stability
-    estimates. The residuals are diagnosed by ``diagnose_residuals``.
+    The exponents come from ``floc_config``, so B defaults to ``default_b``
+    of the per-column stability estimates. The residuals are diagnosed by
+    ``diagnose_residuals``.
     """
-    alphas = column_alphas(series)
-    if b is None:
-        b = default_b(alphas)
-    cfg = FlocConfig(1.0, float(b))
-    cfg.warn_if_invalid_for(float(np.min(alphas)))
+    cfg, alphas = floc_config(series, b)
     estimation = estimate_floc(series, p, cfg)
     columns = diagnose_residuals(
         estimation.residuals, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
@@ -431,7 +411,7 @@ def run_pipeline(
     return PipelineReport(
         estimation=estimation,
         alpha_estimates=alphas,
-        b_used=float(b),
+        b_used=float(cfg.exp_b),
         columns=columns,
     )
 

@@ -161,6 +161,13 @@ class TestMethodAgreement:
         report = sv.estimate_yw(series, 2)
         assert np.max(np.abs(report.coeff_array())) < 0.05
 
+    def test_ls_condition_is_design_condition(self):
+        series = sv.simulate(var2_model(1.6), 300, 100, 21)
+        x = sv.mean_correct(series).values
+        design = np.hstack([x[1:-1], x[:-2]])
+        report = sv.estimate_ls(series, 2)
+        assert report.condition == pytest.approx(np.linalg.cond(design), rel=1e-12)
+
     def test_ls_rank_deficient(self):
         # two identical columns leave the regressor matrix rank deficient
         rng = np.random.default_rng(19)

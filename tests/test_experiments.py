@@ -42,7 +42,8 @@ def small_config(**overrides) -> ExperimentConfig:
 
 
 def assert_cells_match_per_replication(report, cfg, skip):
-    """Cells equal mean and RMSE of per-replication estimate_* calls, leaving out ``skip``."""
+    """Cells of ``cfg.methods`` equal mean and RMSE of per-replication estimate_*
+    calls, leaving out ``skip``."""
     series = [
         sv.simulate(cfg.model, cfg.n, cfg.burn_in, substream(cfg.seed, i))
         for i in range(cfg.replications)
@@ -57,6 +58,8 @@ def assert_cells_match_per_replication(report, cfg, skip):
     fits[("yw", None)] = lambda s: sv.estimate_yw(s, p)
     truth = cfg.model.coeff_array()
     for (method, b), fit in fits.items():
+        if method not in cfg.methods:
+            continue
         stack = np.stack([fit(s).coeff_array() for s in series])
         mean = stack.mean(axis=0)
         rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
@@ -245,32 +248,51 @@ class TestRunMonteCarlo:
 
     # replication 9 lies in the third chunk of four, or in the only chunk
     @pytest.mark.parametrize("batch_values", [4 * 250 * 2, 10**9])
-    def test_constant_column_fails_every_estimator(self, monkeypatch, batch_values):
+    @pytest.mark.parametrize(
+        "defect, methods, error, message",
+        [
+            ("constant", ("floc", "ls", "yw"), "ValidationError", "constant column(s) 1:"),
+            ("inf", ("floc", "ls", "yw"), "ValidationError", "series contains non-finite"),
+            ("inf", ("floc", "yw"), "ValidationError", "series contains non-finite"),
+            ("duplicate", ("floc", "ls", "yw"), "NumericalError", None),  # a solve ran
+        ],
+        ids=["constant", "inf", "inf-without-ls", "duplicate"],
+    )
+    def test_constant_column_fails_every_estimator(
+        self, monkeypatch, batch_values, defect, methods, error, message
+    ):
         monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
         real = experiments._simulate_paths
         seen = [0]
 
-        def with_flat_column(model, n, burn_in, generators):
+        def with_defect(model, n, burn_in, generators):
             paths = real(model, n, burn_in, generators)
             if seen[0] <= 9 < seen[0] + len(paths):
-                paths[9 - seen[0], :, 0] = 2.5
+                path = paths[9 - seen[0]]
+                if defect == "constant":
+                    path[:, 0] = 2.5
+                elif defect == "inf":
+                    path[40, 1] = np.inf
+                else:
+                    path[:, 1] = path[:, 0]
             seen[0] += len(paths)
             return paths
 
-        monkeypatch.setattr(experiments, "_simulate_paths", with_flat_column)
-        cfg = small_config(replications=150)
+        monkeypatch.setattr(experiments, "_simulate_paths", with_defect)
+        cfg = small_config(replications=150, methods=methods)
         report = sv.run_monte_carlo(cfg)
+        keys = [("floc", 0.55), ("ls", None), ("yw", None)]
+        keys = [key for key in keys if key[0] in methods]
         assert report.failed_replications == 1
-        assert report.failures == {("floc", 0.55): 1, ("ls", None): 1, ("yw", None): 1}
+        assert report.failures == dict.fromkeys(keys, 1)
         records = [(r.replication, r.method, r.b, r.error) for r in report.failure_records]
-        assert records == [
-            (9, "floc", 0.55, "ValidationError"),
-            (9, "ls", None, "ValidationError"),
-            (9, "yw", None, "ValidationError"),
-        ]
+        assert records == [(9, *key, error) for key in keys]
         for rec in report.failure_records:
-            assert rec.message.startswith("constant column(s) 1:")
-            assert np.isnan(rec.condition)
+            if message is None:
+                assert rec.condition > estimators.CONDITION_LIMIT
+            else:
+                assert np.isnan(rec.condition)
+                assert rec.message.startswith(message)
         assert_cells_match_per_replication(report, cfg, skip={9})
 
     def test_series_too_short_for_block_solve(self):
