@@ -15,7 +15,9 @@ A + B reaches a column alpha estimate;
 diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
 writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
 same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
-of 1 is rejected, as in the library. Exit codes: 0 success, 1 validation
+of 1 is rejected, as in the library. estimate rejects ``--b-exp`` for LS
+and YW and ``--normalizer`` for LS instead of ignoring them, and a seed must
+be a non-negative integer. Exit codes: 0 success, 1 validation
 error, 2 numerical failure. Outputs carry no timestamps, so a fixed seed
 reproduces files byte for byte.
 """
@@ -112,6 +114,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.method != "floc" and args.b_exp is not None:
+        raise ValidationError("--b-exp applies only to FLOC")
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
         cfg, _ = floc_config(series, args.b_exp)

@@ -36,7 +36,7 @@ from .diagnostics import (
 from .errors import NumericalError, ValidationError
 from .estimators import EstimationReport, _estimate_stack, estimate_floc
 from .floc import FlocConfig
-from .seeding import substream
+from .seeding import _child_seed, substream
 from .series import SeriesMatrix
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
 from .var_core import DEFAULT_BURN_IN, VarModel, _simulate_paths, mean_correct
@@ -327,10 +327,6 @@ class PipelineReport:
     columns: tuple
 
 
-def _child_seed(seed: int, *path: int) -> int:
-    return int(np.random.SeedSequence([int(seed), *path]).generate_state(1, np.uint64)[0])
-
-
 def default_b(alphas) -> float:
     """Working FLOC exponent B: max alpha estimate - 1.05, clamped at 0."""
     return max(float(np.max(alphas)) - DEFAULT_B_OFFSET, 0.0)
@@ -504,10 +500,16 @@ def _check_keys(kv: Dict[str, str], allowed: set, order: int, path) -> None:
 
 
 def load_model_config(path) -> Tuple[VarModel, Dict[str, str]]:
-    """Read a model description; returns the model and the raw keys."""
+    """Read a model description; returns the model and the raw keys.
+
+    The optional keys n, seed and burn_in must be integers when present.
+    """
     kv = _parse_kv(path)
     model = _build_model(kv)
     _check_keys(kv, _MODEL_KEYS, model.order, path)
+    for key in ("n", "seed", "burn_in"):
+        if key in kv:
+            _parse_int(kv, key)
     return model, kv
 
 

@@ -3,7 +3,9 @@
 ``as_generator`` normalizes ints / SeedSequences / Generators to a
 numpy Generator. ``substream`` derives an independent stream from
 (seed, index), so Monte Carlo replication i sees the same draws whichever
-chunk of replications it is simulated in.
+chunk of replications it is simulated in; ``_child_seed`` derives a seed
+from (seed, *path). All three reject a seed that is not a non-negative
+integer with a ``ValidationError``, whichever entry point passed it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from typing import Union
 
 import numpy as np
 
+from .errors import ValidationError
+
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def as_generator(seed: Seed) -> np.random.Generator:
@@ -20,9 +30,13 @@ def as_generator(seed: Seed) -> np.random.Generator:
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_check_seed(seed))
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for substream ``index`` of master seed ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
+    return np.random.default_rng(np.random.SeedSequence([_check_seed(seed), int(index)]))
+
+
+def _child_seed(seed: int, *path: int) -> int:
+    return int(np.random.SeedSequence([_check_seed(seed), *path]).generate_state(1, np.uint64)[0])

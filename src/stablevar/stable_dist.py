@@ -2,15 +2,15 @@
 characteristic function.
 
 ``stable_cdf`` runs adaptive quadrature of the Gil-Pelaez integral at each
-point: the reference path, and the path for alpha <= 1. For alpha > 1,
+point within +-``_QUAD_TAIL_Z`` and the power-law tail expansion beyond: the
+reference path, and the path for alpha <= 1. For alpha > 1,
 ``stable_cdf_bulk`` and ``stable_quantile`` share ``_cdf_grid``: on fixed
 Simpson nodes the integral is a Fourier sum in z, so one FFT
 (``_kernels.gil_pelaez_cdf``) gives the CDF and two derivatives on an
-equispaced z grid (Mittnik, Doganoglu and Chenyao, 1999). Quintic Hermite
-interpolation of the grid gives the CDF at sample points, and bisection in
-the bracketing cell gives quantiles. Past the grid both use the power-law
-tail expansion: beyond ``_BULK_TAIL_Z`` for the bulk CDF, beyond
-``_QUAD_TAIL_Z`` (where ``stable_cdf`` switches too) for quantiles.
+equispaced z grid (Mittnik, Doganoglu and Chenyao, 1999), read by quintic
+Hermite interpolation; the bulk CDF takes the tail beyond ``_BULK_TAIL_Z``.
+Quantiles follow one rule for every alpha: the tail inverse in closed form
+past the CDF at +-``_QUAD_TAIL_Z``, inversion on that engine within.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from scipy import integrate, optimize
 from scipy.fft import next_fast_len
 
 from . import _kernels
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .stable_noise import StableParams
 
 __all__ = ["stable_cdf", "stable_cdf_bulk", "stable_quantile"]
@@ -175,68 +175,67 @@ def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
     return out
 
 
-def _std_quantile(p: float, alpha: float, beta: float) -> float:
-    lo, hi = -2.0, 2.0
-    for _ in range(80):
-        if _std_cdf_quad(lo, alpha, beta) < p:
-            break
-        lo *= 2.0
-    else:
-        raise NumericalError(f"failed to bracket quantile at level {p}")
-    for _ in range(80):
-        if _std_cdf_quad(hi, alpha, beta) > p:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError(f"failed to bracket quantile at level {p}")
-    return float(
-        optimize.brentq(
-            lambda z: _std_cdf_quad(z, alpha, beta) - p, lo, hi, xtol=1e-12, rtol=8.9e-16
-        )
-    )
-
-
-def _grid_quantile(p: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Standard quantiles (alpha > 1) of the CDF that ``stable_cdf`` evaluates:
-    the FFT grid within +-_QUAD_TAIL_Z, the tail expansion beyond."""
-    grid = z0, dz, f = _cdf_grid(alpha, beta, _QUAD_TAIL_Z)
-    lo_edge, hi_edge = _grid_cdf(grid, np.array([-_QUAD_TAIL_Z, _QUAD_TAIL_Z]))
-    out = np.empty(p.shape)
-    lo, hi = p < lo_edge, p > hi_edge
-    # _tail_prob(1, ...) is the constant C of P(Z > z) ~ C z^(-alpha)
-    out[lo] = -np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
-    out[hi] = np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
-    mid = ~(lo | hi)
-    pm = p[mid]
+def _grid_inverse(p: np.ndarray, grid) -> np.ndarray:
+    """Standard quantiles at levels ``p``: bisection in cells of a ``_cdf_grid``."""
+    z0, dz, f = grid
     # rounding noise can dent the grid where the CDF is flat; the running
     # maximum is sorted, and its cell k still has f[0, k] <= p < f[0, k + 1]
-    k = np.searchsorted(np.maximum.accumulate(f[0]), pm, side="right") - 1
+    k = np.searchsorted(np.maximum.accumulate(f[0]), p, side="right") - 1
     a = z0 + np.clip(k, 0, f.shape[1] - 2) * dz
     b = a + dz
     for _ in range(50):
         c = 0.5 * (a + b)
-        below = _grid_cdf(grid, c) < pm
+        below = _grid_cdf(grid, c) < p
         a, b = np.where(below, c, a), np.where(below, b, c)
-    out[mid] = 0.5 * (a + b)
-    return out
+    return 0.5 * (a + b)
 
 
 def stable_quantile(p, params: StableParams):
     """Quantile(s) of the stable law, inverting ``stable_cdf``.
 
-    For alpha > 1 all levels are inverted at once on one FFT grid over
-    +-_QUAD_TAIL_Z standardized units (within 1e-6 of ``stable_cdf`` in
-    probability there) and by the leading-order tail term beyond, as
-    ``stable_cdf`` switches; levels between the two at the switch map to
-    the switch point. For alpha <= 1, root-finding on ``stable_cdf``.
+    One rule for every alpha: levels outside [cdf(-_QUAD_TAIL_Z),
+    cdf(_QUAD_TAIL_Z)] (standardized) invert the leading tail term in closed
+    form, as ``stable_cdf`` switches there, and levels in the jump at the
+    switch map to the switch point. Levels inside are inverted on the engine
+    of ``stable_cdf`` there: one FFT grid for alpha > 1 (within 1e-6 in
+    probability); for alpha <= 1 one ``brentq`` on quadrature per level,
+    between the adjacent nodes of -+2, -+4, ... that hold it.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")
-    levels = arr.ravel()
-    if params.alpha > 1.0:
-        z = _grid_quantile(levels, params.alpha, params.beta)
+    p = arr.ravel()
+    alpha, beta = params.alpha, params.beta
+    if alpha > 1.0:
+        grid = _cdf_grid(alpha, beta, _QUAD_TAIL_Z)
+        lo_edge, hi_edge = _grid_cdf(grid, np.array([-_QUAD_TAIL_Z, _QUAD_TAIL_Z]))
     else:
-        z = np.array([_std_quantile(float(v), params.alpha, params.beta) for v in levels])
+        def cdf(v):
+            return _std_cdf_quad(v, alpha, beta)
+
+        # each side doubles its node from 2 while a level lies past it, up to
+        # the cap, so only at the cap can a level lie past the outer nodes
+        node, b, lo_edge, hi_edge = {}, 1.0, 1.0, 0.0
+        while b < _QUAD_TAIL_Z and np.any((p < lo_edge) | (p > hi_edge)):
+            b = min(2.0 * b, _QUAD_TAIL_Z)
+            if np.any(p < lo_edge):
+                lo_edge = node[-b] = cdf(-b)
+            if np.any(p > hi_edge):
+                hi_edge = node[b] = cdf(b)
+    z = np.empty(p.shape)
+    lo, hi = p < lo_edge, p > hi_edge
+    # _tail_prob(1, ...) is the constant C of P(Z > z) ~ C z^(-alpha)
+    z[lo] = -np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
+    z[hi] = np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
+    mid = ~(lo | hi)
+    if alpha > 1.0:
+        z[mid] = _grid_inverse(p[mid], grid)
+    else:
+        zs = sorted(node)
+        k = np.clip(np.searchsorted([node[v] for v in zs], p[mid]), 1, len(zs) - 1)
+        z[mid] = [
+            optimize.brentq(lambda v: cdf(v) - u, zs[j - 1], zs[j], xtol=1e-12, rtol=8.9e-16)
+            for u, j in zip(p[mid], k)
+        ]
     q = _destandardize(z, params).reshape(arr.shape)
     return float(q) if arr.ndim == 0 else q

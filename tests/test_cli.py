@@ -72,6 +72,19 @@ class TestSimulate:
         assert main(["simulate", "--config"]) == 1
         assert main(["frobnicate"]) == 1
 
+    def test_negative_seed_is_validation_error(self, model_cfg, tmp_path, capsys):
+        code = main(["simulate", "--config", str(model_cfg), "--out", str(tmp_path / "o.csv"),
+                     "--seed", "-1"])
+        assert code == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_non_integer_config_key_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(MODEL_CFG.replace("n = 300", "n = abc"))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "bad n" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_happy_path(self, model_cfg, tmp_path, capsys):
@@ -105,6 +118,16 @@ class TestEstimate:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "exponents must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["ls", "yw"])
+    def test_b_exp_rejected_off_floc(self, model_cfg, tmp_path, capsys, method):
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        code = main(["estimate", "--data", str(data), "--order", "2", "--method", method,
+                     "--b-exp", "0.5", "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "--b-exp applies only to FLOC" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_short_series_validation_exit_code(self, tmp_path):
         sv.SeriesMatrix(np.ones((3, 1)) * np.arange(3)[:, None]).to_csv(tmp_path / "tiny.csv")
@@ -226,3 +249,14 @@ class TestDiagnose:
                      "--out-dir", str(tmp_path / "d")])
         assert code == 1
         assert "report dimension 1 does not match series dimension 2" in capsys.readouterr().err
+
+    def test_negative_seed_is_validation_error(self, model_cfg, tmp_path, capsys):
+        data, report = tmp_path / "series.csv", tmp_path / "report.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        main(["estimate", "--data", str(data), "--order", "2", "--method", "ls",
+              "--out", str(report)])
+        capsys.readouterr()
+        code = main(["diagnose", "--data", str(data), "--report", str(report),
+                     "--out-dir", str(tmp_path / "d"), "--seed", "-1"])
+        assert code == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err

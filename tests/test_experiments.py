@@ -348,6 +348,12 @@ class TestRunPipeline:
         assert abs(report.estimation.coeffs[0][0, 0]) < 0.12
         assert report.b_used == pytest.approx(report.alpha_estimates.max() - 1.05, abs=1e-12)
 
+    def test_negative_seed_rejected(self):
+        series = sv.simulate(var2_model(1.6), 200, 50, 3)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            sv.run_pipeline(series, 2, b=0.5, rng_seed=-1, ks_repetitions=10,
+                            band_replicates=5, qq_grid=0)
+
     def test_b_clamped_at_zero(self):
         # alpha estimates near 1 give a negative default B before clamping
         rng = np.random.default_rng(8)

@@ -126,9 +126,16 @@ class TestGridEngine:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
     def test_matches_quad(self, alpha):
         for i, beta in enumerate(ENGINE_BETAS):
-            z = _engine_points(alpha, beta, 100 + i)[:12]
             p = sv.StableParams(alpha, beta, 1.0, 0.0)
-            assert np.max(np.abs(stable_cdf_bulk(z, p) - stable_cdf(z, p))) <= 1e-6
+            # the node spacing shrinks as the largest |z| grows; point sets
+            # within +-4 or +-10 get coarser nodes and larger errors, bounded
+            # here by what the grid meets today (3.4e-5 and 3.6e-6 at worst)
+            for z, bound in (
+                (_engine_points(alpha, beta, 100 + i)[:12], 1e-6),
+                (np.linspace(-10.0, 10.0, 41), 5e-6),
+                (np.linspace(-4.0, 4.0, 41), 4e-5),
+            ):
+                assert np.max(np.abs(stable_cdf_bulk(z, p) - stable_cdf(z, p))) <= bound
 
     def test_no_quadrature_above_alpha_one(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -142,7 +149,7 @@ class TestGridEngine:
 
 
 class TestVectorizedQuantile:
-    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
+    @pytest.mark.parametrize("alpha", ENGINE_ALPHAS + (0.5, 0.9, 1.0))
     def test_roundtrip_and_tail_levels(self, alpha):
         for beta in (-1.0, 0.0, 0.5, 1.0):
             p = sv.StableParams(alpha, beta, 1.0, 0.0)
@@ -157,22 +164,32 @@ class TestVectorizedQuantile:
             assert np.allclose(back[~inner], TAIL_LEVELS[~inner], rtol=1e-12, atol=0.0)
 
     def test_tail_levels_reached(self):
-        p = sv.StableParams(1.05, 0.0, 1.0, 0.0)
-        qs = stable_quantile(TAIL_LEVELS, p)
-        assert qs[0] < -_QUAD_TAIL_Z and qs[-1] > _QUAD_TAIL_Z
+        # alpha <= 1 included: these levels lie past any bracket on the quadrature
+        for alpha, level in ((1.05, 1e-4), (0.3, 1e-9), (0.5, 1e-15), (0.9, 1e-30)):
+            p = sv.StableParams(alpha, 0.0, 1.0, 0.0)
+            levels = np.array([level, 1.0 - 1e-4])
+            qs = stable_quantile(levels, p)
+            assert qs[0] < -_QUAD_TAIL_Z and qs[-1] > _QUAD_TAIL_Z
+            # past the switch the quantile inverts stable_cdf's tail expansion
+            assert np.allclose(stable_cdf(qs, p), levels, rtol=1e-12, atol=0.0)
         # between the bulk CDF's tail switch and the grid edge: inverted on the grid
+        p = sv.StableParams(1.05, 0.0, 1.0, 0.0)
         qs = stable_quantile(np.array([0.004, 0.996]), p)
         assert np.all((np.abs(qs) > _BULK_TAIL_Z) & (np.abs(qs) < _QUAD_TAIL_Z))
         assert np.max(np.abs(stable_cdf(qs, p) - [0.004, 0.996])) < 1e-6
 
     def test_levels_in_the_tail_switch_jump(self):
-        # at alpha = 1.05, beta = 0.5 stable_cdf's lower tail expansion at the
-        # switch (0.001227) sits below its quadrature value there (0.001298);
+        # stable_cdf's lower tail expansion at the switch sits below its
+        # quadrature value there: 0.001227 against 0.001298 at alpha = 1.05,
+        # beta = 0.5, and 0.007987 against 0.008326 at alpha = 0.9, beta = -0.5;
         # levels in that jump map to the switch point itself
-        p = sv.StableParams(1.05, 0.5, 1.0, 0.0)
-        qs = stable_quantile(np.array([0.0012, 0.00126, 0.00135]), p)
-        assert qs[0] < -_QUAD_TAIL_Z < qs[2]
-        assert qs[1] == -_QUAD_TAIL_Z
+        for alpha, beta, levels in (
+            (1.05, 0.5, [0.0012, 0.00126, 0.00135]),
+            (0.9, -0.5, [0.0079, 0.0081, 0.0085]),
+        ):
+            qs = stable_quantile(np.array(levels), sv.StableParams(alpha, beta, 1.0, 0.0))
+            assert qs[0] < -_QUAD_TAIL_Z < qs[2]
+            assert qs[1] == -_QUAD_TAIL_Z
 
     def test_shape_kept(self):
         p = sv.StableParams(1.6, 0.2, 1.0, 0.0)

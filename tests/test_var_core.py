@@ -124,6 +124,11 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             sv.simulate(model, 10, 0, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            sv.simulate(var2_model(1.6), 50, 10, seed)
+
     def test_moving_average_reconstruction(self):
         model = var2_model(1.6)
         n = 300
