@@ -31,17 +31,13 @@ def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) 
             bphi * np.tan(phi) - beta * np.log((0.5 * np.pi * w * np.cos(phi)) / bphi)
         )
         return x
-    if beta == 0.0:
-        return (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)) * (
-            np.cos((1.0 - alpha) * phi) / w
-        ) ** ((1.0 - alpha) / alpha)
     zeta = beta * math.tan(0.5 * math.pi * alpha)
     b_ab = math.atan(zeta) / alpha
     s_ab = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
     return (
         s_ab
         * (np.sin(alpha * (phi + b_ab)) / np.cos(phi) ** (1.0 / alpha))
-        * (np.cos(phi - alpha * (phi + b_ab)) / w) ** ((1.0 - alpha) / alpha)
+        * (np.cos((1.0 - alpha) * phi - alpha * b_ab) / w) ** ((1.0 - alpha) / alpha)
     )
 
 

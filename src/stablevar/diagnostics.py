@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .floc import FlocConfig, cross_floc
 from .seeding import substream
+from .series import _write_csv
 from .stable_dist import stable_cdf_bulk, stable_quantile
 from .stable_noise import StableParams, fit_stable_params, sample_stable
 
@@ -162,18 +163,11 @@ def qq_data(residual_column, fitted: StableParams, grid: int = 99) -> QqData:
 
 
 def write_auto_floc_csv(path, series: AutoFlocSeries, band: Tuple[np.ndarray, np.ndarray]) -> None:
-    lo, hi = band
-    with open(path, "w", newline="") as fh:
-        fh.write("lag,value,band_lo,band_hi\n")
-        for k, v, a, b in zip(series.lags, series.values, lo, hi):
-            fh.write(f"{k},{float(v)!r},{float(a)!r},{float(b)!r}\n")
+    _write_csv(path, "lag,value,band_lo,band_hi", zip(series.lags, series.values, *band))
 
 
 def write_qq_csv(path, qq: QqData) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("level,empirical,fitted\n")
-        for lvl, emp, fit in zip(qq.levels, qq.empirical, qq.fitted):
-            fh.write(f"{float(lvl)!r},{float(emp)!r},{float(fit)!r}\n")
+    _write_csv(path, "level,empirical,fitted", zip(qq.levels, qq.empirical, qq.fitted))
 
 
 def ks_summary_line(result: KsTestResult) -> str:

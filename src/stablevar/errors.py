@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer-argument check.
 
 The CLI maps ValidationError to exit code 1 and NumericalError to exit
 code 2.
 """
+
+import numbers
 
 
 class StableVarError(Exception):
@@ -15,3 +17,11 @@ class ValidationError(StableVarError):
 
 class NumericalError(StableVarError):
     """Numerical failure: singular or ill-conditioned systems, failed fits."""
+
+
+def _check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ValidationError unless it is an integer >= ``minimum`` (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return int(value)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .floc import FlocConfig, _floc_moments
-from .series import SeriesMatrix
+from .series import SeriesMatrix, _csv_rows, _write_csv
 
 __all__ = [
     "EstimationReport",
@@ -77,12 +77,9 @@ class EstimationReport:
         header `method,k,i,j,value` and one row per entry of A_1..A_P
         (1-based indices), with values as shortest round-trip text.
         """
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# order={self.order} dim={self.dim}\n{_REPORT_HEADER}\n")
-            for k, mat in enumerate(self.coeffs, start=1):
-                for i, row in enumerate(mat.tolist(), start=1):
-                    for j, v in enumerate(row, start=1):
-                        fh.write(f"{self.method},{k},{i},{j},{v!r}\n")
+        rows = ((self.method, k + 1, i + 1, j + 1, v)
+                for (k, i, j), v in np.ndenumerate(self.coeff_array()))
+        _write_csv(path, _REPORT_HEADER, rows, f"# order={self.order} dim={self.dim}\n")
 
     @staticmethod
     def read_coeffs_csv(path) -> Tuple[str, list]:
@@ -110,13 +107,7 @@ class EstimationReport:
             filled = np.zeros((p, r, r), dtype=bool)
             method = None
             lineno = 2
-            for lineno, line in enumerate(fh, start=3):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise ValidationError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+            for lineno, parts in _csv_rows(path, fh, 5, 3):
                 if not parts[0]:
                     raise ValidationError(f"{path}:{lineno}: empty method")
                 if method is None:

@@ -33,11 +33,11 @@ from .diagnostics import (
     ks_test_stable,
     qq_data,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_int
 from .estimators import EstimationReport, _estimate_stack, estimate_floc
 from .floc import FlocConfig
-from .seeding import _child_seed, substream
-from .series import SeriesMatrix
+from .seeding import _check_seed, _child_seed, substream
+from .series import SeriesMatrix, _write_csv
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
 from .var_core import DEFAULT_BURN_IN, VarModel, _simulate_paths, mean_correct
 
@@ -87,16 +87,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.replications < 1:
-            raise ValidationError(f"replications must be >= 1, got {self.replications}")
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("n", 1), ("replications", 1), ("burn_in", 0), ("workers", 1)):
+            _check_int(getattr(self, name), name, minimum)
+        _check_seed(self.seed)
         methods = tuple(m.lower() for m in self.methods)
         if not methods:
             raise ValidationError("at least one method is required")
@@ -169,32 +162,26 @@ class MonteCarloReport:
 
     def to_long_csv(self, path) -> None:
         """`method,b,coefficient,k,i,j,true,mean,rmse,used` rows."""
-        with open(path, "w", newline="") as fh:
-            fh.write("method,b,coefficient,k,i,j,true,mean,rmse,used\n")
-            for c in self.cells:
-                b_txt = "" if c.b is None else repr(float(c.b))
-                fh.write(
-                    f"{c.method},{b_txt},{c.label},{c.k},{c.i},{c.j},"
-                    f"{float(c.true_value)!r},{float(c.mean)!r},{float(c.rmse)!r},{c.used}\n"
-                )
+        rows = (
+            (c.method, "" if c.b is None else c.b, c.label, c.k, c.i, c.j,
+             c.true_value, c.mean, c.rmse, c.used)
+            for c in self.cells
+        )
+        _write_csv(path, "method,b,coefficient,k,i,j,true,mean,rmse,used", rows)
 
     def to_wide_csv(self, path, method: str) -> None:
         """Table-style layout: one row per coefficient, mean/RMSE per B column."""
-        if method == "floc":
-            bs = list(self.config.b_values)
-            cols = [f"B={b:g} mean,B={b:g} rmse" for b in bs]
-        else:
-            bs = [None]
-            cols = ["mean,rmse"]
-        r, p = self.config.model.dim, self.config.model.order
-        with open(path, "w", newline="") as fh:
-            fh.write("coefficient,true," + ",".join(cols) + "\n")
-            for k in range(1, p + 1):
-                for j in range(1, r + 1):
-                    for i in range(1, r + 1):
-                        cells = [self.cell(method, b, k, i, j) for b in bs]
-                        row = ",".join(f"{c.mean:.6g},{c.rmse:.6g}" for c in cells)
-                        fh.write(f"{cells[0].label},{float(cells[0].true_value)!r},{row}\n")
+        if method not in self.config.methods:
+            raise KeyError(method)
+        bs = self.config.b_values if method == "floc" else (None,)
+        cols = ["mean,rmse" if b is None else f"B={b:g} mean,B={b:g} rmse" for b in bs]
+        # the cells of each (method, B) run k, j, i: the table's row order
+        per_b = [[c for c in self.cells if (c.method, c.b) == (method, b)] for b in bs]
+        rows = (
+            (row[0].label, row[0].true_value, *(f"{x:.6g}" for c in row for x in (c.mean, c.rmse)))
+            for row in zip(*per_b)
+        )
+        _write_csv(path, "coefficient,true," + ",".join(cols), rows)
 
     def summary_text(self) -> str:
         """Run settings and failure counts, then one line per failure record."""

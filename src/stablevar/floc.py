@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .series import SeriesMatrix
+from .series import SeriesMatrix, _write_csv
 
 __all__ = [
     "FlocConfig",
@@ -36,21 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlocConfig:
-    """Exponent pair (A, B); ``alpha_hint`` enables the A + B < alpha check."""
+    """Exponent pair (A, B); ``warn_if_invalid_for`` checks A + B < alpha."""
 
     exp_a: float = 1.0
     exp_b: float = 0.0
-    alpha_hint: Optional[float] = None
 
     def __post_init__(self) -> None:
         # written so that NaN fails too: NaN < 0 is False
         if not (0.0 <= self.exp_a < math.inf and 0.0 <= self.exp_b < math.inf):
             raise ValidationError(
                 f"exponents must be finite and >= 0, got A={self.exp_a}, B={self.exp_b}"
-            )
-        if self.alpha_hint is not None and self.exp_a + self.exp_b >= self.alpha_hint:
-            raise ValidationError(
-                f"A + B = {self.exp_a + self.exp_b} must be < alpha = {self.alpha_hint}"
             )
 
     def warn_if_invalid_for(self, alpha: float) -> None:
@@ -148,12 +143,9 @@ class LagMatrixSet:
 
     def to_csv(self, path) -> None:
         """Write `lag,i,j,value` rows (1-based i, j) for plotting/debugging."""
-        with open(path, "w", newline="") as fh:
-            fh.write("lag,i,j,value\n")
-            for lag in sorted(self.matrices):
-                for i, row in enumerate(self.matrices[lag].tolist(), start=1):
-                    for j, v in enumerate(row, start=1):
-                        fh.write(f"{lag},{i},{j},{v!r}\n")
+        rows = ((lag, i + 1, j + 1, v) for lag in sorted(self.matrices)
+                for (i, j), v in np.ndenumerate(self.matrices[lag]))
+        _write_csv(path, "lag,i,j,value", rows)
 
 
 def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> LagMatrixSet:

@@ -14,15 +14,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _check_int
 
 Seed = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return _check_int(seed, "seed", 0)
 
 
 def as_generator(seed: Seed) -> np.random.Generator:

@@ -1,4 +1,8 @@
-"""Multivariate sample paths and their CSV round trip."""
+"""Multivariate sample paths and their CSV round trip.
+
+Every CSV file the package writes goes through ``_write_csv``; the series
+and coefficient-report readers take their rows from ``_csv_rows``.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,31 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["SeriesMatrix"]
+
+
+def _write_csv(path, header: str, rows, preamble: str = "") -> None:
+    """Write ``preamble``, the ``header`` line, then each row's values joined by commas.
+
+    Values are written with ``str``: the shortest round-trip text of a float or float64.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(preamble + header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _csv_rows(path, fh, width: int, start: int):
+    """Yield (line number, fields) of each non-blank line of ``fh``, counting from ``start``.
+
+    A line without exactly ``width`` fields is a ValidationError naming ``path:line``.
+    """
+    for lineno, line in enumerate(fh, start=start):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        yield lineno, parts
 
 
 @dataclass(frozen=True)
@@ -41,10 +70,7 @@ class SeriesMatrix:
     def to_csv(self, path) -> None:
         """Write `t,x1,...,xr` rows, values as shortest round-trip text (exact)."""
         header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\n")
-            for t, row in enumerate(self.values.tolist(), start=1):
-                fh.write(f"{t},{','.join(map(repr, row))}\n")
+        _write_csv(path, header, zip(range(1, self.n + 1), *self.values.T.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "SeriesMatrix":
@@ -66,21 +92,11 @@ class SeriesMatrix:
             if len(set(names)) != len(names):
                 raise ValidationError(f"{path}:1: repeated column name in {header!r}")
             rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(names):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(names)} fields, got {len(parts)}"
-                    )
-                if parts[0].strip() != str(len(rows) + 1):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected t = {len(rows) + 1}, got {parts[0]!r}"
-                    )
+            for t, (lineno, parts) in enumerate(_csv_rows(path, fh, len(names), 2), start=1):
+                if parts[0].strip() != str(t):
+                    raise ValidationError(f"{path}:{lineno}: expected t = {t}, got {parts[0]!r}")
                 try:
-                    rows.append([float(v) for v in parts[1:]])
+                    rows.append(list(map(float, parts[1:])))
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if not rows:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .seeding import Seed, as_generator
 from .series import SeriesMatrix
 
@@ -110,8 +110,7 @@ def sample_sas(params: StableParams, count: int, rng_seed: Seed) -> np.ndarray:
 def sample_stable(params: StableParams, count: int, rng_seed: Seed) -> np.ndarray:
     """General stable sampler (CMS construction); skewed laws are supported
     for the residual-diagnostics bootstrap."""
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    _check_int(count, "count", 1)
     rng = as_generator(rng_seed)
     if params.alpha == 2.0:
         # exp{-(sigma t)^2} is a Gaussian with variance 2 sigma^2
@@ -143,8 +142,7 @@ def sample_noise_matrix(
     spec: SymmetricStableNoiseSpec, n: int, rng_seed: Seed
 ) -> SeriesMatrix:
     """n i.i.d. noise vectors; column j follows spec.components[j]."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_int(n, "n", 1)
     rng = as_generator(rng_seed)
     cols = [sample_sas(comp, n, rng) for comp in spec.components]
     return SeriesMatrix(np.column_stack(cols))

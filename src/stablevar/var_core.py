@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .seeding import Seed
 from .series import SeriesMatrix
 from .stable_noise import SymmetricStableNoiseSpec, sample_noise_matrix
@@ -151,10 +151,8 @@ def _simulate_paths(model: VarModel, n: int, burn_in: int, generators) -> np.nda
     Series i draws its noise from ``generators[i]`` alone and all R run
     through one recursion, which gives each the same bits as on its own.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    _check_int(n, "n", 1)
+    _check_int(burn_in, "burn_in", 0)
     _require_causal(model)
     noise = np.stack(
         [sample_noise_matrix(model.noise, n + burn_in, g).values for g in generators]

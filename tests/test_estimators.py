@@ -240,6 +240,8 @@ class TestReportCsv:
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["ls,2,2,2,0.5"], r":10: method 'ls' differs"),
             ("# order=0 dim=2", [], r":1: expected declaration"),
             ("# order=2", FULL_2X2_VAR2, r":1: expected declaration"),
+            # a short row after a blank line: blank lines still count
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["", "floc,2,2"], r":11: expected 5 fields, got 3"),
         ],
     )
     def test_strict_reader_rejects(self, tmp_path, declaration, rows, reason):

@@ -158,6 +158,28 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValidationError, match=message):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n=150.0), "n must be an integer >= 1, got 150.0"),
+            (dict(n=True), "n must be an integer >= 1, got True"),
+            (dict(replications=3.0), "replications must be an integer >= 1"),
+            (dict(replications=0), "replications must be an integer >= 1"),
+            (dict(burn_in=10.5), "burn_in must be a non-negative integer"),
+            (dict(workers=1.0), "workers must be an integer >= 1"),
+            (dict(seed=1.5), "seed must be a non-negative integer"),
+            (dict(seed=True), "seed must be a non-negative integer"),
+            (dict(seed=-1), "seed must be a non-negative integer"),
+        ],
+    )
+    def test_sizes_and_seed_must_be_integers(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            small_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_config(n=np.int64(150), replications=np.int32(6), seed=np.uint64(11))
+        assert cfg.n == 150 and cfg.seed == 11
+
 
 class TestCoefficientLabels:
     def test_column_major_block_layout(self):

@@ -21,11 +21,6 @@ class TestFlocConfig:
         with pytest.raises(ValidationError, match="finite"):
             FlocConfig(a, b)
 
-    def test_alpha_hint_enforced(self):
-        FlocConfig(1.0, 0.5, alpha_hint=1.6)
-        with pytest.raises(ValidationError):
-            FlocConfig(1.0, 0.7, alpha_hint=1.6)
-
     def test_warn_without_hint(self):
         cfg = FlocConfig(1.0, 0.9)
         with pytest.warns(UserWarning):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
+from stablevar import _kernels
 from stablevar.errors import ValidationError
 
 
@@ -81,13 +82,27 @@ class TestSampler:
             assert abs(abs(emp) - abs(theo)) < 0.01
             assert abs(np.angle(emp) - np.angle(theo)) < 0.02
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.3, 1.5, 1.6, 1.9])
+    def test_symmetric_transform_is_closed_form(self, alpha):
+        # beta = 0 runs the general CMS formula; it must give the symmetric form's bits
+        rng = np.random.default_rng(3)
+        phi = rng.uniform(-np.pi / 2, np.pi / 2, 10**5)
+        w = rng.exponential(size=10**5)
+        closed = (np.sin(alpha * phi) / np.cos(phi) ** (1.0 / alpha)) * (
+            np.cos((1.0 - alpha) * phi) / w
+        ) ** ((1.0 - alpha) / alpha)
+        assert np.array_equal(_kernels.stable_transform(phi, w, alpha, 0.0), closed)
+
     def test_determinism(self):
         p = sv.StableParams.symmetric(1.7, 1.0)
         assert np.array_equal(sv.sample_sas(p, 1000, 5), sv.sample_sas(p, 1000, 5))
 
     def test_count_validation(self):
-        with pytest.raises(ValidationError):
-            sv.sample_sas(sv.StableParams.symmetric(1.5), 0, 0)
+        for count in (0, 2.0, True):
+            with pytest.raises(ValidationError, match="count must be an integer >= 1"):
+                sv.sample_sas(sv.StableParams.symmetric(1.5), count, 0)
+        with pytest.raises(ValidationError, match="n must be an integer >= 1, got 3.0"):
+            sv.sample_noise_matrix(sv.SymmetricStableNoiseSpec.iid(2, 1.5), 3.0, 0)
 
 
 def seed_for(alpha: float) -> int:

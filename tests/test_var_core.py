@@ -11,6 +11,7 @@ from stablevar import _kernels
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig, lag_matrix
 from stablevar.seeding import substream
+from stablevar.series import _write_csv
 from stablevar.var_core import _simulate_paths, companion_matrix, psi_count_for_tolerance
 
 
@@ -129,6 +130,20 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             sv.simulate(var2_model(1.6), 50, 10, seed)
 
+    @pytest.mark.parametrize(
+        "n, burn_in, message",
+        [
+            (200.0, 10, "n must be an integer >= 1, got 200.0"),
+            (True, 10, "n must be an integer >= 1, got True"),
+            (0, 10, "n must be an integer >= 1, got 0"),
+            (50, 10.5, "burn_in must be a non-negative integer, got 10.5"),
+            (50, -1, "burn_in must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, n, burn_in, message):
+        with pytest.raises(ValidationError, match=message):
+            sv.simulate(var2_model(1.6), n, burn_in, 0)
+
     def test_moving_average_reconstruction(self):
         model = var2_model(1.6)
         n = 300
@@ -234,6 +249,7 @@ class TestSeriesCsv:
             ("t,x1\n1,1.0\n2.0,2.0\n", 3),  # non-integer
             ("t,x1,x2\nabc,1.0,2.0\n", 2),  # not a number
             ("t,x1,x1\n1,1.0,2.0\n", 1),  # repeated column name
+            ("t,x1\n1,2.0\n\n3\n", 4),  # short row after a blank line
         ]:
             p.write_text(text)
             with pytest.raises(ValidationError, match=re.escape(f"{p}:{line}:")):
@@ -242,3 +258,9 @@ class TestSeriesCsv:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             sv.SeriesMatrix(np.array([[1.0], [np.inf]]))
+
+    def test_write_csv_value_text(self, tmp_path):
+        # every writer's value rule: str, the shortest round-trip text of a float
+        path = tmp_path / "row.csv"
+        _write_csv(path, "a,b,c,d,e", [(0.1, np.float64(1) / 3, 7, np.int64(-2), "floc")], "# x\n")
+        assert path.read_text() == "# x\na,b,c,d,e\n0.1,0.3333333333333333,7,-2,floc\n"
