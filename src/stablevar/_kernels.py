@@ -1,7 +1,12 @@
 """Hot numeric kernels in plain numpy: the Chambers-Mallows-Stuck
-transform, the VAR recursion, the cross-FLOC window sums (one matrix
-product per lag) and the bulk Gil-Pelaez CDF on an equispaced grid (one
-inverse real FFT).
+transform, the VAR recursion (the causal moving-average form, one
+block-Toeplitz product per series and one carried window per block of
+time), the cross-FLOC window sums (one matrix product per lag) and the
+bulk Gil-Pelaez CDF on an equispaced grid (one inverse real FFT).
+
+Batch rule: a kernel that takes a stack of series gives each series the
+same bits it gets alone. The VAR recursion keeps it by running the same
+operations with the same shapes per series, whatever the stack size.
 
 Callers reach them as attributes of this module (``_kernels.var_recursion``
 and so on), so each kernel has one implementation under one name.
@@ -14,6 +19,9 @@ import math
 import numpy as np
 
 __all__ = ["stable_transform", "var_recursion", "cross_floc_sum", "gil_pelaez_cdf"]
+
+# Steps per block of ``var_recursion``: the Python loop runs once per block.
+_BLOCK = 64
 
 
 def stable_transform(phi: np.ndarray, w: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -45,21 +53,47 @@ def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Drive x[t] = sum_k coeffs[k-1] @ x[t-k] + noise[t] from zero states.
 
     ``coeffs`` has shape (p, r, r), ``noise`` shape (..., m, r), one series
-    per leading index; returns (..., m, r). The loop runs over time only:
-    each step multiplies the stacked [A_p ... A_1] (r x pr) elementwise with
-    the flattened window x[t-p .. t-1], zero before the start, and sums the
-    rows. That sum does not depend on the batch shape, so a series gives the
-    same bits alone or in a stack (a BLAS product does not promise that).
+    per leading index; returns (..., m, r). Time is cut into blocks of
+    ``_BLOCK`` steps (the last one zero-padded) and each block uses the
+    causal moving-average form
+    x[t0+i] = sum_{j<=i} Psi_j noise[t0+i-j] + G_i w,
+    where w is the flattened window x[t0-p .. t0-1] and G_i the bottom r
+    rows of the (i+1)-th power of the window's transition matrix. The noise
+    response of all of a series' blocks is one 2-D product with the
+    block-Toeplitz matrix of Psi_0 .. Psi_{L-1}; the window term is carried
+    from block to block by an elementwise multiply-and-sum over the stack.
+    Both are done the same way, with the same shapes, for a series alone
+    and for each series of a stack, so a series gives the same bits either
+    way (one BLAS product over the whole stack would not promise that).
     """
     p, r = coeffs.shape[0], coeffs.shape[1]
     lead, m = noise.shape[:-2], noise.shape[-2]
-    big = np.concatenate(coeffs[::-1], axis=1)
-    state = np.zeros(lead + (p + m, r))
-    state[..., p:, :] = noise
-    for t in range(p, p + m):
-        window = state[..., t - p : t, :].reshape(lead + (p * r,))
-        state[..., t, :] += (big * window[..., None, :]).sum(-1)
-    return state[..., p:, :]
+    size, pr = _BLOCK, p * r
+    step = np.zeros((pr, pr))  # window x[t-p .. t-1] -> x[t-p+1 .. t], noise aside
+    step[:-r, r:] = np.eye(pr - r)
+    step[-r:] = np.concatenate(coeffs[::-1], axis=1)
+    gain = np.empty((size, r, pr))  # G_0 .. G_{L-1}
+    gain[0] = step[-r:]
+    for i in range(1, size):
+        gain[i] = gain[i - 1] @ step
+    psi = np.concatenate([np.eye(r)[None], gain[:-1, :, -r:]])  # Psi_j = G_{j-1}[:, -r:]
+    lag = np.arange(size)[:, None] - np.arange(size)
+    toeplitz = np.where((lag >= 0)[..., None, None], psi[np.maximum(lag, 0)], 0.0)
+    # row-vector form: block response = noise block (flattened) @ upper
+    upper = np.ascontiguousarray(toeplitz.transpose(1, 3, 0, 2).reshape(size * r, size * r))
+
+    count, blocks = math.prod(lead), -(-m // size)
+    out = np.zeros((count, blocks * size * r))
+    out[:, : m * r] = noise.reshape(count, m * r)
+    out = out.reshape(count, blocks, size * r)
+    for series in out:
+        series[:] = series @ upper
+    out = out.reshape(count, blocks, size, r)
+    window = np.zeros((count, pr))
+    for b in range(1, blocks):
+        window = np.concatenate([window, out[:, b - 1].reshape(count, size * r)], axis=1)[:, -pr:]
+        out[:, b] += (gain * window[:, None, None, :]).sum(-1)
+    return out.reshape(count, blocks * size, r)[:, :m].reshape(lead + (m, r))
 
 
 def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:

@@ -35,12 +35,12 @@ from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_y
 from .experiments import (
     diagnose_residuals,
     floc_config,
+    _read_model_config,
     load_experiment_config,
-    load_model_config,
     run_monte_carlo,
 )
 from .series import SeriesMatrix
-from .var_core import DEFAULT_BURN_IN, mean_correct, simulate
+from .var_core import mean_correct, simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output series CSV path")
     sim.add_argument("--n", type=int, default=None, help="sample length (overrides config)")
     sim.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-    sim.add_argument("--burn-in", type=int, default=None, help="rows to discard (overrides config)")
+    sim.add_argument(
+        "--burn-in",
+        type=int,
+        default=None,
+        help="rows to discard (overrides config; default: max(500, rows until Psi_j < 1e-12))",
+    )
 
     est = sub.add_parser("estimate", help="estimate VAR coefficients from a series CSV")
     est.add_argument("--data", required=True, help="input series CSV (t,x1,...,xr)")
@@ -96,17 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    model, kv = load_model_config(args.config)
-    n = args.n if args.n is not None else int(kv["n"]) if "n" in kv else None
+    model, _, ints = _read_model_config(args.config)
+    n = args.n if args.n is not None else ints["n"]
     if n is None:
         raise ValidationError("sample length required: pass --n or put n in the config")
-    seed = args.seed if args.seed is not None else int(kv["seed"]) if "seed" in kv else None
+    seed = args.seed if args.seed is not None else ints["seed"]
     if seed is None:
         raise ValidationError("seed required: pass --seed or put seed in the config")
-    if args.burn_in is not None:
-        burn_in = args.burn_in
-    else:
-        burn_in = int(kv["burn_in"]) if "burn_in" in kv else DEFAULT_BURN_IN
+    burn_in = args.burn_in if args.burn_in is not None else ints["burn_in"]
     series = simulate(model, n, burn_in, seed)
     series.to_csv(args.out)
     print(f"wrote {series.n}x{series.dim} series to {args.out}")

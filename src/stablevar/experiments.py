@@ -39,7 +39,7 @@ from .floc import FlocConfig
 from .seeding import _check_seed, _child_seed, substream
 from .series import SeriesMatrix, _write_csv
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
-from .var_core import DEFAULT_BURN_IN, VarModel, _simulate_paths, mean_correct
+from .var_core import VarModel, _resolve_burn_in, _simulate_paths, mean_correct
 
 __all__ = [
     "ExperimentConfig",
@@ -61,15 +61,18 @@ __all__ = [
 _METHODS = ("floc", "ls", "yw")
 DEFAULT_B_OFFSET = 1.05  # working default B = alpha_hat - 1.05, clamped at 0
 # Path values (1 MiB of floats) per chunk of Monte Carlo replications. On
-# the paper grid (1,500 rows of 2 columns) that is 43 replications: 0.39 s
-# and +4 MB peak RSS per 200; all 200 at once took 0.31 s and +20 MB, one
-# at a time 3.0 s (the time loop's per-step cost is paid once per chunk).
+# the paper grid (1,500 rows of 2 columns) that is 43 replications. 200 of
+# them took 0.24 s in such chunks and also all at once, and 0.70 s one at a
+# time (2 cores); the chunk bounds the memory that the arrays take.
 _BATCH_VALUES = 2**17
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Monte Carlo study description: truth, sample size, estimator grid.
+
+    ``burn_in`` None is replaced by the default of ``simulate`` for the
+    model, so the config (and ``summary_text``) holds the value used.
 
     ``workers`` is accepted and checked but selects nothing: replications
     run in chunks of arrays in one thread, which was faster than the thread
@@ -83,12 +86,13 @@ class ExperimentConfig:
     replications: int
     seed: int
     methods: tuple = _METHODS
-    burn_in: int = DEFAULT_BURN_IN
+    burn_in: Optional[int] = None
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, minimum in (("n", 1), ("replications", 1), ("burn_in", 0), ("workers", 1)):
+        for name, minimum in (("n", 1), ("replications", 1), ("workers", 1)):
             _check_int(getattr(self, name), name, minimum)
+        object.__setattr__(self, "burn_in", _resolve_burn_in(self.model, self.burn_in))
         _check_seed(self.seed)
         methods = tuple(m.lower() for m in self.methods)
         if not methods:
@@ -486,17 +490,21 @@ def _check_keys(kv: Dict[str, str], allowed: set, order: int, path) -> None:
         raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _read_model_config(path) -> Tuple[VarModel, Dict[str, str], Dict[str, Optional[int]]]:
+    """The model, the raw keys and the optional integers n, seed and burn_in (None if absent)."""
+    kv = _parse_kv(path)
+    model = _build_model(kv)
+    _check_keys(kv, _MODEL_KEYS, model.order, path)
+    ints = {key: _parse_int(kv, key) if key in kv else None for key in ("n", "seed", "burn_in")}
+    return model, kv, ints
+
+
 def load_model_config(path) -> Tuple[VarModel, Dict[str, str]]:
     """Read a model description; returns the model and the raw keys.
 
     The optional keys n, seed and burn_in must be integers when present.
     """
-    kv = _parse_kv(path)
-    model = _build_model(kv)
-    _check_keys(kv, _MODEL_KEYS, model.order, path)
-    for key in ("n", "seed", "burn_in"):
-        if key in kv:
-            _parse_int(kv, key)
+    model, kv, _ = _read_model_config(path)
     return model, kv
 
 
@@ -514,6 +522,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         replications=_parse_int(kv, "replications"),
         seed=_parse_int(kv, "seed"),
         methods=methods,
-        burn_in=_parse_int(kv, "burn_in", DEFAULT_BURN_IN),
+        burn_in=_parse_int(kv, "burn_in") if "burn_in" in kv else None,
         workers=_parse_int(kv, "workers", 1),
     )

@@ -1,7 +1,12 @@
 """Multivariate sample paths and their CSV round trip.
 
-Every CSV file the package writes goes through ``_write_csv``; the series
-and coefficient-report readers take their rows from ``_csv_rows``.
+Every CSV file the package writes goes through ``_write_csv``. The series
+reader first tries one ``np.loadtxt`` pass, taken only when the ``t``
+fields read exactly "1" .. "n" as ``to_csv`` writes them; every other file
+falls through to the line-by-line rows of ``_csv_rows``. That slow path is
+the only authority on which files are accepted and what the error says
+(``path:line``), so the fast path changes no answer, only the time.
+The coefficient-report reader takes its rows from ``_csv_rows`` as well.
 """
 
 from __future__ import annotations
@@ -91,14 +96,47 @@ class SeriesMatrix:
                 )
             if len(set(names)) != len(names):
                 raise ValidationError(f"{path}:1: repeated column name in {header!r}")
-            rows = []
-            for t, (lineno, parts) in enumerate(_csv_rows(path, fh, len(names), 2), start=1):
-                if parts[0].strip() != str(t):
-                    raise ValidationError(f"{path}:{lineno}: expected t = {t}, got {parts[0]!r}")
-                try:
-                    rows.append(list(map(float, parts[1:])))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if not rows:
-            raise ValidationError(f"{path}: no data rows")
-        return cls(np.asarray(rows, dtype=float))
+            values = _canonical_values(fh, len(names) - 1) if fh.seekable() else None
+            if values is None:
+                values = _checked_values(path, fh, len(names))
+        return cls(values)
+
+
+def _canonical_values(fh, dim: int):
+    """Values of the data rows of ``fh`` if its ``t`` fields read exactly "1" .. "n", else None.
+
+    The fast path for files that ``to_csv`` wrote: one ``np.loadtxt`` pass.
+    For anything else, a ValueError included, it rewinds ``fh`` to where it
+    started and returns None; the caller then reads the rows with
+    ``_checked_values``, which decides what is accepted.
+    """
+    start = fh.tell()
+    if fh.readline().startswith("1,"):  # else loadtxt could warn "input contained no data"
+        fh.seek(start)
+        fields = [("t", "U12")] + [(f"x{j}", float) for j in range(dim)]
+        try:
+            rec = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            rec = None
+        if rec is not None and np.array_equal(
+            rec["t"], np.arange(1, rec.shape[0] + 1).astype("U12")
+        ):
+            # a copy, not a strided view that would keep the whole record alive
+            return np.column_stack([rec[f"x{j}"] for j in range(dim)])
+    fh.seek(start)
+    return None
+
+
+def _checked_values(path, fh, width: int) -> np.ndarray:
+    """Values of the data rows of ``fh`` read line by line; a ValidationError names ``path:line``."""
+    rows = []
+    for t, (lineno, parts) in enumerate(_csv_rows(path, fh, width, 2), start=1):
+        if parts[0].strip() != str(t):
+            raise ValidationError(f"{path}:{lineno}: expected t = {t}, got {parts[0]!r}")
+        try:
+            rows.append(list(map(float, parts[1:])))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)

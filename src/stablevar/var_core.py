@@ -3,14 +3,16 @@
 The process is x[t] = A_1 x[t-1] + ... + A_p x[t-p] + z[t] with z[t] an
 independent-component symmetric stable vector. Causality is checked on the
 companion matrix; simulation starts from zero states and discards a burn-in
-prefix so the retained path is effectively stationary.
+prefix so the retained path is effectively stationary. The default prefix
+is at least DEFAULT_BURN_IN rows and long enough for the moving-average
+weights Psi_j to fall below 1e-12, however close the model is to a unit root.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,15 +147,30 @@ def psi_count_for_tolerance(model: VarModel, tol: float = 1e-12, max_count: int 
     raise ValidationError(f"Psi entries did not fall below {tol} within {max_count} terms")
 
 
-def _simulate_paths(model: VarModel, n: int, burn_in: int, generators) -> np.ndarray:
+def _resolve_burn_in(model: VarModel, burn_in) -> int:
+    """``burn_in`` itself, or for None the default max(DEFAULT_BURN_IN,
+    psi_count_for_tolerance(model)): enough rows for the zero start to decay
+    to about 1e-12 of its size before the first retained row.
+    """
+    if burn_in is not None:
+        _check_int(burn_in, "burn_in", 0)
+        return burn_in
+    try:
+        return max(DEFAULT_BURN_IN, psi_count_for_tolerance(model))
+    except ValidationError as exc:
+        raise ValidationError(f"no default burn-in: {exc}; pass burn_in explicitly") from exc
+
+
+def _simulate_paths(model: VarModel, n: int, burn_in, generators) -> np.ndarray:
     """Paths (R, n, r) of the model, one per seed in ``generators``, burn-in dropped.
 
     Series i draws its noise from ``generators[i]`` alone and all R run
     through one recursion, which gives each the same bits as on its own.
+    ``burn_in`` None takes the default of ``_resolve_burn_in``.
     """
     _check_int(n, "n", 1)
-    _check_int(burn_in, "burn_in", 0)
     _require_causal(model)
+    burn_in = _resolve_burn_in(model, burn_in)
     noise = np.stack(
         [sample_noise_matrix(model.noise, n + burn_in, g).values for g in generators]
     )
@@ -163,13 +180,16 @@ def _simulate_paths(model: VarModel, n: int, burn_in: int, generators) -> np.nda
 def simulate(
     model: VarModel,
     n: int,
-    burn_in: int = DEFAULT_BURN_IN,
+    burn_in: Optional[int] = None,
     rng_seed: Seed = 0,
 ) -> SeriesMatrix:
     """Simulate n observations of the model after discarding ``burn_in`` rows.
 
     Initial states are zero vectors; with burn_in = 0 and all-zero
     coefficients the output reproduces sample_noise_matrix draws exactly.
+    Without ``burn_in`` the default is max(DEFAULT_BURN_IN,
+    psi_count_for_tolerance(model)), a ValidationError when Psi has not
+    decayed to 1e-12 within that function's cap.
     """
     return SeriesMatrix(_simulate_paths(model, n, burn_in, [rng_seed])[0])
 

@@ -64,6 +64,21 @@ class TestSimulate:
         main(["simulate", "--config", str(model_cfg), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_default_burn_in_is_the_librarys(self, tmp_path):
+        # radius 0.999: the default burn-in is the Psi count, 27,618 rows, not 500
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text("dim = 1\norder = 1\na1 = 0.999\nalpha = 1.8\nn = 40\nseed = 6\n")
+        out = tmp_path / "series.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        model, _ = sv.load_model_config(cfg)
+        assert np.array_equal(
+            sv.SeriesMatrix.from_csv(out).values, sv.simulate(model, 40, rng_seed=6).values
+        )
+        main(["simulate", "--config", str(cfg), "--out", str(out), "--burn-in", "500"])
+        assert np.array_equal(
+            sv.SeriesMatrix.from_csv(out).values, sv.simulate(model, 40, 500, 6).values
+        )
+
     def test_missing_config_is_validation_error(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")])
         assert code == 1

@@ -7,6 +7,7 @@ from stablevar import estimators, experiments
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.experiments import ExperimentConfig, coefficient_label
 from stablevar.seeding import substream
+from stablevar.var_core import psi_count_for_tolerance
 
 MC_CONFIG_TEXT = """\
 # experiment description
@@ -175,6 +176,22 @@ class TestExperimentConfigValidation:
     def test_sizes_and_seed_must_be_integers(self, overrides, message):
         with pytest.raises(ValidationError, match=message):
             small_config(**overrides)
+
+    def test_default_burn_in_resolved_once(self):
+        assert small_config(burn_in=None).burn_in == 500
+        near = sv.VarModel(
+            coeffs=(np.array([[0.999, 0.0], [0.1, 0.5]]),),
+            noise=sv.SymmetricStableNoiseSpec.iid(2, 1.8),
+        )
+        cfg = small_config(model=near, burn_in=None, replications=1, methods=("ls",), b_values=())
+        assert cfg.burn_in == psi_count_for_tolerance(near) > 500
+        report = sv.run_monte_carlo(cfg)
+        assert f"\nburn_in: {cfg.burn_in}\n" in report.summary_text()
+
+    def test_default_burn_in_from_config_file(self, tmp_path):
+        path = tmp_path / "mc.cfg"
+        path.write_text(MC_CONFIG_TEXT.replace("burn_in = 50\n", ""))
+        assert sv.load_experiment_config(path).burn_in == 500
 
     def test_numpy_integers_accepted(self):
         cfg = small_config(n=np.int64(150), replications=np.int32(6), seed=np.uint64(11))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from stablevar import _kernels
+from stablevar import _kernels, stable_noise
 from stablevar.errors import ValidationError
 
 
@@ -181,6 +181,23 @@ class TestFitStableParams:
         x = sv.sample_stable(sv.StableParams(1.7, 0.7, 1.0, 0.0), 10**5, 29)
         fit = sv.fit_stable_params(x)
         assert abs(fit.beta - 0.7) < 0.2
+
+    @pytest.mark.parametrize(
+        "params, n, seed",
+        [
+            (sv.StableParams(1.6), 100, 3),
+            (sv.StableParams(1.0, 0.0, 2.0), 1_001, 4),
+            (sv.StableParams(1.5, 0.5, 0.7, 1.2), 4_097, 5),
+            (sv.StableParams(1.9, -0.3, 3.0, -2.0), 100_000, 6),
+        ],
+    )
+    def test_per_frequency_ecf_fits_the_bits_of_the_matrix_form(self, params, n, seed, monkeypatch):
+        x = sv.sample_stable(params, n, seed)
+        fit = sv.fit_stable_params(x)
+        monkeypatch.setattr(
+            stable_noise, "_ecf", lambda z, u: np.exp(1j * np.outer(u, z)).mean(axis=1)
+        )
+        assert fit == sv.fit_stable_params(x)
 
     def test_errors(self):
         with pytest.raises(ValidationError):

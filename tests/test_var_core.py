@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig, lag_matrix
 from stablevar.seeding import substream
 from stablevar.series import _write_csv
-from stablevar.var_core import _simulate_paths, companion_matrix, psi_count_for_tolerance
+from stablevar.var_core import (
+    DEFAULT_BURN_IN,
+    _simulate_paths,
+    companion_matrix,
+    psi_count_for_tolerance,
+)
 
 
 def det_polynomial_roots(coeffs):
@@ -144,6 +150,40 @@ class TestSimulate:
         with pytest.raises(ValidationError, match=message):
             sv.simulate(var2_model(1.6), n, burn_in, 0)
 
+    def test_default_burn_in_is_500_for_a_fast_decaying_model(self):
+        model = var2_model(1.6)
+        assert psi_count_for_tolerance(model) < DEFAULT_BURN_IN
+        assert np.array_equal(
+            sv.simulate(model, 80, rng_seed=4).values, sv.simulate(model, 80, 500, 4).values
+        )
+
+    def test_default_burn_in_clears_near_unit_root_transient(self):
+        # radius 0.999: a fixed 500-row burn-in left 0.999^500 ~ 0.61 of the zero start
+        a = np.array([[0.999, 0.0], [0.1, 0.5]])
+        model = sv.VarModel(coeffs=(a,), noise=sv.SymmetricStableNoiseSpec.iid(2, 2.0))
+        tol, n = 1e-12, 200
+        burn_in = psi_count_for_tolerance(model, tol)
+        assert burn_in > DEFAULT_BURN_IN
+        path = sv.simulate(model, n, rng_seed=3).values
+        noise = sv.sample_noise_matrix(model.noise, burn_in + n, 3).values
+        coeffs = model.coeff_array()
+        assert np.array_equal(path, _kernels.var_recursion(coeffs, noise)[burn_in:])
+        # the same noise after a 3,000-row history instead of a zero start
+        history = sv.sample_noise_matrix(model.noise, 3000, 4).values
+        started = _kernels.var_recursion(coeffs, np.concatenate([history, noise]))
+        state = started[history.shape[0] - 1]
+        transient = started[history.shape[0] + burn_in :] - path
+        # row t carries A^(burn_in + t + 1) of the start state; ||A^j||_inf <= r max|Psi_j|
+        assert np.max(np.abs(state)) > 1.0
+        assert np.max(np.abs(transient)) < model.dim * tol * np.max(np.abs(state))
+
+    def test_default_burn_in_past_the_psi_cap_is_refused(self):
+        a = np.array([[0.99999]])
+        model = sv.VarModel(coeffs=(a,), noise=sv.SymmetricStableNoiseSpec.iid(1, 1.6))
+        with pytest.raises(ValidationError, match="no default burn-in: Psi entries"):
+            sv.simulate(model, 10, rng_seed=0)
+        assert sv.simulate(model, 10, 0, 0).n == 10
+
     def test_moving_average_reconstruction(self):
         model = var2_model(1.6)
         n = 300
@@ -193,6 +233,33 @@ class TestBatchedRecursion:
                 assert np.max(np.abs(path[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
                 # a stack gives each series the bits it gets alone
                 assert np.array_equal(path[i], _kernels.var_recursion(coeffs, noise[i]))
+
+    @pytest.mark.parametrize("p, r", [(1, 1), (2, 3), (3, 2)])
+    def test_block_boundaries(self, p, r):
+        rng = np.random.default_rng(10 * p + r)
+        coeffs = rng.uniform(-0.4, 0.4, (p, r, r)) / p
+        size = _kernels._BLOCK
+        # m <= p, m < L, exactly L, one past L, several blocks with a partial last one
+        for m in (1, p, size // 2, size, size + 1, 3 * size + 5):
+            noise = rng.standard_cauchy((4, m, r))
+            path = _kernels.var_recursion(coeffs, noise)
+            for i in range(4):
+                oracle = brute_var_recursion(coeffs, noise[i])
+                assert np.max(np.abs(path[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+                assert np.array_equal(path[i], _kernels.var_recursion(coeffs, noise[i]))
+            assert np.array_equal(path[1:3], _kernels.var_recursion(coeffs, noise[1:3]))
+
+    def test_near_unit_root_long_path(self):
+        # companion eigenvalues 0.9994, 0.5 (first component) and 0.5, -0.2 (second)
+        a1 = np.array([[1.4994, 0.2], [0.0, 0.3]])
+        a2 = np.array([[-0.4997, 0.0], [0.0, 0.1]])
+        radius = np.max(np.abs(np.linalg.eigvals(companion_matrix([a1, a2]))))
+        assert abs(radius - 0.9994) < 1e-9
+        coeffs = np.stack([a1, a2])
+        noise = np.random.default_rng(7).standard_cauchy((40_000, 2))
+        path = _kernels.var_recursion(coeffs, noise)
+        oracle = brute_var_recursion(coeffs, noise)
+        assert np.max(np.abs(path - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_replication_path_equals_simulate(self):
         model = var2_model(1.6)
@@ -254,6 +321,54 @@ class TestSeriesCsv:
             p.write_text(text)
             with pytest.raises(ValidationError, match=re.escape(f"{p}:{line}:")):
                 sv.SeriesMatrix.from_csv(p)
+
+    def test_fast_path_reads_to_csv_bits(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_cauchy((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
+        values[:4, 0] = [5e-324, -0.0, 1.7976931348623157e308, 2.2250738585072014e-308]
+        path = tmp_path / "series.csv"
+        sv.SeriesMatrix(values).to_csv(path)
+        back = sv.SeriesMatrix.from_csv(path).values
+        assert back.flags.c_contiguous
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("t,x1\n1,1.5\n 2 ,2.5\n", [1.5, 2.5]),
+            ("t,x1\n1,1.5\n+2,2.5\n", ":3: expected t = 2, got '+2'"),
+            ("t,x1\n1,1.5\n02,2.5\n", ":3: expected t = 2, got '02'"),
+            ("t,x1\n+1,1.5\n", ":2: expected t = 1, got '+1'"),
+            ("t,x1\n1,1_0\n2,2.5\n", [10.0, 2.5]),
+            ("t,x1\r\n1,1.5\r\n2,2.5\r\n", [1.5, 2.5]),
+            ("t,x1\n1,1.5\n\n2,2.5\n\n", [1.5, 2.5]),
+            ("t,x1\n1,1.5\n \t \n2,2.5\n", [1.5, 2.5]),
+            ("t,x1\n\n1,1.5\n", [1.5]),
+            ("t,x1\n1, 1.5 \n", [1.5]),
+            ("t,x1\n1,1.5\n# 2,2.5\n", ":3: expected t = 2, got '# 2'"),
+            ("t,x1\n1,\n", ":2: could not convert string to float: ''"),
+            ("t,x1\n1,1.5,\n", ":2: expected 2 fields, got 3"),
+            ("t,x1\n1,1e999\n", "series contains non-finite entries"),
+        ],
+    )
+    def test_fast_path_gives_the_line_readers_answer(self, tmp_path, text, expected):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            message = re.escape(f"{path}{expected}" if expected.startswith(":") else expected)
+            with pytest.raises(ValidationError, match=message):
+                sv.SeriesMatrix.from_csv(path)
+        else:
+            back = sv.SeriesMatrix.from_csv(path).values
+            assert np.array_equal(back, np.array(expected)[:, None])
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("t,x1,x2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: no data rows")):
+                sv.SeriesMatrix.from_csv(path)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
