@@ -131,8 +131,7 @@ def gil_pelaez_cdf(
     dz = 2 pi / (h N), N an integer: there S is one length-N inverse real
     FFT of i conj(c_j) N / 2, and each z-derivative multiplies c_j by -i t_j.
     """
-    # imported on first use: ahead of scipy.integrate it made `import stablevar` ~0.09 s slower
-    from scipy import fft
+    from scipy import fft  # on first use: `import stablevar` loads no scipy
 
     m = z.shape[0] // 2
     n_fft = int(round(2.0 * math.pi / (t[0] * (z[m + 1] - z[m]))))

@@ -11,6 +11,11 @@ equispaced z grid (Mittnik, Doganoglu and Chenyao, 1999), read by quintic
 Hermite interpolation; the bulk CDF takes the tail beyond ``_BULK_TAIL_Z``.
 Quantiles follow one rule for every alpha: the tail inverse in closed form
 past the CDF at +-``_QUAD_TAIL_Z``, inversion on that engine within.
+
+scipy (``fft`` for the grid, ``integrate.quad``, ``optimize.brentq`` for
+alpha <= 1) is imported in the functions that call it and looked up on its
+module at call time: ``import stablevar``, simulation and estimation never
+pay for importing it, and a rebinding on the scipy module reaches here.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.fft import next_fast_len
 
 from . import _kernels
 from .errors import ValidationError
@@ -87,6 +90,7 @@ def _std_cdf_quad(z: float, alpha: float, beta: float) -> float:
             return math.exp(-s) * math.sin(eta * s - s**inv_alpha * z) / (alpha * s)
 
         upper = _LOG_CUTOFF
+    from scipy import integrate
     val, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-10, epsrel=1e-10, limit=800)
     return float(np.clip(0.5 - val / math.pi, 0.0, 1.0))
 
@@ -131,8 +135,9 @@ def _cdf_grid(alpha: float, beta: float, zmax: float):
     The spacing dz <= _GRID_DZ makes 2 pi / (h dz) a fast FFT length for the
     node spacing h of ``_bulk_grid``, as ``_kernels.gil_pelaez_cdf`` needs.
     """
+    from scipy import fft
     t, amp, ph, w0, correction = _bulk_grid(alpha, beta, zmax)
-    n_fft = next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
+    n_fft = fft.next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
     dz = 2.0 * math.pi / (t[0] * n_fft)
     m = int(zmax / dz) + 2
     z = dz * np.arange(-m, m + 1)
@@ -231,6 +236,7 @@ def stable_quantile(p, params: StableParams):
     if alpha > 1.0:
         z[mid] = _grid_inverse(p[mid], grid)
     else:
+        from scipy import optimize
         zs = sorted(node)
         k = np.clip(np.searchsorted([node[v] for v in zs], p[mid]), 1, len(zs) - 1)
         z[mid] = [

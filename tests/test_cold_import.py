@@ -1,0 +1,72 @@
+"""A fresh interpreter that imports stablevar and runs the CLI's simulate and
+estimate paths loads no scipy; the CDF paths still load it on first use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import stablevar as sv
+from stablevar.stable_dist import stable_cdf, stable_cdf_bulk
+
+SRC = Path(sv.__file__).resolve().parent.parent
+
+SCIPY_MODULES = (
+    "sorted(n for n in sys.modules if n == 'scipy' or n.startswith('scipy.'))"
+)
+
+CLI_SCRIPT = f"""
+import json, sys
+from pathlib import Path
+import stablevar
+from stablevar import cli
+d = Path(sys.argv[1])
+(d / "model.cfg").write_text(
+    "dim = 2\\norder = 2\\na1 = 0.1, 0.3, 0.2, 0.1\\na2 = 0.2, 0.2, 0.05, 0.1\\nalpha = 1.6\\n"
+)
+codes = [cli.main(["simulate", "--config", str(d / "model.cfg"), "--out", str(d / "series.csv"),
+                   "--n", "2000", "--seed", "1"])]
+for method in ("floc", "ls", "yw"):
+    codes.append(cli.main(["estimate", "--data", str(d / "series.csv"), "--order", "2",
+                           "--method", method, "--out", str(d / (method + ".csv"))]))
+print(json.dumps({{"codes": codes, "scipy": {SCIPY_MODULES}}}))
+"""
+
+CDF_SCRIPT = f"""
+import json, sys
+import numpy as np
+from stablevar import StableParams
+from stablevar.stable_dist import stable_cdf, stable_cdf_bulk
+x = np.linspace(-30.0, 30.0, 13)
+low = stable_cdf(x, StableParams(0.9, 0.3, 1.5, 0.2)).tolist()
+bulk = stable_cdf_bulk(x, StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
+print(json.dumps({{"low": low, "bulk": bulk, "scipy": {SCIPY_MODULES}}}))
+"""
+
+
+def _fresh(script: str, *args) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_simulate_and_estimate_load_no_scipy(tmp_path):
+    out = _fresh(CLI_SCRIPT, tmp_path)
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["scipy"] == []
+    for method in ("floc", "ls", "yw"):
+        assert (tmp_path / f"{method}.csv").is_file()
+
+
+def test_cdf_paths_load_scipy_on_first_use():
+    out = _fresh(CDF_SCRIPT)
+    assert {"scipy.integrate", "scipy.fft"} <= set(out["scipy"])
+    x = np.linspace(-30.0, 30.0, 13)
+    assert out["low"] == stable_cdf(x, sv.StableParams(0.9, 0.3, 1.5, 0.2)).tolist()
+    assert out["bulk"] == stable_cdf_bulk(x, sv.StableParams(1.5, -0.4, 0.8, 1.0)).tolist()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 from scipy.stats import levy_stable, norm
 
 import stablevar as sv
@@ -141,8 +143,9 @@ class TestGridEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("adaptive path reached")
 
-        monkeypatch.setattr(stable_dist.integrate, "quad", refuse)
-        monkeypatch.setattr(stable_dist.optimize, "brentq", refuse)
+        # stable_dist looks both up on their scipy modules at call time
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
         p = sv.StableParams(1.4, 0.3, 2.0, 1.0)
         stable_cdf_bulk(np.linspace(-200.0, 200.0, 41), p)
         stable_quantile(TAIL_LEVELS, p)
