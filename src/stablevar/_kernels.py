@@ -2,7 +2,7 @@
 transform, the VAR recursion (the causal moving-average form, one
 block-Toeplitz product per series and one carried window per block of
 time), the cross-FLOC window sums (one matrix product per lag) and the
-bulk Gil-Pelaez CDF on an equispaced grid (one inverse real FFT).
+bulk Gil-Pelaez CDF on an equispaced grid (one chirp-z transform).
 
 Batch rule: a kernel that takes a stack of series gives each series the
 same bits it gets alone. The VAR recursion keeps it by running the same
@@ -113,6 +113,18 @@ def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:
     )
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT runs on small radices."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        odd = p5  # 3^b 5^c, times the least power of two that reaches n
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def gil_pelaez_cdf(
     z: np.ndarray,
     t: np.ndarray,
@@ -126,18 +138,21 @@ def gil_pelaez_cdf(
     exp(-t^alpha) * weight / t factors, ``ph`` the skewness phase at each
     node, and ``w0`` the weight of the t=0 node whose integrand limit is -z
     (valid for alpha > 1). Row 0 is 0.5 - (S(z) - w0 z) / pi with
-    S(z) = sum_j amp_j sin(ph_j - t_j z) = Im sum_j c_j exp(-i j h z),
-    c_j = amp_j exp(i ph_j). ``z`` must be m dz for m = -M..M with
-    dz = 2 pi / (h N), N an integer: there S is one length-N inverse real
-    FFT of i conj(c_j) N / 2, and each z-derivative multiplies c_j by -i t_j.
+    S(z) = Im sum_j c_j W^(jk), c_j = amp_j exp(i ph_j), W = exp(-i h dz),
+    at z = k dz for k = -m..m and any spacing dz; the d-th z-derivative
+    multiplies c_j by (-i t_j)^d. With jk = (j^2 + k^2 - (k-j)^2) / 2 each
+    row is one convolution with the chirp W^(-n^2/2) (Bluestein's chirp-z
+    transform), whose FFT the three rows share.
     """
-    from scipy import fft  # on first use: `import stablevar` loads no scipy
-
-    m = z.shape[0] // 2
-    n_fft = int(round(2.0 * math.pi / (t[0] * (z[m + 1] - z[m]))))
-    coef = np.zeros((3, n_fft // 2 + 1), dtype=complex)
-    c = (0.5j * n_fft) * amp * np.exp(-1j * ph)
-    coef[:, 1 : t.shape[0] + 1] = (1j * t) ** np.arange(3)[:, None] * c
-    s = fft.irfft(coef, n_fft, axis=1)
-    s = np.concatenate([s[:, n_fft - m :], s[:, : m + 1]], axis=1)
+    m, nodes = z.shape[0] // 2, t.shape[0]
+    size = _fast_len(nodes + 2 * m + 1)
+    n = np.arange(m + nodes + 1.0)
+    chirp = np.exp(1j * (0.5 * t[0] * (z[m + 1] - z[m])) * n * n)  # W^(-n^2/2), n >= 0
+    c = amp * np.exp(1j * ph) * chirp[1 : nodes + 1].conj()
+    coef = np.fft.fft(np.stack([c, -1j * t * c, -t * t * c]), size)
+    # c_j W^(j^2/2) sits at j - 1 and W^(-n^2/2) at n + m + nodes, so the
+    # convolution holds point k at k + m + nodes - 1
+    response = np.fft.fft(chirp[np.abs(np.arange(-m - nodes, m))], size)
+    conv = np.fft.ifft(coef * response)[:, nodes - 1 : nodes + 2 * m]
+    s = (conv * chirp[np.abs(np.arange(-m, m + 1))].conj()).imag
     return np.stack([0.5 * math.pi - (s[0] - w0 * z), w0 - s[1], -s[2]]) / math.pi

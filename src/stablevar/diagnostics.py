@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .floc import FlocConfig, cross_floc
+from .floc import FlocConfig, _floc_moments, cross_floc
 from .seeding import substream
 from .series import _write_csv
 from .stable_dist import stable_cdf_bulk, stable_quantile
@@ -92,8 +92,8 @@ def auto_floc_null_band(
     """Pointwise null band of the auto-FLOC under i.i.d. noise.
 
     Simulates ``replicates`` independent samples of length ``n`` from the
-    fitted law and takes per-lag percentiles, so an observed auto-FLOC can
-    be judged against what pure noise produces.
+    fitted law, one substream each, and takes per-lag percentiles of their
+    auto-FLOC, so an observed auto-FLOC can be judged against pure noise.
     """
     if max_lag < 0 or max_lag >= n:
         raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
@@ -101,11 +101,10 @@ def auto_floc_null_band(
         raise ValidationError(f"need at least 2 replicates, got {replicates}")
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    lags = np.arange(max_lag + 1)
-    sims = np.empty((replicates, max_lag + 1))
-    for rep in range(replicates):
-        sample = sample_stable(fitted, n, substream(rng_seed, rep))
-        sims[rep] = cross_floc(sample, sample, lags, cfg)
+    samples = np.stack(
+        [sample_stable(fitted, n, substream(rng_seed, rep)) for rep in range(replicates)]
+    )[..., None]
+    sims = _floc_moments(samples, samples, range(max_lag + 1), cfg)[..., 0, 0]
     tail = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(sims, tail, axis=0)
     hi = np.percentile(sims, 100.0 - tail, axis=0)

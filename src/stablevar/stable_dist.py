@@ -5,17 +5,18 @@ characteristic function.
 point within +-``_QUAD_TAIL_Z`` and the power-law tail expansion beyond: the
 reference path, and the path for alpha <= 1. For alpha > 1,
 ``stable_cdf_bulk`` and ``stable_quantile`` share ``_cdf_grid``: on fixed
-Simpson nodes the integral is a Fourier sum in z, so one FFT
-(``_kernels.gil_pelaez_cdf``) gives the CDF and two derivatives on an
-equispaced z grid (Mittnik, Doganoglu and Chenyao, 1999), read by quintic
+Simpson nodes the integral is a Fourier sum in z, so one chirp-z transform
+(``_kernels.gil_pelaez_cdf``) gives the CDF and two derivatives on a grid
+of step ``_GRID_DZ`` (Mittnik, Doganoglu and Chenyao, 1999), read by quintic
 Hermite interpolation; the bulk CDF takes the tail beyond ``_BULK_TAIL_Z``.
 Quantiles follow one rule for every alpha: the tail inverse in closed form
 past the CDF at +-``_QUAD_TAIL_Z``, inversion on that engine within.
 
-scipy (``fft`` for the grid, ``integrate.quad``, ``optimize.brentq`` for
-alpha <= 1) is imported in the functions that call it and looked up on its
-module at call time: ``import stablevar``, simulation and estimation never
-pay for importing it, and a rebinding on the scipy module reaches here.
+Only the quadrature path uses scipy (``integrate.quad``, and
+``optimize.brentq`` for quantiles at alpha <= 1). It is imported in the
+functions that call it and looked up on its module at call time: ``import
+stablevar``, simulation, estimation and the alpha > 1 grid never pay for
+importing it, and a rebinding on the scipy module reaches here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _LOG_CUTOFF = 39.1
 _BULK_TAIL_Z = 45.0
 # quadrature is pointless this far out even for the reference path
 _QUAD_TAIL_Z = 100.0
-# widest FFT grid spacing: quintic Hermite stays within 1e-11 of the node sum
+# grid spacing: quintic Hermite stays within 1e-11 of the node sum
 _GRID_DZ = 0.04
 
 
@@ -129,21 +130,14 @@ def _bulk_grid(alpha: float, beta: float, zmax: float):
 
 
 def _cdf_grid(alpha: float, beta: float, zmax: float):
-    """(z0, dz, f): f[d] is the d-th z-derivative of the standard CDF at
-    z0 + k dz, on a grid symmetric about 0 that covers [-zmax, zmax].
-
-    The spacing dz <= _GRID_DZ makes 2 pi / (h dz) a fast FFT length for the
-    node spacing h of ``_bulk_grid``, as ``_kernels.gil_pelaez_cdf`` needs.
-    """
-    from scipy import fft
+    """(z0, _GRID_DZ, f): f[d] is the d-th z-derivative of the standard CDF
+    at z0 + k _GRID_DZ, on a grid symmetric about 0 covering [-zmax, zmax]."""
     t, amp, ph, w0, correction = _bulk_grid(alpha, beta, zmax)
-    n_fft = fft.next_fast_len(int(math.ceil(2.0 * math.pi / (t[0] * _GRID_DZ))), real=True)
-    dz = 2.0 * math.pi / (t[0] * n_fft)
-    m = int(zmax / dz) + 2
-    z = dz * np.arange(-m, m + 1)
+    m = int(zmax / _GRID_DZ) + 2
+    z = _GRID_DZ * np.arange(-m, m + 1)
     f = _kernels.gil_pelaez_cdf(z, t, amp, ph, w0)
     f[0] -= correction / math.pi
-    return z[0], dz, f
+    return z[0], _GRID_DZ, f
 
 
 def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
@@ -164,7 +158,7 @@ def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
 
 
 def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
-    """CDF at many points in one pass: the FFT grid for alpha > 1, else ``stable_cdf``."""
+    """CDF at many points in one pass: the chirp-z grid for alpha > 1, else ``stable_cdf``."""
     x = np.asarray(x, dtype=float)
     if params.alpha <= 1.0:
         return np.asarray(stable_cdf(x, params))
@@ -202,7 +196,7 @@ def stable_quantile(p, params: StableParams):
     cdf(_QUAD_TAIL_Z)] (standardized) invert the leading tail term in closed
     form, as ``stable_cdf`` switches there, and levels in the jump at the
     switch map to the switch point. Levels inside are inverted on the engine
-    of ``stable_cdf`` there: one FFT grid for alpha > 1 (within 1e-6 in
+    of ``stable_cdf`` there: one chirp-z grid for alpha > 1 (within 1e-6 in
     probability); for alpha <= 1 one ``brentq`` on quadrature per level,
     between the adjacent nodes of -+2, -+4, ... that hold it.
     """

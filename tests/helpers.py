@@ -66,12 +66,16 @@ def brute_lag_moment_matrix(values: np.ndarray, lag: int):
 
 
 def brute_gil_pelaez_cdf(z, t, amp, ph, w0):
-    """Dense node sum of the Gil-Pelaez inversion: one sin per (point, node).
+    """Dense node sum of the Gil-Pelaez inversion: one sin and one cos per
+    (point, node). Rows: the CDF and its first and second z-derivatives.
 
     ``t``, ``amp``, ``ph`` and ``w0`` are the fixed-grid nodes, combined
     exp(-t^alpha) * weight / t factors, skewness phases and t = 0 weight of
-    ``stable_dist._bulk_grid``; the caller subtracts its correction / pi.
+    ``stable_dist._bulk_grid``; the caller subtracts its correction / pi
+    from row 0.
     """
     z = np.asarray(z, dtype=float)
-    acc = np.sin(ph[None, :] - t[None, :] * z[:, None]) @ amp - w0 * z
-    return 0.5 - acc / np.pi
+    arg = ph[None, :] - t[None, :] * z[:, None]
+    sin, cos = np.sin(arg), np.cos(arg)
+    s0, s1, s2 = sin @ amp, -(cos @ (amp * t)), -(sin @ (amp * t * t))
+    return np.stack([0.5 - (s0 - w0 * z) / np.pi, (w0 - s1) / np.pi, -s2 / np.pi])

@@ -1,5 +1,6 @@
 """A fresh interpreter that imports stablevar and runs the CLI's simulate and
-estimate paths loads no scipy; the CDF paths still load it on first use."""
+estimate paths, or the alpha > 1 CDF, quantile and diagnostics paths, loads
+no scipy; the quadrature CDF still loads it on first use."""
 
 import json
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import stablevar as sv
-from stablevar.stable_dist import stable_cdf, stable_cdf_bulk
+from helpers import var2_model
+from stablevar.stable_dist import stable_cdf, stable_cdf_bulk, stable_quantile
 
 SRC = Path(sv.__file__).resolve().parent.parent
 
@@ -46,6 +48,22 @@ bulk = stable_cdf_bulk(x, StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
 print(json.dumps({{"low": low, "bulk": bulk, "scipy": {SCIPY_MODULES}}}))
 """
 
+GRID_SCRIPT = f"""
+import json, sys
+import numpy as np
+import stablevar as sv
+from stablevar.stable_dist import stable_cdf_bulk, stable_quantile
+x = np.linspace(-30.0, 30.0, 13)
+bulk = stable_cdf_bulk(x, sv.StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
+quantiles = stable_quantile([1e-4, 0.3, 0.9], sv.StableParams(1.2, 0.5, 2.0, -1.0)).tolist()
+a1, a2 = np.array([[0.1, 0.3], [0.2, 0.1]]), np.array([[0.2, 0.2], [0.05, 0.1]])
+series = sv.simulate(sv.VarModel((a1, a2), sv.SymmetricStableNoiseSpec.iid(2, 1.6)), 400, 200, 3)
+report = sv.run_pipeline(series, 2, rng_seed=1, ks_repetitions=100, band_replicates=20,
+                         qq_grid=19)
+ks = [c.ks.statistic for c in report.columns]
+print(json.dumps({{"bulk": bulk, "quantiles": quantiles, "ks": ks, "scipy": {SCIPY_MODULES}}}))
+"""
+
 
 def _fresh(script: str, *args) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -64,9 +82,22 @@ def test_cli_simulate_and_estimate_load_no_scipy(tmp_path):
         assert (tmp_path / f"{method}.csv").is_file()
 
 
-def test_cdf_paths_load_scipy_on_first_use():
+def test_quadrature_cdf_loads_scipy_on_first_use():
     out = _fresh(CDF_SCRIPT)
-    assert {"scipy.integrate", "scipy.fft"} <= set(out["scipy"])
+    assert "scipy.integrate" in out["scipy"]
     x = np.linspace(-30.0, 30.0, 13)
     assert out["low"] == stable_cdf(x, sv.StableParams(0.9, 0.3, 1.5, 0.2)).tolist()
     assert out["bulk"] == stable_cdf_bulk(x, sv.StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
+
+
+def test_grid_cdf_quantiles_and_pipeline_load_no_scipy():
+    out = _fresh(GRID_SCRIPT)
+    assert out["scipy"] == []
+    x = np.linspace(-30.0, 30.0, 13)
+    assert out["bulk"] == stable_cdf_bulk(x, sv.StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
+    levels = [1e-4, 0.3, 0.9]
+    assert out["quantiles"] == stable_quantile(levels, sv.StableParams(1.2, 0.5, 2.0, -1.0)).tolist()
+    series = sv.simulate(var2_model(1.6), 400, 200, 3)
+    report = sv.run_pipeline(series, 2, rng_seed=1, ks_repetitions=100, band_replicates=20,
+                             qq_grid=19)
+    assert out["ks"] == [c.ks.statistic for c in report.columns]

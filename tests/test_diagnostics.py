@@ -54,14 +54,16 @@ class TestAutoFloc:
             with pytest.raises(ValidationError, match="max_lag"):
                 sv.auto_floc_null_band(fitted, 150, max_lag, FlocConfig(1.0, 0.5), replicates=2)
 
-    def test_null_band_is_percentiles_of_replicate_auto_floc(self):
-        fitted = sv.StableParams(1.7, 0.2, 1.3, 0.1)
+    @pytest.mark.parametrize("fitted", [sv.StableParams(1.7, 0.2, 1.3, 0.1),
+                                        sv.StableParams(1.3, -0.9, 0.6, -2.0)])
+    @pytest.mark.parametrize("max_lag,replicates", [(6, 20), (0, 2), (0, 50), (20, 2), (20, 50)])
+    def test_null_band_is_percentiles_of_replicate_cross_floc(self, fitted, max_lag, replicates):
+        # the stacked lag moments give each replicate the bits of its own cross_floc call
         cfg = FlocConfig(1.0, 0.6)
-        lo, hi = sv.auto_floc_null_band(fitted, 150, 6, cfg, replicates=20, level=0.9, rng_seed=5)
-        sims = [
-            sv.auto_floc(sv.sample_stable(fitted, 150, substream(5, rep)), 6, cfg).values
-            for rep in range(20)
-        ]
+        lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, 0.9, rng_seed=5)
+        lags = np.arange(max_lag + 1)
+        samples = [sv.sample_stable(fitted, 150, substream(5, rep)) for rep in range(replicates)]
+        sims = [sv.cross_floc(x, x, lags, cfg) for x in samples]
         tail = 100.0 * (1.0 - 0.9) / 2.0
         assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
         assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
