@@ -33,9 +33,7 @@ from .experiments import (
 )
 from .floc import (
     FlocConfig,
-    LagMatrixSet,
     cross_floc,
-    lag_matrix,
     lag_matrix_set,
     signed_power,
 )
@@ -82,10 +80,8 @@ __all__ = [
     "simulate",
     "mean_correct",
     "FlocConfig",
-    "LagMatrixSet",
     "signed_power",
     "cross_floc",
-    "lag_matrix",
     "lag_matrix_set",
     "EstimationReport",
     "estimate_floc",

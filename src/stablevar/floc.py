@@ -16,20 +16,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .series import SeriesMatrix, _write_csv
+from .series import SeriesMatrix
 
 __all__ = [
     "FlocConfig",
-    "LagMatrixSet",
     "signed_power",
     "cross_floc",
-    "lag_matrix",
     "lag_matrix_set",
 ]
 
@@ -109,52 +107,11 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
     return float(values[0]) if lags.ndim == 0 else values
 
 
-def lag_matrix(series: SeriesMatrix, lag: int, cfg: FlocConfig) -> np.ndarray:
-    """r x r matrix with entry (i, j) = cross_floc(column i, column j, lag)."""
-    if abs(int(lag)) >= series.n:
-        raise ValidationError(f"lag {lag} out of range for series of length {series.n}")
-    return _floc_moments(series.values, series.values, [int(lag)], cfg)[0]
-
-
-@dataclass(frozen=True)
-class LagMatrixSet:
-    """Cross-FLOC matrices on a contiguous lag range."""
-
-    dim: int
-    matrices: Dict[int, np.ndarray]
-
-    def __post_init__(self) -> None:
-        lags = sorted(self.matrices)
-        if not lags:
-            raise ValidationError("lag matrix set is empty")
-        if lags != list(range(lags[0], lags[-1] + 1)):
-            raise ValidationError(f"lags must be contiguous, got {lags}")
-        for lag, mat in self.matrices.items():
-            if mat.shape != (self.dim, self.dim) or not np.all(np.isfinite(mat)):
-                raise ValidationError(f"matrix at lag {lag} is invalid")
-
-    @property
-    def lag_range(self) -> Tuple[int, int]:
-        lags = sorted(self.matrices)
-        return lags[0], lags[-1]
-
-    def __getitem__(self, lag: int) -> np.ndarray:
-        return self.matrices[lag]
-
-    def to_csv(self, path) -> None:
-        """Write `lag,i,j,value` rows (1-based i, j) for plotting/debugging."""
-        rows = ((lag, i + 1, j + 1, v) for lag in sorted(self.matrices)
-                for (i, j), v in np.ndenumerate(self.matrices[lag]))
-        _write_csv(path, "lag,i,j,value", rows)
-
-
-def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> LagMatrixSet:
-    """All lag matrices needed by the order-p block system: lags -(p-1)..p."""
+def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> np.ndarray:
+    """Cross-FLOC matrices (2p, r, r) of the order-p block system: entry [p - 1 + k]
+    holds (i, j) = cross_floc(column i, column j, k), k = -(p-1)..p."""
     if p < 1:
         raise ValidationError(f"order must be >= 1, got {p}")
     if series.n <= 2 * p:
         raise ValidationError(f"series of length {series.n} too short for order {p}")
-    lags = range(-(p - 1), p + 1)
-    matrices = dict(zip(lags, _floc_moments(series.values, series.values, lags, cfg)))
-    return LagMatrixSet(dim=series.dim, matrices=matrices)
-
+    return _floc_moments(series.values, series.values, np.arange(1 - p, p + 1), cfg)

@@ -1,26 +1,20 @@
-"""Stable distribution function and quantiles by inverting the
-characteristic function.
+"""Stable distribution function and quantiles.
 
-``stable_cdf`` runs adaptive quadrature of the Gil-Pelaez integral at each
-point within +-``_QUAD_TAIL_Z`` and the power-law tail expansion beyond: the
-reference path, and the path for alpha <= 1. For alpha > 1,
-``stable_cdf_bulk`` and ``stable_quantile`` share ``_cdf_grid``: on fixed
-Simpson nodes the integral is a Fourier sum in z, so one chirp-z transform
-(``_kernels.gil_pelaez_cdf``) gives the CDF and two derivatives on a grid
-of step ``_GRID_DZ`` (Mittnik, Doganoglu and Chenyao, 1999), read by quintic
-Hermite interpolation; the bulk CDF takes the tail beyond ``_BULK_TAIL_Z``.
-Quantiles follow one rule for every alpha: the tail inverse in closed form
-past the CDF at +-``_QUAD_TAIL_Z``, inversion on that engine within.
-
-Only the quadrature path uses scipy (``integrate.quad``, and
-``optimize.brentq`` for quantiles at alpha <= 1). It is imported in the
-functions that call it and looked up on its module at call time: ``import
-stablevar``, simulation, estimation and the alpha > 1 grid never pay for
-importing it, and a rebinding on the scipy module reaches here.
+``stable_cdf`` evaluates Zolotarev's integral form of the CDF within
++-``_TAIL_Z`` (standardized) at every alpha, and the leading power-law tail
+term beyond (Nolan 1997, *Numerical calculation of stable densities and
+distribution functions*, Theorem 1): fixed Gauss-Legendre nodes on two spans
+of the angle range that bisection finds per point (``_angle_integral``).
+For alpha > 1, ``stable_cdf_bulk`` interpolates a grid that one chirp-z
+transform of the Gil-Pelaez sum gives (``_kernels.gil_pelaez_cdf``; Mittnik,
+Doganoglu and Chenyao, 1999), with the tail term beyond ``_BULK_TAIL_Z``.
+``stable_quantile`` inverts the tail term in closed form past the CDF at
++-``_TAIL_Z`` and, within, the bulk CDF by ``_invert`` on a node table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,10 +29,21 @@ __all__ = ["stable_cdf", "stable_cdf_bulk", "stable_quantile"]
 _LOG_CUTOFF = 39.1
 # beyond this standardized point the bulk path switches to the tail expansion
 _BULK_TAIL_Z = 45.0
-# quadrature is pointless this far out even for the reference path
-_QUAD_TAIL_Z = 100.0
+# beyond this standardized point stable_cdf takes the leading tail term
+_TAIL_Z = 100.0
 # grid spacing: quintic Hermite stays within 1e-11 of the node sum
 _GRID_DZ = 0.04
+# exp(-g) is 1 in double precision below the first cut and under 2e-24 above
+# the last; the logit runs over +-_S_MAX, whose ends hold 4e-18 of the range
+_LOG_G_CUTS = np.array([-37.0, 0.0, 4.0])
+_NODES, _CUT_STEPS, _S_MAX = 128, 20, 40.0
+# points per pass of the Zolotarev engine, which bounds its temporaries
+_CHUNK = 1024
+# regula falsi steps per quantile; alpha <= 1 node table: even integers hold the narrow
+# bulk the skew shift moves out near alpha 1, powers of two reach the edge at 0 of |beta| = 1
+_INVERT_STEPS = 14
+_TABLE_Z = np.concatenate([np.ldexp(1.0, np.arange(-30, 1)), np.arange(2.0, 101.0, 2.0)])
+_TABLE_Z = np.concatenate([-_TABLE_Z[::-1], [0.0], _TABLE_Z])
 
 
 def _standardize(x: np.ndarray, params: StableParams) -> np.ndarray:
@@ -62,46 +67,93 @@ def _tail_prob(z, alpha: float, beta: float):
     return c * (1.0 + beta) * z ** (-alpha)
 
 
-def _std_cdf_quad(z: float, alpha: float, beta: float) -> float:
-    """Adaptive-quadrature CDF of the standard law at one point."""
-    if z > _QUAD_TAIL_Z:
-        return 1.0 - _tail_prob(z, alpha, beta)
-    if z < -_QUAD_TAIL_Z:
-        return _tail_prob(-z, alpha, -beta)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre():
+    """Nodes and weights on [0, 1], built on first use."""
+    t, w = np.polynomial.legendre.leggauss(_NODES)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _angle_integral(x: np.ndarray, alpha: float, beta: np.ndarray) -> np.ndarray:
+    """(1/pi) * integral of exp(-g(theta)) over Zolotarev's angle range, per point:
+    g = x^(alpha/(alpha-1)) V(theta) on (-theta0, pi/2), x > 0, or for alpha = 1
+    g = exp(-pi x / (2 beta)) V(theta) on (-pi/2, pi/2), beta > 0. V takes the distances
+    of theta from the ends, so no factor cancels near one; nodes sit in the logit of
+    theta's share of the range, which smooths the power laws of g at both ends."""
+    x, beta = x[:, None], beta[:, None]
     if alpha == 1.0:
-        two_over_pi = 2.0 / math.pi
-
-        def integrand(t):
-            return math.exp(-t) * math.sin(-beta * two_over_pi * t * math.log(t) - t * z) / t
-
-        upper = _LOG_CUTOFF
-    elif alpha > 1.0:
-        eta = beta * math.tan(0.5 * math.pi * alpha)
-
-        def integrand(t):
-            return math.exp(-(t**alpha)) * math.sin(eta * t**alpha - t * z) / t
-
-        upper = _LOG_CUTOFF ** (1.0 / alpha)
+        width = np.full_like(x, np.pi)
+        lead = -0.5 * np.pi * x / beta + math.log(2.0 / np.pi)
     else:
-        # substitute s = t^alpha so the t -> 0 behaviour is integrable smoothly
-        eta = beta * math.tan(0.5 * math.pi * alpha)
-        inv_alpha = 1.0 / alpha
+        theta0 = np.arctan(beta * math.tan(0.5 * np.pi * alpha)) / alpha
+        width = 0.5 * np.pi + theta0
+        lead = (alpha * np.log(x) + np.log(np.cos(alpha * theta0))) / (alpha - 1.0)
+    rest, rest_a = np.maximum(np.pi - width, 0.0), np.maximum(np.pi - alpha * width, 0.0)
 
-        def integrand(s):
-            return math.exp(-s) * math.sin(eta * s - s**inv_alpha * z) / (alpha * s)
+    def ends(s):  # distances of theta from the ends where g is smallest and largest
+        return width / (1.0 + np.exp(-s)), width / (1.0 + np.exp(s))
 
-        upper = _LOG_CUTOFF
-    from scipy import integrate
-    val, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-10, epsrel=1e-10, limit=800)
-    return float(np.clip(0.5 - val / math.pi, 0.0, 1.0))
+    def log_g(near, far):
+        d_lo, d_hi = (far, near) if alpha > 1.0 else (near, far)
+        cos_theta = np.sin(np.minimum(d_hi, rest + d_lo))
+        if alpha == 1.0:
+            b = 0.5 * np.pi * (1.0 - beta) + beta * d_lo
+            return lead + np.log(b / cos_theta) - b * np.cos(d_lo) / (beta * cos_theta)
+        sin_lo = np.sin(np.minimum(alpha * d_lo, rest_a + alpha * d_hi))
+        a = rest + (1.0 - alpha) * d_lo if alpha < 1.0 else rest_a + (alpha - 1.0) * d_hi
+        cos_mix = np.sin(np.minimum(a, d_hi + alpha * d_lo))
+        return lead + (np.log(cos_theta) - alpha * np.log(sin_lo)) / (alpha - 1.0) + np.log(cos_mix)
+
+    lo = np.full((x.shape[0], _LOG_G_CUTS.size), -_S_MAX)
+    hi = np.full_like(lo, _S_MAX)
+    for _ in range(_CUT_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = log_g(*ends(mid)) < _LOG_G_CUTS
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    # the outer ends lie past the first and last cut whatever the step count
+    edges = np.stack([lo[:, 0], 0.5 * (lo[:, 1] + hi[:, 1]), hi[:, 2]], axis=1)
+    t, w = _gauss_legendre()
+    span = np.diff(edges)[:, :, None]
+    near, far = ends((edges[:, :-1, None] + span * t).reshape(-1, 2 * t.size))
+    # d theta = near * far / width ds; exp(-g) is 0 where g would overflow;
+    # row sums keep each point's bits whatever the batch
+    terms = np.exp(-np.exp(np.minimum(log_g(near, far), 700.0))) * near * far / width
+    inner = (terms * (span * w).reshape(-1, 2 * t.size)).sum(axis=1)
+    return (ends(edges[:, :1])[0][:, 0] + inner) / np.pi
+
+
+def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """Standard CDF at points z (1-d) by Zolotarev's integral form."""
+    if alpha == 1.0 and beta == 0.0:
+        return 0.5 + np.arctan(z) / np.pi
+    if z.size > _CHUNK:
+        chunks = np.split(z, range(_CHUNK, z.size, _CHUNK))
+        return np.concatenate([_zolotarev_cdf(c, alpha, beta) for c in chunks])
+    if alpha == 1.0:
+        j = _angle_integral(math.copysign(1.0, beta) * z, 1.0, np.full(z.shape, abs(beta)))
+        return j if beta > 0.0 else 1.0 - j
+    # P(Z > |z|), of the law mirrored when z < 0, is the integral (alpha > 1) or the range's share
+    # less it (alpha < 1); the range is empty for alpha < 1 and beta -1 there: no mass past 0
+    side = np.where(z < 0.0, -1.0, 1.0)
+    share = 0.5 + np.arctan(side * beta * math.tan(0.5 * np.pi * alpha)) / (alpha * np.pi)
+    live = (z != 0.0) & (share > 0.0)
+    upper = np.zeros(z.shape)
+    upper[live] = _angle_integral(np.abs(z[live]), alpha, side[live] * beta)
+    upper = np.where(live, share - upper if alpha < 1.0 else upper, share)
+    return np.where(side > 0.0, 1.0 - upper, upper)
 
 
 def stable_cdf(x, params: StableParams):
     """Distribution function of the stable law at scalar or array ``x``."""
     z = _standardize(x, params)
-    if z.ndim == 0:
-        return _std_cdf_quad(float(z), params.alpha, params.beta)
-    return np.array([_std_cdf_quad(float(v), params.alpha, params.beta) for v in z.ravel()]).reshape(z.shape)
+    flat = z.ravel()
+    out = np.empty(flat.shape)
+    hi, lo = flat > _TAIL_Z, flat < -_TAIL_Z
+    out[hi] = 1.0 - _tail_prob(flat[hi], params.alpha, params.beta)
+    out[lo] = _tail_prob(-flat[lo], params.alpha, -params.beta)
+    mid = ~(hi | lo)
+    out[mid] = np.clip(_zolotarev_cdf(flat[mid], params.alpha, params.beta), 0.0, 1.0)
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _bulk_grid(alpha: float, beta: float, zmax: float):
@@ -159,7 +211,6 @@ def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
 
 def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
     """CDF at many points in one pass: the chirp-z grid for alpha > 1, else ``stable_cdf``."""
-    x = np.asarray(x, dtype=float)
     if params.alpha <= 1.0:
         return np.asarray(stable_cdf(x, params))
     z = _standardize(x, params)
@@ -174,68 +225,59 @@ def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
     return out
 
 
-def _grid_inverse(p: np.ndarray, grid) -> np.ndarray:
-    """Standard quantiles at levels ``p``: bisection in cells of a ``_cdf_grid``."""
-    z0, dz, f = grid
-    # rounding noise can dent the grid where the CDF is flat; the running
-    # maximum is sorted, and its cell k still has f[0, k] <= p < f[0, k + 1]
-    k = np.searchsorted(np.maximum.accumulate(f[0]), p, side="right") - 1
-    a = z0 + np.clip(k, 0, f.shape[1] - 2) * dz
-    b = a + dz
-    for _ in range(50):
-        c = 0.5 * (a + b)
-        below = _grid_cdf(grid, c) < p
-        a, b = np.where(below, c, a), np.where(below, b, c)
-    return 0.5 * (a + b)
+def _logit(f):
+    f = np.clip(f, 1e-300, 1.0 - 2.0**-53)  # 0 and 1, or a grid a rounding past them, stay finite
+    return np.log(f) - np.log1p(-f)
+
+
+def _invert(p: np.ndarray, z: np.ndarray, f: np.ndarray, cdf) -> np.ndarray:
+    """Standard quantiles at levels ``p`` from a node table ``f`` = cdf(``z``):
+    regula falsi with the Illinois step on logit(cdf) - logit(p), started on
+    the cell holding each level."""
+    # rounding noise can dent a table where the CDF is flat; the running
+    # maximum is sorted, and its cell k still has f[k] <= p < f[k + 1]
+    f = np.maximum.accumulate(f)
+    k = np.clip(np.searchsorted(f, p, side="right") - 1, 0, z.size - 2)
+    target = _logit(p)
+    a, b, fa, fb = z[k], z[k + 1], _logit(f[k]) - target, _logit(f[k + 1]) - target
+    for _ in range(_INVERT_STEPS):
+        # fa and fb never share a sign, so they are equal only when both are 0
+        c = b - fb * (b - a) / np.where(fb == fa, 1.0, fb - fa)
+        fc = _logit(cdf(c)) - target
+        crossed = fc * fb < 0.0
+        a, fa = np.where(crossed, b, a), np.where(crossed, fb, 0.5 * fa)
+        b, fb = c, fc
+    return b
 
 
 def stable_quantile(p, params: StableParams):
-    """Quantile(s) of the stable law, inverting ``stable_cdf``.
+    """Quantile(s) of the stable law.
 
-    One rule for every alpha: levels outside [cdf(-_QUAD_TAIL_Z),
-    cdf(_QUAD_TAIL_Z)] (standardized) invert the leading tail term in closed
-    form, as ``stable_cdf`` switches there, and levels in the jump at the
-    switch map to the switch point. Levels inside are inverted on the engine
-    of ``stable_cdf`` there: one chirp-z grid for alpha > 1 (within 1e-6 in
-    probability); for alpha <= 1 one ``brentq`` on quadrature per level,
-    between the adjacent nodes of -+2, -+4, ... that hold it.
-    """
+    Levels outside [cdf(-_TAIL_Z), cdf(_TAIL_Z)] (standardized) invert the
+    leading tail term in closed form, as ``stable_cdf`` switches there; levels
+    in the jump at the switch map to the switch point. ``_invert`` takes the
+    rest on the bulk CDF: the chirp-z grid for alpha > 1 (within 1e-6 in
+    probability), Zolotarev's form at ``_TABLE_Z`` for alpha <= 1."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")
     p = arr.ravel()
     alpha, beta = params.alpha, params.beta
     if alpha > 1.0:
-        grid = _cdf_grid(alpha, beta, _QUAD_TAIL_Z)
-        lo_edge, hi_edge = _grid_cdf(grid, np.array([-_QUAD_TAIL_Z, _QUAD_TAIL_Z]))
+        grid = z0, dz, f = _cdf_grid(alpha, beta, _TAIL_Z)
+        cdf = functools.partial(_grid_cdf, grid)
+        nodes, table = z0 + dz * np.arange(f.shape[1]), f[0]
+        lo_edge, hi_edge = cdf(np.array([-_TAIL_Z, _TAIL_Z]))
     else:
-        def cdf(v):
-            return _std_cdf_quad(v, alpha, beta)
-
-        # each side doubles its node from 2 while a level lies past it, up to
-        # the cap, so only at the cap can a level lie past the outer nodes
-        node, b, lo_edge, hi_edge = {}, 1.0, 1.0, 0.0
-        while b < _QUAD_TAIL_Z and np.any((p < lo_edge) | (p > hi_edge)):
-            b = min(2.0 * b, _QUAD_TAIL_Z)
-            if np.any(p < lo_edge):
-                lo_edge = node[-b] = cdf(-b)
-            if np.any(p > hi_edge):
-                hi_edge = node[b] = cdf(b)
+        cdf = functools.partial(_zolotarev_cdf, alpha=alpha, beta=beta)
+        nodes, table = _TABLE_Z, cdf(_TABLE_Z)
+        lo_edge, hi_edge = table[0], table[-1]
     z = np.empty(p.shape)
     lo, hi = p < lo_edge, p > hi_edge
     # _tail_prob(1, ...) is the constant C of P(Z > z) ~ C z^(-alpha)
-    z[lo] = -np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
-    z[hi] = np.maximum(_QUAD_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
+    z[lo] = -np.maximum(_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
+    z[hi] = np.maximum(_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
     mid = ~(lo | hi)
-    if alpha > 1.0:
-        z[mid] = _grid_inverse(p[mid], grid)
-    else:
-        from scipy import optimize
-        zs = sorted(node)
-        k = np.clip(np.searchsorted([node[v] for v in zs], p[mid]), 1, len(zs) - 1)
-        z[mid] = [
-            optimize.brentq(lambda v: cdf(v) - u, zs[j - 1], zs[j], xtol=1e-12, rtol=8.9e-16)
-            for u, j in zip(p[mid], k)
-        ]
+    z[mid] = _invert(p[mid], nodes, table, cdf)
     q = _destandardize(z, params).reshape(arr.shape)
     return float(q) if arr.ndim == 0 else q

@@ -1,6 +1,6 @@
-"""A fresh interpreter that imports stablevar and runs the CLI's simulate and
-estimate paths, or the alpha > 1 CDF, quantile and diagnostics paths, loads
-no scipy; the quadrature CDF still loads it on first use."""
+"""A fresh interpreter that imports stablevar and runs the CLI's simulate,
+estimate and diagnose paths, or the stable CDF, quantile and diagnostics
+paths at any alpha, loads no scipy."""
 
 import json
 import os
@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stablevar as sv
 from helpers import var2_model
+from stablevar import cli
 from stablevar.stable_dist import stable_cdf, stable_cdf_bulk, stable_quantile
 
 SRC = Path(sv.__file__).resolve().parent.parent
@@ -39,13 +41,20 @@ print(json.dumps({{"codes": codes, "scipy": {SCIPY_MODULES}}}))
 
 CDF_SCRIPT = f"""
 import json, sys
+from pathlib import Path
 import numpy as np
-from stablevar import StableParams
-from stablevar.stable_dist import stable_cdf, stable_cdf_bulk
+from stablevar import StableParams, cli
+from stablevar.stable_dist import stable_cdf, stable_quantile
 x = np.linspace(-30.0, 30.0, 13)
-low = stable_cdf(x, StableParams(0.9, 0.3, 1.5, 0.2)).tolist()
-bulk = stable_cdf_bulk(x, StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
-print(json.dumps({{"low": low, "bulk": bulk, "scipy": {SCIPY_MODULES}}}))
+cdf = [stable_cdf(x, StableParams(a, 0.3, 1.5, 0.2)).tolist() for a in (0.9, 1.0, 1.5)]
+quantiles = stable_quantile([1e-4, 0.3, 0.9], StableParams(0.9, -0.4, 2.0, -1.0)).tolist()
+d = Path(sys.argv[1])
+codes = [cli.main(["estimate", "--data", str(d / "series.csv"), "--order", "1", "--out",
+                   str(d / "floc.csv")]),
+         cli.main(["diagnose", "--data", str(d / "series.csv"), "--report", str(d / "floc.csv"),
+                   "--out-dir", str(d / "diag"), "--seed", "3", "--max-lag", "4",
+                   "--band-replicates", "10", "--qq-grid", "19"])]
+print(json.dumps({{"cdf": cdf, "quantiles": quantiles, "codes": codes, "scipy": {SCIPY_MODULES}}}))
 """
 
 GRID_SCRIPT = f"""
@@ -82,12 +91,35 @@ def test_cli_simulate_and_estimate_load_no_scipy(tmp_path):
         assert (tmp_path / f"{method}.csv").is_file()
 
 
-def test_quadrature_cdf_loads_scipy_on_first_use():
-    out = _fresh(CDF_SCRIPT)
-    assert "scipy.integrate" in out["scipy"]
+def _cauchy_series(d: Path) -> None:
+    # seed 10: a fitted alpha of 0.937, so the KS test and QQ data run below alpha 1
+    rng = np.random.default_rng(10)
+    d.mkdir()
+    sv.SeriesMatrix(rng.standard_cauchy(200)[:, None]).to_csv(d / "series.csv")
+
+
+def test_cdf_quantiles_and_diagnose_at_any_alpha_load_no_scipy(tmp_path):
+    _cauchy_series(tmp_path / "fresh")
+    out = _fresh(CDF_SCRIPT, tmp_path / "fresh")
+    assert out["scipy"] == []
     x = np.linspace(-30.0, 30.0, 13)
-    assert out["low"] == stable_cdf(x, sv.StableParams(0.9, 0.3, 1.5, 0.2)).tolist()
-    assert out["bulk"] == stable_cdf_bulk(x, sv.StableParams(1.5, -0.4, 0.8, 1.0)).tolist()
+    for alpha, got in zip((0.9, 1.0, 1.5), out["cdf"]):
+        assert got == stable_cdf(x, sv.StableParams(alpha, 0.3, 1.5, 0.2)).tolist()
+    levels = [1e-4, 0.3, 0.9]
+    assert out["quantiles"] == stable_quantile(levels, sv.StableParams(0.9, -0.4, 2.0, -1.0)).tolist()
+    assert out["codes"] == [0, 0]
+    d = tmp_path / "here"
+    _cauchy_series(d)
+    with pytest.warns(UserWarning, match=r"A \+ B"):
+        assert cli.main(["estimate", "--data", str(d / "series.csv"), "--order", "1",
+                         "--out", str(d / "floc.csv")]) == 0
+        assert cli.main(["diagnose", "--data", str(d / "series.csv"), "--report",
+                         str(d / "floc.csv"), "--out-dir", str(d / "diag"), "--seed", "3",
+                         "--max-lag", "4", "--band-replicates", "10", "--qq-grid", "19"]) == 0
+    written = sorted(f.name for f in (d / "diag").iterdir())
+    assert written == sorted(f.name for f in (tmp_path / "fresh" / "diag").iterdir())
+    for name in written:
+        assert (d / "diag" / name).read_text() == (tmp_path / "fresh" / "diag" / name).read_text()
 
 
 def test_grid_cdf_quantiles_and_pipeline_load_no_scipy():

@@ -4,7 +4,7 @@ import pytest
 import stablevar as sv
 from helpers import var2_model
 from stablevar.errors import NumericalError, ValidationError
-from stablevar.floc import FlocConfig, lag_matrix_set
+from stablevar.floc import FlocConfig, _floc_moments
 from stablevar.seeding import substream
 
 
@@ -21,8 +21,8 @@ class TestScalarCase:
             x[t] = 0.6 * x[t - 1] + rng.standard_normal()
         series = sv.SeriesMatrix(x[:, None])
         report = sv.estimate_floc(series, 1, FlocConfig(1.0, 1.0))
-        corrected = sv.mean_correct(series)
-        g = lag_matrix_set(corrected, 1, FlocConfig(1.0, 1.0))
+        corrected = sv.mean_correct(series).values
+        g = _floc_moments(corrected, corrected, [0, 1], FlocConfig(1.0, 1.0))
         assert report.coeffs[0][0, 0] == pytest.approx(g[1][0, 0] / g[0][0, 0], rel=1e-12)
 
     def test_ls_is_ols_slope(self):
@@ -97,7 +97,8 @@ class TestFlocEstimator:
         series = sv.simulate(var2_model(1.6), 700, 500, 10)
         cfg = FlocConfig(1.0, 0.55)
         report = sv.estimate_floc(series, 2, cfg)
-        g = lag_matrix_set(sv.mean_correct(series), 2, cfg)
+        corrected = sv.mean_correct(series).values
+        g = dict(zip(range(-1, 3), _floc_moments(corrected, corrected, range(-1, 3), cfg)))
         block = np.block([[g[0], g[1]], [g[-1], g[0]]])
         rhs = np.hstack([g[1], g[2]])
         stacked = np.hstack(report.coeffs)

@@ -4,7 +4,8 @@ import pytest
 import stablevar as sv
 from helpers import brute_cross_floc, brute_lag_moment_matrix, var2_model
 from stablevar.errors import ValidationError
-from stablevar.floc import FlocConfig
+from stablevar.estimators import _lag_moments
+from stablevar.floc import FlocConfig, _floc_moments
 
 
 class TestFlocConfig:
@@ -109,18 +110,18 @@ class TestCrossFloc:
 
 class TestLagMoments:
     def test_paths_match_brute_force_with_zeros(self):
-        # cross_floc, lag_matrix and auto_floc share one signed-power matmul path
+        # cross_floc, the lag moments and auto_floc share one signed-power matmul path
         rng = np.random.default_rng(77)
         values = rng.standard_t(1.5, (40, 2))
         values[[0, 5, 6, 17, 39], 0] = 0.0
         values[[3, 5, 22], 1] = 0.0
-        series = sv.SeriesMatrix(values)
         for a in (0.5, 1.0):
             for b in (0.0, 0.3, 0.55):
                 cfg = FlocConfig(a, b)
                 auto = sv.auto_floc(values[:, 0], 3, cfg).values
+                mats = _floc_moments(values, values, range(-3, 4), cfg)
                 for k in range(-3, 4):
-                    mat = sv.lag_matrix(series, k, cfg)
+                    mat = mats[k + 3]
                     for i in range(2):
                         for j in range(2):
                             want, count, terms = brute_cross_floc(values[:, i], values[:, j], k, a, b)
@@ -152,9 +153,9 @@ class TestLagMoments:
 class TestLagMatrix:
     def test_unit_exponents_equal_cross_moments(self):
         series = sv.mean_correct(sv.simulate(var2_model(2.0), 2000, 200, 3))
-        cfg = FlocConfig(1.0, 1.0)
-        for lag in (-2, -1, 0, 1, 2):
-            got = sv.lag_matrix(series, lag, cfg)
+        lags = (-2, -1, 0, 1, 2)
+        mats = _floc_moments(series.values, series.values, lags, FlocConfig(1.0, 1.0))
+        for lag, got in zip(lags, mats):
             want = brute_lag_moment_matrix(series.values, lag)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -162,7 +163,7 @@ class TestLagMatrix:
     def test_iid_noise_structure(self):
         spec = sv.SymmetricStableNoiseSpec.iid(2, 2.0)
         series = sv.sample_noise_matrix(spec, 50000, 21)
-        g0 = sv.lag_matrix(series, 0, FlocConfig(1.0, 1.0))
+        g0 = _floc_moments(series.values, series.values, [0], FlocConfig(1.0, 1.0))[0]
         # diagonal near E|Z|^2 = 2 sigma^2, off-diagonal near zero
         assert abs(g0[0, 0] - 2.0) < 0.1 and abs(g0[1, 1] - 2.0) < 0.1
         assert abs(g0[0, 1]) < 0.05 and abs(g0[1, 0]) < 0.05
@@ -170,9 +171,8 @@ class TestLagMatrix:
     def test_scalar_series_reduces_to_cross_floc(self):
         rng = np.random.default_rng(6)
         col = rng.standard_normal(100)
-        series = sv.SeriesMatrix(col[:, None])
         cfg = FlocConfig(1.0, 0.7)
-        got = sv.lag_matrix(series, 3, cfg)
+        got = _floc_moments(col[:, None], col[:, None], [3], cfg)[0]
         assert got.shape == (1, 1)
         assert got[0, 0] == sv.cross_floc(col, col, 3, cfg)
 
@@ -181,32 +181,19 @@ class TestLagMatrixSet:
     def test_ranges(self):
         series = sv.simulate(var2_model(1.6), 100, 0, 7)
         cfg = FlocConfig(1.0, 0.55)
-        assert sorted(sv.lag_matrix_set(series, 1, cfg).matrices) == [0, 1]
-        s2 = sv.lag_matrix_set(series, 2, cfg)
-        assert sorted(s2.matrices) == [-1, 0, 1, 2]
-        assert s2.lag_range == (-1, 2)
+        assert sv.lag_matrix_set(series, 1, cfg).shape == (2, 2, 2)
+        assert sv.lag_matrix_set(series, 2, cfg).shape == (4, 2, 2)
 
     def test_consistent_with_direct_calls(self):
         series = sv.simulate(var2_model(1.6), 100, 0, 8)
         cfg = FlocConfig(1.0, 0.55)
         built = sv.lag_matrix_set(series, 2, cfg)
-        for lag, mat in built.matrices.items():
-            assert np.array_equal(mat, sv.lag_matrix(series, lag, cfg))
+        assert np.array_equal(built, _lag_moments(series.values, 2, cfg, "window"))
+        for k, mat in zip(range(-1, 3), built):
+            want = sv.cross_floc(series.values[:, 0], series.values[:, 1], k, cfg)
+            assert mat[0, 1] == pytest.approx(want, rel=1e-12)
 
     def test_too_short(self):
         series = sv.SeriesMatrix(np.arange(8, dtype=float).reshape(4, 2))
         with pytest.raises(ValidationError):
             sv.lag_matrix_set(series, 2, FlocConfig(1.0, 0.5))
-
-    def test_csv_output(self, tmp_path):
-        series = sv.simulate(var2_model(1.6), 60, 0, 9)
-        built = sv.lag_matrix_set(series, 2, FlocConfig(1.0, 0.55))
-        path = tmp_path / "lags.csv"
-        built.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "lag,i,j,value"
-        assert len(lines) == 1 + 4 * 4  # 4 lags x 4 entries
-        lag, i, j, value = lines[1].split(",")
-        assert (int(lag), int(i), int(j)) == (-1, 1, 1)
-        assert float(value) == built[-1][0, 0]
-
