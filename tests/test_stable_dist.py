@@ -172,6 +172,17 @@ class TestGridEngine:
             ):
                 assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= bound
 
+    def test_no_zolotarev_above_alpha_one(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point engine reached")
+
+        # alpha > 1 stays on the chirp-z grid; stable_dist looks both up at call time
+        monkeypatch.setattr(stable_dist, "_zolotarev_cdf", refuse)
+        monkeypatch.setattr(stable_dist, "_angle_integral", refuse)
+        p = sv.StableParams(1.4, 0.3, 2.0, 1.0)
+        stable_cdf_bulk(np.linspace(-200.0, 200.0, 41), p)
+        stable_quantile(TAIL_LEVELS, p)
+
 
 class TestVectorizedQuantile:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS + (0.5, 0.9, 1.0))
