@@ -42,10 +42,8 @@ from .stable_dist import stable_cdf, stable_quantile
 from .stable_noise import (
     StableParams,
     SymmetricStableNoiseSpec,
-    char_fn_sas,
     fit_stable_params,
     sample_noise_matrix,
-    sample_sas,
     sample_stable,
 )
 from .var_core import (
@@ -66,9 +64,7 @@ __all__ = [
     "NumericalError",
     "StableParams",
     "SymmetricStableNoiseSpec",
-    "sample_sas",
     "sample_stable",
-    "char_fn_sas",
     "sample_noise_matrix",
     "fit_stable_params",
     "SeriesMatrix",

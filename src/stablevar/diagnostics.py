@@ -15,7 +15,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .floc import FlocConfig, _floc_moments, cross_floc
 from .seeding import substream
 from .series import _write_csv
@@ -69,10 +69,8 @@ class QqData(NamedTuple):
 def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     """Auto-FLOC value cross_floc(column, column, k) for k = 0..max_lag."""
     col = np.asarray(residual_column, dtype=float).ravel()
-    if max_lag < 0 or max_lag >= col.shape[0]:
-        raise ValidationError(
-            f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}"
-        )
+    if _check_int(max_lag, "max_lag", 0) >= col.shape[0]:
+        raise ValidationError(f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}")
     if not np.any(col != 0.0):
         raise ValidationError("degenerate all-zero column")
     lags = np.arange(max_lag + 1)
@@ -95,10 +93,9 @@ def auto_floc_null_band(
     fitted law, one substream each, and takes per-lag percentiles of their
     auto-FLOC, so an observed auto-FLOC can be judged against pure noise.
     """
-    if max_lag < 0 or max_lag >= n:
+    if _check_int(max_lag, "max_lag", 0) >= n:
         raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    if replicates < 2:
-        raise ValidationError(f"need at least 2 replicates, got {replicates}")
+    _check_int(replicates, "replicates", 2)
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
     samples = np.stack(
@@ -132,8 +129,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     col = np.asarray(residual_column, dtype=float).ravel()
     if col.shape[0] < 100:
         raise ValidationError(f"need at least 100 observations, got {col.shape[0]}")
-    if repetitions < 100:
-        raise ValidationError(f"need at least 100 repetitions, got {repetitions}")
+    _check_int(repetitions, "repetitions", 100)
     fitted = fit_stable_params(col)
     d_obs = ks_statistic(col, fitted)
     exceed = 0
@@ -152,8 +148,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
 
 def qq_data(residual_column, fitted: StableParams, grid: int = 99) -> QqData:
     """(empirical quantile, fitted quantile) pairs at mid-grid levels."""
-    if grid < 2:
-        raise ValidationError(f"grid must be >= 2, got {grid}")
+    _check_int(grid, "grid", 2)
     col = np.asarray(residual_column, dtype=float).ravel()
     levels = (np.arange(grid) + 0.5) / grid
     empirical = np.quantile(col, levels)

@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .floc import FlocConfig, _floc_moments
+from .errors import NumericalError, ValidationError, _check_int
+from .floc import FlocConfig, lag_matrix_set
 from .series import SeriesMatrix, _csv_rows, _write_csv
 
 __all__ = [
@@ -181,12 +181,12 @@ def _validate_normalizer(normalizer: str) -> None:
 def _prepare(values: np.ndarray, p: int):
     """Mean-correct each series of a stack (R, n, r) after the checks all methods share.
 
-    Raises ValidationError for an order below 1. Returns the corrected
-    stack, the column means (R, r) and, for each series with a non-finite
-    entry or a constant column, the ValidationError its estimates fail with.
+    Raises ValidationError unless the order is an integer >= 1. Returns the
+    corrected stack, the column means (R, r) and, for each series with a
+    non-finite entry or a constant column, the ValidationError its estimates
+    fail with.
     """
-    if p < 1:
-        raise ValidationError(f"order must be >= 1, got {p}")
+    _check_int(p, "order", 1)
     finite = np.isfinite(values).all(axis=(-2, -1))
     if not finite.all():  # fit those series as zeros, so no step sees inf or NaN
         values = np.where(finite[:, None, None], values, 0.0)
@@ -209,16 +209,6 @@ def _too_short(corrected: np.ndarray, p: int, min_n: int):
     reps, n, r = corrected.shape
     exc = ValidationError(f"series of length {n} too short: need more than {min_n} rows")
     return np.full((reps, p, r, r), np.nan), np.full(reps, np.nan), dict.fromkeys(range(reps), exc)
-
-
-def _lag_moments(values: np.ndarray, p: int, cfg: FlocConfig, normalizer: str) -> np.ndarray:
-    """Lag moment matrices (..., 2p, r, r) at lags -(p-1)..p under the chosen normalizer."""
-    lags = np.arange(-(p - 1), p + 1)
-    gammas = _floc_moments(values, values, lags, cfg)
-    if normalizer == "window":
-        return gammas
-    n = values.shape[-2]
-    return gammas * ((n - np.abs(lags)) / n)[:, None, None]
 
 
 def _solve_block(gammas: np.ndarray):
@@ -257,7 +247,11 @@ def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, nor
     size = p * corrected.shape[-1]
     if corrected.shape[-2] <= 2 * size:
         return _too_short(corrected, p, 2 * size)
-    coeffs, condition, bad = _solve_block(_lag_moments(corrected, p, cfg, normalizer))
+    gammas = lag_matrix_set(corrected, p, cfg)
+    if normalizer == "n":
+        n = corrected.shape[-2]
+        gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
+    coeffs, condition, bad = _solve_block(gammas)
     condition[list(failed)] = np.nan
     errors = dict(failed)
     for i in np.flatnonzero(bad):

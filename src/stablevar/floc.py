@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .series import SeriesMatrix
 
 __all__ = [
@@ -107,11 +107,15 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
     return float(values[0]) if lags.ndim == 0 else values
 
 
-def lag_matrix_set(series: SeriesMatrix, p: int, cfg: FlocConfig) -> np.ndarray:
-    """Cross-FLOC matrices (2p, r, r) of the order-p block system: entry [p - 1 + k]
-    holds (i, j) = cross_floc(column i, column j, k), k = -(p-1)..p."""
-    if p < 1:
-        raise ValidationError(f"order must be >= 1, got {p}")
-    if series.n <= 2 * p:
-        raise ValidationError(f"series of length {series.n} too short for order {p}")
-    return _floc_moments(series.values, series.values, np.arange(1 - p, p + 1), cfg)
+def lag_matrix_set(series, p: int, cfg: FlocConfig) -> np.ndarray:
+    """Cross-FLOC matrices (..., 2p, r, r) of the order-p block system: entry [p - 1 + k]
+    holds (i, j) = cross_floc(column i, column j, k), k = -(p-1)..p.
+
+    ``series`` is a SeriesMatrix or a stack (..., n, r) of series, one per
+    leading index; each series gets the bits it gets alone.
+    """
+    _check_int(p, "order", 1)
+    values = series.values if isinstance(series, SeriesMatrix) else np.asarray(series, dtype=float)
+    if values.ndim < 2 or values.shape[-2] <= 2 * p:
+        raise ValidationError(f"series of shape {values.shape} too short for order {p}")
+    return _floc_moments(values, values, np.arange(1 - p, p + 1), cfg)

@@ -69,9 +69,6 @@ class SeriesMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
     def to_csv(self, path) -> None:
         """Write `t,x1,...,xr` rows, values as shortest round-trip text (exact)."""
         header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))

@@ -41,8 +41,9 @@ _NODES, _CUT_STEPS, _S_MAX = 128, 20, 40.0
 _CHUNK = 1024
 # regula falsi steps per quantile; alpha <= 1 node table: even integers hold the narrow
 # bulk the skew shift moves out near alpha 1, powers of two reach the edge at 0 of |beta| = 1
+# (2^-50 lies below 7.6e-15, the level-1e-12 quantile at alpha 0.1)
 _INVERT_STEPS = 14
-_TABLE_Z = np.concatenate([np.ldexp(1.0, np.arange(-30, 1)), np.arange(2.0, 101.0, 2.0)])
+_TABLE_Z = np.concatenate([np.ldexp(1.0, np.arange(-50, 1)), np.arange(2.0, 101.0, 2.0)])
 _TABLE_Z = np.concatenate([-_TABLE_Z[::-1], [0.0], _TABLE_Z])
 
 

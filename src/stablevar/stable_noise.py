@@ -1,4 +1,4 @@
-"""Symmetric alpha-stable noise: sampling, characteristic function, fitting.
+"""Symmetric alpha-stable noise: sampling and fitting.
 
 Sampling uses the Chambers-Mallows-Stuck construction (uniform angle plus
 exponential variate); parameter fitting standardizes the sample by
@@ -24,9 +24,7 @@ from .series import SeriesMatrix
 __all__ = [
     "StableParams",
     "SymmetricStableNoiseSpec",
-    "sample_sas",
     "sample_stable",
-    "char_fn_sas",
     "sample_noise_matrix",
     "fit_stable_params",
 ]
@@ -96,20 +94,10 @@ class SymmetricStableNoiseSpec:
         return cls(tuple(StableParams.symmetric(alpha, sigma) for _ in range(dim)))
 
 
-def sample_sas(params: StableParams, count: int, rng_seed: Seed) -> np.ndarray:
-    """Draw ``count`` i.i.d. symmetric alpha-stable variates.
-
-    Rejects non-symmetric parameters. The empirical characteristic function
-    of the output converges to exp{-(sigma|t|)^alpha}.
-    """
-    if not params.is_symmetric:
-        raise ValidationError("sample_sas requires beta = 0 and delta = 0")
-    return sample_stable(params, count, rng_seed)
-
-
 def sample_stable(params: StableParams, count: int, rng_seed: Seed) -> np.ndarray:
-    """General stable sampler (CMS construction); skewed laws are supported
-    for the residual-diagnostics bootstrap."""
+    """``count`` draws of a stable law (CMS construction): the package's one
+    sampler, for the symmetric noise of simulation and the skewed laws of
+    the residual-diagnostics bootstrap alike."""
     _check_int(count, "count", 1)
     rng = as_generator(rng_seed)
     if params.alpha == 2.0:
@@ -126,25 +114,13 @@ def sample_stable(params: StableParams, count: int, rng_seed: Seed) -> np.ndarra
     return params.sigma * x + params.delta
 
 
-def char_fn_sas(params: StableParams, t):
-    """Characteristic function exp{-(sigma|t|)^alpha} of a symmetric law.
-
-    Accepts a scalar or an array of evaluation points.
-    """
-    if not params.is_symmetric:
-        raise ValidationError("char_fn_sas requires beta = 0 and delta = 0")
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-((params.sigma * np.abs(t)) ** params.alpha))
-    return float(out) if out.ndim == 0 else out
-
-
 def sample_noise_matrix(
     spec: SymmetricStableNoiseSpec, n: int, rng_seed: Seed
 ) -> SeriesMatrix:
     """n i.i.d. noise vectors; column j follows spec.components[j]."""
     _check_int(n, "n", 1)
     rng = as_generator(rng_seed)
-    cols = [sample_sas(comp, n, rng) for comp in spec.components]
+    cols = [sample_stable(comp, n, rng) for comp in spec.components]
     return SeriesMatrix(np.column_stack(cols))
 
 

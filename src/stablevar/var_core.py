@@ -10,7 +10,6 @@ weights Psi_j to fall below 1e-12, however close the model is to a unit root.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -114,16 +113,14 @@ def _require_causal(model: VarModel) -> None:
         )
 
 
-def _psi_terms(model: VarModel):
-    """Yield Psi_1, Psi_2, ... with Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}."""
-    r, p = model.dim, model.order
-    psi = [np.eye(r)]
-    for j in itertools.count(1):
-        acc = np.zeros((r, r))
-        for k in range(1, min(j, p) + 1):
-            acc += model.coeffs[k - 1] @ psi[j - k]
-        psi.append(acc)
-        yield acc
+def _psi(model: VarModel, count: int) -> np.ndarray:
+    """Psi_0 .. Psi_count as a (count + 1, r, r) array: the response of
+    ``_kernels.var_recursion`` to a unit impulse in each component at time 0,
+    whose path in component i is column i of Psi_0, Psi_1, ..."""
+    r = model.dim
+    impulse = np.zeros((r, count + 1, r))
+    impulse[:, 0] = np.eye(r)
+    return _kernels.var_recursion(model.coeff_array(), impulse).transpose(1, 2, 0)
 
 
 def psi_matrices(model: VarModel, count: int) -> list:
@@ -132,18 +129,25 @@ def psi_matrices(model: VarModel, count: int) -> list:
     Psi_0 = I and Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}; entries decay
     geometrically for causal models.
     """
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
+    _check_int(count, "count", 0)
     _require_causal(model)
-    return [np.eye(model.dim), *itertools.islice(_psi_terms(model), count)]
+    return list(_psi(model, count))
 
 
 def psi_count_for_tolerance(model: VarModel, tol: float = 1e-12, max_count: int = 100_000) -> int:
-    """Smallest j with max-abs entry of Psi_j below ``tol``."""
+    """Smallest j >= 1 with max-abs entry of Psi_j below ``tol``, searched up to ``max_count``.
+
+    Psi comes in passes of 2,000 terms and then four times as many, so a
+    fast-decaying model costs one short pass.
+    """
+    _check_int(max_count, "max_count", 1)
     _require_causal(model)
-    for j, psi in enumerate(itertools.islice(_psi_terms(model), max_count), start=1):
-        if np.max(np.abs(psi)) < tol:
-            return j
+    count = 0
+    while count < max_count:
+        count = min(max(4 * count, 2000), max_count)
+        below = np.max(np.abs(_psi(model, count)[1:]), axis=(1, 2)) < tol
+        if below.any():
+            return int(np.argmax(below)) + 1
     raise ValidationError(f"Psi entries did not fall below {tol} within {max_count} terms")
 
 

@@ -44,6 +44,15 @@ def brute_var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out
 
 
+def brute_psi(model: sv.VarModel, count: int) -> list:
+    """Convolution oracle of ``psi_matrices``: Psi_0 = I and
+    Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}, one matrix product per term."""
+    psi = [np.eye(model.dim)]
+    for j in range(1, count + 1):
+        psi.append(sum(model.coeffs[k - 1] @ psi[j - k] for k in range(1, min(j, model.order) + 1)))
+    return psi
+
+
 def brute_cross_floc(xi, xj, k, a, b):
     """Independent double-loop oracle. Returns (value, term count, terms)."""
     n = len(xi)

@@ -27,7 +27,7 @@ class TestAutoFloc:
     def test_iid_sample_is_flat(self):
         # null behaviour: away from lag 0 the values sit within ~3/sqrt(n)
         n = 600
-        col = sv.sample_sas(sv.StableParams.symmetric(1.85, 1.0), n, 42)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.85, 1.0), n, 42)
         af = sv.auto_floc(col, 20, FlocConfig(1.0, 0.8))
         ratios = np.abs(af.values[1:]) / af.values[0]
         assert np.mean(ratios < 3.0 / np.sqrt(n)) >= 0.9
@@ -40,7 +40,7 @@ class TestAutoFloc:
 
     def test_null_band_contains_iid_values(self):
         fitted = sv.StableParams.symmetric(1.85, 1.0)
-        col = sv.sample_sas(fitted, 500, 7)
+        col = sv.sample_stable(fitted, 500, 7)
         cfg = FlocConfig(1.0, 0.8)
         af = sv.auto_floc(col, 10, cfg)
         lo, hi = sv.auto_floc_null_band(fitted, 500, 10, cfg, replicates=100, rng_seed=3)
@@ -82,7 +82,7 @@ class TestKsTest:
         assert d == pytest.approx(want, abs=3e-5)
 
     def test_pvalue_is_exceedance_proportion(self):
-        col = sv.sample_sas(sv.StableParams.symmetric(1.8, 1.0), 300, 5)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.8, 1.0), 300, 5)
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=2)
         assert 0.0 <= res.p_value <= 1.0
         assert res.p_value * res.repetitions == pytest.approx(
@@ -97,14 +97,14 @@ class TestKsTest:
         assert res.p_value < 0.05
 
     def test_accepts_own_law(self):
-        col = sv.sample_sas(sv.StableParams.symmetric(1.7, 1.0), 400, 11)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 400, 11)
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=4)
         assert res.p_value >= 0.05
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             sv.ks_test_stable(np.ones(50), repetitions=100, rng_seed=0)
-        col = sv.sample_sas(sv.StableParams.symmetric(1.7, 1.0), 200, 12)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 200, 12)
         with pytest.raises(ValidationError):
             sv.ks_test_stable(col, repetitions=50, rng_seed=0)
 
@@ -117,7 +117,7 @@ class TestQqData:
         assert qq.fitted[2] == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_coordinates(self):
-        col = sv.sample_sas(sv.StableParams.symmetric(1.6, 1.0), 1000, 13)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.6, 1.0), 1000, 13)
         fitted = sv.fit_stable_params(col)
         qq = sv.qq_data(col, fitted, grid=21)
         assert np.all(np.diff(qq.levels) > 0)
@@ -126,7 +126,7 @@ class TestQqData:
 
     def test_self_consistency_on_own_sample(self):
         truth = sv.StableParams.symmetric(1.7, 1.0)
-        col = sv.sample_sas(truth, 10**4, 14)
+        col = sv.sample_stable(truth, 10**4, 14)
         fitted = sv.fit_stable_params(col)
         qq = sv.qq_data(col, fitted, grid=99)
         central = (qq.levels >= 0.05) & (qq.levels <= 0.95)
@@ -147,7 +147,7 @@ class TestQqData:
 
 class TestCsvEmitters:
     def test_auto_floc_csv(self, tmp_path):
-        col = sv.sample_sas(sv.StableParams.symmetric(1.8, 1.0), 300, 16)
+        col = sv.sample_stable(sv.StableParams.symmetric(1.8, 1.0), 300, 16)
         cfg = FlocConfig(1.0, 0.75)
         af = sv.auto_floc(col, 5, cfg)
         band = sv.auto_floc_null_band(

@@ -4,7 +4,6 @@ import pytest
 import stablevar as sv
 from helpers import brute_cross_floc, brute_lag_moment_matrix, var2_model
 from stablevar.errors import ValidationError
-from stablevar.estimators import _lag_moments
 from stablevar.floc import FlocConfig, _floc_moments
 
 
@@ -188,10 +187,20 @@ class TestLagMatrixSet:
         series = sv.simulate(var2_model(1.6), 100, 0, 8)
         cfg = FlocConfig(1.0, 0.55)
         built = sv.lag_matrix_set(series, 2, cfg)
-        assert np.array_equal(built, _lag_moments(series.values, 2, cfg, "window"))
+        lags = np.arange(-1, 3)
+        assert np.array_equal(built, _floc_moments(series.values, series.values, lags, cfg))
         for k, mat in zip(range(-1, 3), built):
             want = sv.cross_floc(series.values[:, 0], series.values[:, 1], k, cfg)
             assert mat[0, 1] == pytest.approx(want, rel=1e-12)
+
+    def test_stack_gives_each_series_its_own_bits(self):
+        stack = np.stack([sv.simulate(var2_model(1.6), 100, 0, seed).values for seed in (1, 2, 3)])
+        cfg = FlocConfig(1.0, 0.55)
+        built = sv.lag_matrix_set(stack, 2, cfg)
+        assert built.shape == (3, 4, 2, 2)
+        for values, mats in zip(stack, built):
+            assert np.array_equal(mats, sv.lag_matrix_set(sv.SeriesMatrix(values), 2, cfg))
+        assert np.array_equal(sv.lag_matrix_set(stack[None], 2, cfg)[0], built)
 
     def test_too_short(self):
         series = sv.SeriesMatrix(np.arange(8, dtype=float).reshape(4, 2))

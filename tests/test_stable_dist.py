@@ -233,6 +233,13 @@ class TestVectorizedQuantile:
         assert stable_quantile(levels, p).shape == (2, 2)
         assert isinstance(stable_quantile(0.3, p), float)
 
+    def test_small_levels_at_alpha_near_zero(self):
+        # at alpha 0.1, beta 1 these quantiles lie within 3e-10 of the edge at 0;
+        # a node table that stopped at 2^-30 left them 3e-8 off in probability
+        p = sv.StableParams(0.1, 1.0, 1.0, 0.0)
+        levels = np.logspace(-12, -4, 33)
+        assert np.max(np.abs(stable_cdf(stable_quantile(levels, p), p) - levels)) <= 1e-15
+
     def test_alpha_below_one_fallback(self):
         p = sv.StableParams(0.9, 0.2, 1.0, 0.0)
         levels = np.array([0.2, 0.5, 0.8])

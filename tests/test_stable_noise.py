@@ -37,32 +37,26 @@ class TestStableParams:
 
 
 class TestSampler:
-    def test_rejects_skewed_params(self):
-        with pytest.raises(ValidationError):
-            sv.sample_sas(sv.StableParams(1.5, beta=0.3), 10, 0)
-        with pytest.raises(ValidationError):
-            sv.sample_sas(sv.StableParams(1.5, delta=1.0), 10, 0)
-
     def test_gaussian_case_variance(self):
         # exp{-(sigma t)^2} with sigma = 1/sqrt(2) is the standard normal
         p = sv.StableParams.symmetric(2.0, 1.0 / np.sqrt(2.0))
-        x = sv.sample_sas(p, 10**5, 0)
+        x = sv.sample_stable(p, 10**5, 0)
         assert abs(x.var() - 1.0) < 0.05
 
     def test_ecf_single_point(self):
-        x = sv.sample_sas(sv.StableParams.symmetric(1.6, 1.0), 10**5, 1)
+        x = sv.sample_stable(sv.StableParams.symmetric(1.6, 1.0), 10**5, 1)
         assert abs(np.cos(x).mean() - np.exp(-1.0)) < 0.01
 
     def test_median_symmetric(self):
-        x = sv.sample_sas(sv.StableParams.symmetric(1.5, 1.0), 10**5, 2)
+        x = sv.sample_stable(sv.StableParams.symmetric(1.5, 1.0), 10**5, 2)
         assert abs(np.median(x)) < 0.02
 
     @pytest.mark.parametrize("alpha", [1.5, 1.6, 1.75, 1.85, 2.0])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_ecf_matches_char_fn(self, alpha, t):
         p = sv.StableParams.symmetric(alpha, 1.0)
-        x = sv.sample_sas(p, 10**5, seed_for(alpha))
-        assert abs(np.cos(t * x).mean() - sv.char_fn_sas(p, t)) < 0.01
+        x = sv.sample_stable(p, 10**5, seed_for(alpha))
+        assert abs(np.cos(t * x).mean() - np.exp(-((p.sigma * abs(t)) ** alpha))) < 0.01
 
     def test_cauchy_branch_quartiles(self):
         # alpha = 1, beta = 0 is Cauchy: quartiles at delta +- sigma
@@ -95,44 +89,18 @@ class TestSampler:
 
     def test_determinism(self):
         p = sv.StableParams.symmetric(1.7, 1.0)
-        assert np.array_equal(sv.sample_sas(p, 1000, 5), sv.sample_sas(p, 1000, 5))
+        assert np.array_equal(sv.sample_stable(p, 1000, 5), sv.sample_stable(p, 1000, 5))
 
     def test_count_validation(self):
         for count in (0, 2.0, True):
             with pytest.raises(ValidationError, match="count must be an integer >= 1"):
-                sv.sample_sas(sv.StableParams.symmetric(1.5), count, 0)
+                sv.sample_stable(sv.StableParams.symmetric(1.5), count, 0)
         with pytest.raises(ValidationError, match="n must be an integer >= 1, got 3.0"):
             sv.sample_noise_matrix(sv.SymmetricStableNoiseSpec.iid(2, 1.5), 3.0, 0)
 
 
 def seed_for(alpha: float) -> int:
     return int(round(alpha * 100))
-
-
-class TestCharFn:
-    def test_at_zero(self):
-        assert sv.char_fn_sas(sv.StableParams.symmetric(1.6, 1.0), 0.0) == 1.0
-
-    def test_gaussian_point(self):
-        assert sv.char_fn_sas(sv.StableParams.symmetric(2.0, 1.0), 1.0) == pytest.approx(
-            np.exp(-1.0), abs=1e-15
-        )
-
-    def test_scale_exponent_point(self):
-        # (sigma |t|)^alpha = (2 * 0.5)^1.5 = 1
-        assert sv.char_fn_sas(sv.StableParams.symmetric(1.5, 2.0), 0.5) == pytest.approx(
-            np.exp(-1.0), abs=1e-15
-        )
-
-    def test_even_and_bounded(self):
-        p = sv.StableParams.symmetric(1.7, 0.8)
-        for t in (0.3, 1.1, 4.0):
-            assert sv.char_fn_sas(p, t) == sv.char_fn_sas(p, -t)
-            assert 0.0 < sv.char_fn_sas(p, t) <= 1.0
-
-    def test_rejects_skewed(self):
-        with pytest.raises(ValidationError):
-            sv.char_fn_sas(sv.StableParams(1.5, beta=0.1), 1.0)
 
 
 class TestNoiseMatrix:
@@ -159,14 +127,14 @@ class TestNoiseMatrix:
 class TestFitStableParams:
     @pytest.mark.parametrize("alpha", [1.5, 1.6, 1.75, 1.85, 2.0])
     def test_roundtrips_sampler(self, alpha):
-        x = sv.sample_sas(sv.StableParams.symmetric(alpha, 1.0), 10**5, seed_for(alpha))
+        x = sv.sample_stable(sv.StableParams.symmetric(alpha, 1.0), 10**5, seed_for(alpha))
         fit = sv.fit_stable_params(x)
         assert abs(fit.alpha - alpha) < 0.1
         assert abs(fit.sigma - 1.0) < 0.1
         assert abs(fit.beta) < 0.15
 
     def test_gaussian_case(self):
-        x = sv.sample_sas(sv.StableParams.symmetric(2.0, 1.0), 10**5, 17)
+        x = sv.sample_stable(sv.StableParams.symmetric(2.0, 1.0), 10**5, 17)
         fit = sv.fit_stable_params(x)
         assert 1.9 <= fit.alpha <= 2.0
         assert abs(fit.delta) < 0.05

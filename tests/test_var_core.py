@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as P
 from scipy.linalg import solve_discrete_lyapunov
 
 import stablevar as sv
-from helpers import A1, A2, brute_var_recursion, var2_model
+from helpers import A1, A2, brute_psi, brute_var_recursion, var2_model
 from stablevar import _kernels
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig, _floc_moments
@@ -35,6 +35,21 @@ def det_polynomial_roots(coeffs):
         P.polymul(entry[(0, 0)], entry[(1, 1)]), P.polymul(entry[(0, 1)], entry[(1, 0)])
     )
     return np.roots(det[::-1])
+
+
+def random_causal_model(seed: int, radius: float) -> sv.VarModel:
+    """A random VAR(p), r in 1-4 and p in 1-3, at companion spectral radius ``radius``."""
+    rng = np.random.default_rng(seed)
+    r, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    coeffs = [rng.normal(size=(r, r)) for _ in range(p)]
+    # A_k -> s^k A_k scales every companion eigenvalue by s
+    s = radius / np.max(np.abs(np.linalg.eigvals(companion_matrix(coeffs))))
+    coeffs = tuple(a * s ** k for k, a in enumerate(coeffs, start=1))
+    return sv.VarModel(coeffs=coeffs, noise=sv.SymmetricStableNoiseSpec.iid(r, 1.6))
+
+
+# companion spectral radius 0.999: 27,618 Psi terms to 1e-12
+NEAR_UNIT_ROOT = np.array([[0.999, 0.0], [0.1, 0.5]])
 
 
 class TestValidation:
@@ -111,6 +126,23 @@ class TestPsi:
         with pytest.raises(ValidationError):
             sv.psi_matrices(model, 3)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_convolution_oracle(self, seed):
+        model = random_causal_model(seed, 0.2 + 0.1 * seed)
+        want = np.array(brute_psi(model, 300))
+        got = np.array(sv.psi_matrices(model, 300))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "model",
+        [var2_model(1.6), sv.VarModel((NEAR_UNIT_ROOT,), sv.SymmetricStableNoiseSpec.iid(2, 1.6))]
+        + [random_causal_model(seed, radius) for seed, radius in enumerate((0.5, 0.9, 0.99))],
+    )
+    def test_count_is_the_first_oracle_term_below_tol(self, model):
+        count = psi_count_for_tolerance(model)
+        peaks = [np.max(np.abs(psi)) for psi in brute_psi(model, count)]
+        assert peaks[count] < 1e-12 <= min(peaks[1:count], default=1.0)
+
 
 class TestSimulate:
     def test_zero_coeffs_reproduce_noise_exactly(self):
@@ -159,8 +191,7 @@ class TestSimulate:
 
     def test_default_burn_in_clears_near_unit_root_transient(self):
         # radius 0.999: a fixed 500-row burn-in left 0.999^500 ~ 0.61 of the zero start
-        a = np.array([[0.999, 0.0], [0.1, 0.5]])
-        model = sv.VarModel(coeffs=(a,), noise=sv.SymmetricStableNoiseSpec.iid(2, 2.0))
+        model = sv.VarModel(coeffs=(NEAR_UNIT_ROOT,), noise=sv.SymmetricStableNoiseSpec.iid(2, 2.0))
         tol, n = 1e-12, 200
         burn_in = psi_count_for_tolerance(model, tol)
         assert burn_in > DEFAULT_BURN_IN
