@@ -15,12 +15,12 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import ValidationError, _check_int
+from .errors import ValidationError, _check_finite, _check_int
 from .floc import FlocConfig, _floc_moments, cross_floc
 from .seeding import substream
 from .series import _write_csv
 from .stable_dist import stable_cdf_bulk, stable_quantile
-from .stable_noise import StableParams, fit_stable_params, sample_stable
+from .stable_noise import StableParams, _fit_stack, fit_stable_params, sample_stable
 
 __all__ = [
     "AutoFlocSeries",
@@ -68,7 +68,7 @@ class QqData(NamedTuple):
 
 def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     """Auto-FLOC value cross_floc(column, column, k) for k = 0..max_lag."""
-    col = np.asarray(residual_column, dtype=float).ravel()
+    col = _check_finite(np.asarray(residual_column, dtype=float).ravel(), "column")
     if _check_int(max_lag, "max_lag", 0) >= col.shape[0]:
         raise ValidationError(f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}")
     if not np.any(col != 0.0):
@@ -76,6 +76,17 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     lags = np.arange(max_lag + 1)
     values = cross_floc(col, col, lags, cfg)
     return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
+
+
+# Draws per bootstrap stack (8 MB of float64): a 100-repetition KS test is one stack
+# up to n = 10,485, and longer columns keep the fit's transients bounded (one stack
+# of 100 x 100,000 draws peaked at 500 MB).
+_STACK_DRAWS = 1 << 20
+
+
+def _replicates(fitted: StableParams, n: int, reps: range, rng_seed: int) -> np.ndarray:
+    """(len(reps), n) draws of the fitted law; replicate r comes from substream r of ``rng_seed``."""
+    return np.stack([sample_stable(fitted, n, substream(rng_seed, r)) for r in reps])
 
 
 def auto_floc_null_band(
@@ -98,9 +109,7 @@ def auto_floc_null_band(
     _check_int(replicates, "replicates", 2)
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    samples = np.stack(
-        [sample_stable(fitted, n, substream(rng_seed, rep)) for rep in range(replicates)]
-    )[..., None]
+    samples = _replicates(fitted, n, range(replicates), rng_seed)[..., None]
     sims = _floc_moments(samples, samples, range(max_lag + 1), cfg)[..., 0, 0]
     tail = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(sims, tail, axis=0)
@@ -110,7 +119,7 @@ def auto_floc_null_band(
 
 def ks_statistic(column, fitted: StableParams) -> float:
     """sup-distance between the empirical CDF and the fitted stable CDF."""
-    x = np.sort(np.asarray(column, dtype=float).ravel())
+    x = np.sort(_check_finite(np.asarray(column, dtype=float).ravel(), "column"))
     n = x.shape[0]
     cdf = stable_cdf_bulk(x, fitted)
     steps = np.arange(1, n + 1) / n
@@ -122,9 +131,11 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
 
     Fits the stable parameters, computes the KS statistic against the
     fitted CDF, then simulates ``repetitions`` same-length samples from the
-    fitted law, re-fitting and recomputing the statistic each time. The
-    p-value is the fraction of simulated statistics at least as large as
-    the observed one.
+    fitted law (replicate r from substream r of ``rng_seed``), re-fitting
+    and recomputing the statistic each time. The p-value is the fraction of
+    simulated statistics at least as large as the observed one. The
+    replicates are fitted in stacks of up to 2^20 draws, each with the bits
+    of its own ``fit_stable_params`` call.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
     if col.shape[0] < 100:
@@ -133,11 +144,13 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     fitted = fit_stable_params(col)
     d_obs = ks_statistic(col, fitted)
     exceed = 0
-    for rep in range(repetitions):
-        sim = sample_stable(fitted, col.shape[0], substream(rng_seed, rep))
-        d_rep = ks_statistic(sim, fit_stable_params(sim))
-        if d_rep >= d_obs:
-            exceed += 1
+    stack = max(1, _STACK_DRAWS // col.shape[0])
+    for lo in range(0, repetitions, stack):
+        sims = _replicates(fitted, col.shape[0], range(lo, min(lo + stack, repetitions)), rng_seed)
+        fits = zip(*_fit_stack(sims))
+        exceed += sum(
+            ks_statistic(sim, StableParams(*map(float, fit))) >= d_obs for sim, fit in zip(sims, fits)
+        )
     return KsTestResult(
         statistic=d_obs,
         p_value=exceed / repetitions,
@@ -149,7 +162,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
 def qq_data(residual_column, fitted: StableParams, grid: int = 99) -> QqData:
     """(empirical quantile, fitted quantile) pairs at mid-grid levels."""
     _check_int(grid, "grid", 2)
-    col = np.asarray(residual_column, dtype=float).ravel()
+    col = _check_finite(np.asarray(residual_column, dtype=float).ravel(), "column")
     levels = (np.arange(grid) + 0.5) / grid
     empirical = np.quantile(col, levels)
     fitted_q = stable_quantile(levels, fitted)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the integer-argument check.
+"""Exception types shared across the package, and the integer and finite-value checks.
 
 The CLI maps ValidationError to exit code 1 and NumericalError to exit
 code 2.
 """
 
 import numbers
+
+import numpy as np
 
 
 class StableVarError(Exception):
@@ -25,3 +27,10 @@ def _check_int(value, name: str, minimum: int) -> int:
         kind = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
     return int(value)
+
+
+def _check_finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` unchanged; ValidationError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} contains non-finite values")
+    return values

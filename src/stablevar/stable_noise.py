@@ -6,6 +6,12 @@ Fama-Roll quantile estimates of scale and location, then regresses the
 empirical characteristic function in the spirit of Kogon & Williams (1998).
 The fit is an approximation chosen for robustness
 and speed, not a replica of any particular published hybrid estimator.
+
+The ECF at u = 0.1, 0.2, ..., 1.0 is taken as running powers of one
+exponential, exp(0.1j z). One fit core runs over a stack of samples (R, n),
+so the KS bootstrap fits all its replicates at once. Batch rule: every
+reduction runs along a sample's own row, so a sample gets the same bits
+alone (``fit_stable_params``) as in any stack.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError, _check_int
+from .errors import ValidationError, _check_finite, _check_int
 from .seeding import Seed, as_generator
 from .series import SeriesMatrix
 
@@ -124,23 +130,67 @@ def sample_noise_matrix(
     return SeriesMatrix(np.column_stack(cols))
 
 
-def _quantile_init(x: np.ndarray) -> tuple[float, float]:
-    """(sigma0, delta0) from sample quantiles."""
-    q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75])
-    if q[4] - q[0] <= 0.0:
+_U = np.arange(0.1, 1.01, 0.1)  # ECF frequencies u_k = k * u_1, k = 1..10
+_LOG_U = np.log(_U)
+_LOG_U_C = _LOG_U - _LOG_U.mean()  # centred, for the closed-form slope
+
+
+def _fit_stack(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stable fit of each row of a stack (R, n): the (R,) arrays alpha, beta, sigma, delta.
+
+    Sums run over a row's last axis and the SVD is one per row (the batch rule).
+    """
+    if x.shape[-1] < 100:
+        raise ValidationError(f"need at least 100 observations, got {x.shape[-1]}")
+    _check_finite(x, "sample")
+    if np.any(np.ptp(x, axis=-1) == 0.0):
+        raise ValidationError("degenerate sample: all values equal")
+    q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75], axis=-1)
+    if np.any(q[4] - q[0] <= 0.0):
         raise ValidationError("degenerate sample: interquartile range is zero")
     # Fama-Roll 28%/72% spread; nearly alpha-free scale for symmetric laws
-    sigma0 = (q[3] - q[1]) / 1.654
-    return float(sigma0), float(q[2])
+    sigma0, delta0 = (q[3] - q[1]) / 1.654, q[2]
+    # ECF at u_k = k u_1 as running powers of e1 = exp(1j u_1 z): one complex exponential
+    # per point, and no more than two complex arrays of x's shape alive at once
+    e1 = np.exp(1j * (_U[0] * ((x - delta0[:, None]) / sigma0[:, None])))
+    power = e1.copy()
+    ecf = [power.mean(axis=-1)]
+    for _ in _U[1:]:
+        power *= e1
+        ecf.append(power.mean(axis=-1))
+    ecf = np.stack(ecf, axis=-1)
 
+    # log(-log|ecf|) = alpha log u + alpha log sigma_rel: least-squares line on log u
+    y = np.log(-np.log(np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)))
+    slope = (y * _LOG_U_C).sum(axis=-1) / (_LOG_U_C * _LOG_U_C).sum()
+    alpha = np.clip(slope, 0.1, 2.0)
+    sigma_rel = np.exp((y.mean(axis=-1) - slope * _LOG_U.mean()) / alpha)
 
-def _ecf(z: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Empirical characteristic function of ``z`` at each frequency of ``u``.
+    # phase = delta_rel u + beta skew(u): least squares with lstsq's rank cutoff,
+    # which drops the skew column where it vanishes (tan(pi alpha / 2) ~ 1e-16 at alpha 2)
+    near_one = np.abs(alpha - 1.0) <= 0.02
+    a, s = alpha[:, None], sigma_rel[:, None]
+    skew = np.where(
+        near_one[:, None],
+        -(2.0 / np.pi) * s * _U * _LOG_U,
+        # (s u)^a as exp(a log(s u)): ``**`` squares a lone exponent of 2 exactly but
+        # calls pow inside a stack, which broke the batch rule at alpha = 2
+        np.tan(0.5 * np.pi * a) * np.exp(a * np.log(s * _U)),
+    )
+    # the design's transpose [u; skew] (R, 2, 10) = V diag(sv) U^T keeps each sum on a last axis
+    design_t = np.stack([np.broadcast_to(_U, skew.shape), skew], axis=1)
+    v, sv, u_t = np.linalg.svd(design_t, full_matrices=False)
+    w = (u_t * np.unwrap(np.angle(ecf), axis=-1)[:, None, :]).sum(axis=-1)
+    keep = sv > np.finfo(float).eps * _U.shape[0] * sv[:, :1]
+    w = np.divide(w, sv, out=np.zeros_like(w), where=keep)
+    delta_rel = v[:, 0, 0] * w[:, 0] + v[:, 0, 1] * w[:, 1]
+    beta = np.clip(v[:, 1, 0] * w[:, 0] + v[:, 1, 1] * w[:, 1], -1.0, 1.0)
 
-    One frequency at a time: the bits of exp(1j * outer(u, z)).mean(axis=1)
-    without its len(u) x n complex transient (31 MB at n = 100,000).
-    """
-    return np.array([np.exp(1j * (uk * z)).mean() for uk in u])
+    sigma = sigma_rel * sigma0
+    delta = delta0 + sigma0 * delta_rel
+    # alpha = 1 scaling carries an extra logarithmic shift
+    delta = np.where(near_one, delta + (2.0 / np.pi) * beta * sigma * np.log(sigma0), delta)
+    return alpha, beta, sigma, delta
 
 
 def fit_stable_params(sample: Sequence[float]) -> StableParams:
@@ -149,40 +199,9 @@ def fit_stable_params(sample: Sequence[float]) -> StableParams:
     Sample quantiles give starting scale and location, which standardize
     the sample; alpha, beta and the relative scale and shift then come from
     regressing the log modulus and the phase of the empirical
-    characteristic function on a fixed frequency grid.
+    characteristic function at u = 0.1, 0.2, ..., 1.0, the ECF taken as
+    running powers of exp(0.1j z). This is the stack of one of the fit that
+    ``ks_test_stable`` runs over its bootstrap replicates, with the same bits.
     """
     x = np.asarray(sample, dtype=float).ravel()
-    if x.shape[0] < 100:
-        raise ValidationError(f"need at least 100 observations, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("sample contains non-finite values")
-    if np.ptp(x) == 0.0:
-        raise ValidationError("degenerate sample: all values equal")
-
-    sigma0, delta0 = _quantile_init(x)
-    z = (x - delta0) / sigma0
-
-    u = np.arange(0.1, 1.01, 0.1)
-    ecf = _ecf(z, u)
-    mod = np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)
-
-    slope, intercept = np.polyfit(np.log(u), np.log(-np.log(mod)), 1)
-    alpha = float(np.clip(slope, 0.1, 2.0))
-    sigma_rel = float(np.exp(intercept / alpha))
-
-    phase = np.unwrap(np.angle(ecf))
-    if abs(alpha - 1.0) > 0.02:
-        skew_col = math.tan(0.5 * math.pi * alpha) * sigma_rel**alpha * u**alpha
-    else:
-        skew_col = -(2.0 / math.pi) * sigma_rel * u * np.log(u)
-    design = np.column_stack([u, skew_col])
-    coef, *_ = np.linalg.lstsq(design, phase, rcond=None)
-    delta_rel, beta = float(coef[0]), float(np.clip(coef[1], -1.0, 1.0))
-
-    sigma = sigma_rel * sigma0
-    if abs(alpha - 1.0) > 0.02:
-        delta = delta0 + sigma0 * delta_rel
-    else:
-        # alpha = 1 scaling carries an extra logarithmic shift
-        delta = delta0 + sigma0 * delta_rel + (2.0 / math.pi) * beta * sigma * math.log(sigma0)
-    return StableParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta)
+    return StableParams(*(float(v[0]) for v in _fit_stack(x[None])))

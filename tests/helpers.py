@@ -135,3 +135,31 @@ def quad_cdf(x, params: sv.StableParams) -> np.ndarray:
     z = _standardize(x, params)
     values = [_quad_std_cdf(float(v), params.alpha, params.beta) for v in z.ravel()]
     return np.array(values).reshape(z.shape)
+
+
+def brute_fit_stable_params(sample) -> sv.StableParams:
+    """Oracle of ``fit_stable_params``, one sample at a time: the ECF by one
+    complex exponential per frequency, the alpha line by ``np.polyfit`` and
+    the phase by ``np.linalg.lstsq`` (default rank cutoff)."""
+    x = np.asarray(sample, dtype=float).ravel()
+    q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75])
+    sigma0, delta0 = (q[3] - q[1]) / 1.654, q[2]
+    z = (x - delta0) / sigma0
+    u = np.arange(0.1, 1.01, 0.1)
+    ecf = np.array([np.exp(1j * (uk * z)).mean() for uk in u])
+    mod = np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)
+    slope, intercept = np.polyfit(np.log(u), np.log(-np.log(mod)), 1)
+    alpha = float(np.clip(slope, 0.1, 2.0))
+    sigma_rel = float(np.exp(intercept / alpha))
+    near_one = abs(alpha - 1.0) <= 0.02
+    if near_one:
+        skew = -(2.0 / math.pi) * sigma_rel * u * np.log(u)
+    else:
+        skew = math.tan(0.5 * math.pi * alpha) * sigma_rel**alpha * u**alpha
+    coef, *_ = np.linalg.lstsq(np.column_stack([u, skew]), np.unwrap(np.angle(ecf)), rcond=None)
+    delta_rel, beta = float(coef[0]), float(np.clip(coef[1], -1.0, 1.0))
+    sigma = sigma_rel * sigma0
+    delta = delta0 + sigma0 * delta_rel
+    if near_one:
+        delta += (2.0 / math.pi) * beta * sigma * math.log(sigma0)
+    return sv.StableParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
+from stablevar import diagnostics
 from stablevar.diagnostics import ks_statistic, write_auto_floc_csv, write_qq_csv
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig
@@ -47,6 +48,13 @@ class TestAutoFloc:
         inside = (af.values[1:] >= lo[1:]) & (af.values[1:] <= hi[1:])
         assert inside.mean() >= 0.8
         assert np.all(lo <= hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_column(self, bad):
+        col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 300, 8)
+        col[17] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            sv.auto_floc(col, 5, FlocConfig(1.0, 0.5))
 
     def test_null_band_rejects_lags_past_the_series(self):
         fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)
@@ -101,6 +109,36 @@ class TestKsTest:
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=4)
         assert res.p_value >= 0.05
 
+    @pytest.mark.parametrize("alpha, n", [(1.6, 1000), (0.9, 100)])  # 0.9: Zolotarev's CDF
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_replicate_loop(self, alpha, n, seed, monkeypatch):
+        # the stacked bootstrap fit gives every replicate the bits of its own fit
+        col = sv.sample_stable(sv.StableParams(alpha, 0.3, 1.5, 0.2), n, 100 + seed)
+        fitted = sv.fit_stable_params(col)
+        d_obs = ks_statistic(col, fitted)
+        want = []
+        for rep in range(100):
+            sim = sv.sample_stable(fitted, n, substream(seed, rep))
+            want.append(ks_statistic(sim, sv.fit_stable_params(sim)))
+        seen = []
+
+        def recording(x, f):
+            seen.append(ks_statistic(x, f))
+            return seen[-1]
+
+        monkeypatch.setattr(diagnostics, "ks_statistic", recording)
+        res = sv.ks_test_stable(col, repetitions=100, rng_seed=seed)
+        assert res.fitted == fitted and res.statistic == d_obs
+        assert seen[1:] == want
+        assert res.p_value == sum(d >= d_obs for d in want) / 100
+
+    def test_rejects_non_finite_column(self):
+        fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)
+        col = sv.sample_stable(fitted, 300, 8)
+        col[17] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            ks_statistic(col, fitted)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             sv.ks_test_stable(np.ones(50), repetitions=100, rng_seed=0)
@@ -139,6 +177,12 @@ class TestQqData:
         qq = sv.qq_data(col, fitted, grid=9)
         back = stable_cdf(qq.fitted, fitted)
         assert np.max(np.abs(back - qq.levels)) < 1e-6
+
+    def test_rejects_non_finite_column(self):
+        col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 300, 8)
+        col[17] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            sv.qq_data(col, sv.StableParams.symmetric(1.7), grid=9)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
+from helpers import brute_fit_stable_params
 from stablevar import _kernels, stable_noise
 from stablevar.errors import ValidationError
 
@@ -150,25 +151,44 @@ class TestFitStableParams:
         fit = sv.fit_stable_params(x)
         assert abs(fit.beta - 0.7) < 0.2
 
-    @pytest.mark.parametrize(
-        "params, n, seed",
-        [
-            (sv.StableParams(1.6), 100, 3),
-            (sv.StableParams(1.0, 0.0, 2.0), 1_001, 4),
-            (sv.StableParams(1.5, 0.5, 0.7, 1.2), 4_097, 5),
-            (sv.StableParams(1.9, -0.3, 3.0, -2.0), 100_000, 6),
-        ],
-    )
-    def test_per_frequency_ecf_fits_the_bits_of_the_matrix_form(self, params, n, seed, monkeypatch):
-        x = sv.sample_stable(params, n, seed)
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 0.9, 0.99, 1.0, 1.01, 1.2, 1.4, 1.6, 1.8, 1.95, 2.0])
+    def test_matches_brute_fit(self, alpha):
+        # running ECF powers, the closed-form line and the stacked phase solve move
+        # each parameter by rounding only (worst seen: 7e-11 relative)
+        for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            for n in (100, 1000, 20_000):
+                for seed in range(3):
+                    x = sv.sample_stable(sv.StableParams(alpha, beta, 1.3, 0.4), n, seed)
+                    fit, want = sv.fit_stable_params(x), brute_fit_stable_params(x)
+                    assert fit.alpha == pytest.approx(want.alpha, rel=1e-9, abs=0)
+                    assert fit.sigma == pytest.approx(want.sigma, rel=1e-9, abs=0)
+                    assert abs(fit.beta - want.beta) <= 1e-9
+                    assert abs(fit.delta - want.delta) <= 1e-9 * want.sigma
+
+    def test_gaussian_fit_drops_the_vanishing_skew_column(self):
+        # alpha clips to 2, where tan(pi alpha / 2) ~ -1.2e-16 leaves the skew column
+        # numerically zero; without the rank cutoff beta came out as +-1
+        x = np.random.default_rng(0).standard_normal(100)
         fit = sv.fit_stable_params(x)
-        monkeypatch.setattr(
-            stable_noise, "_ecf", lambda z, u: np.exp(1j * np.outer(u, z)).mean(axis=1)
+        assert fit.alpha == 2.0
+        assert abs(fit.beta) <= 1e-12
+
+    def test_each_row_of_the_stack_fits_alone(self):
+        # the batch rule: a row gets the same bits alone or in any stack
+        laws = [(0.6, 0.5), (0.9, -0.3), (1.0, 0.0), (1.01, 0.8), (1.56, 0.2), (1.9, -1.0), (2.0, 0.0)]
+        x = np.stack(
+            [sv.sample_stable(sv.StableParams(a, b, 2.0, -1.0), 1000, r) for r, (a, b) in enumerate(laws * 5)]
         )
-        assert fit == sv.fit_stable_params(x)
+        stack = stable_noise._fit_stack(x)
+        for r in range(x.shape[0]):
+            alone = stable_noise._fit_stack(x[r : r + 1])
+            assert all(np.array_equal(col[r : r + 1], one) for col, one in zip(stack, alone))
+            assert sv.fit_stable_params(x[r]) == sv.StableParams(*(float(col[r]) for col in stack))
 
     def test_errors(self):
         with pytest.raises(ValidationError):
             sv.fit_stable_params(np.zeros(50))  # too short
         with pytest.raises(ValidationError):
             sv.fit_stable_params(np.ones(500))  # degenerate
+        with pytest.raises(ValidationError, match="sample contains non-finite values"):
+            sv.fit_stable_params(np.r_[np.arange(200.0), np.inf])
