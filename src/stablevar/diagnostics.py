@@ -78,15 +78,19 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
 
 
-# Draws per bootstrap stack (8 MB of float64): a 100-repetition KS test is one stack
-# up to n = 10,485, and longer columns keep the fit's transients bounded (one stack
-# of 100 x 100,000 draws peaked at 500 MB).
+# Draws per block of replicates (8 MB of float64): a 100-repetition KS test or a
+# 200-replicate null band is one block up to n = 10,485 or 5,242, and longer columns
+# keep the transients bounded (one stack of 100 x 100,000 draws peaked at 500 MB).
 _STACK_DRAWS = 1 << 20
 
 
-def _replicates(fitted: StableParams, n: int, reps: range, rng_seed: int) -> np.ndarray:
-    """(len(reps), n) draws of the fitted law; replicate r comes from substream r of ``rng_seed``."""
-    return np.stack([sample_stable(fitted, n, substream(rng_seed, r)) for r in reps])
+def _replicate_blocks(fitted: StableParams, n: int, count: int, rng_seed: int):
+    """``count`` replicates of ``n`` draws of the fitted law, as (reps, n) blocks of up to
+    ``_STACK_DRAWS`` draws; replicate r comes from substream r of ``rng_seed``."""
+    stack = max(1, _STACK_DRAWS // n)
+    for lo in range(0, count, stack):
+        reps = range(lo, min(lo + stack, count))
+        yield np.stack([sample_stable(fitted, n, substream(rng_seed, r)) for r in reps])
 
 
 def auto_floc_null_band(
@@ -109,8 +113,11 @@ def auto_floc_null_band(
     _check_int(replicates, "replicates", 2)
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
-    samples = _replicates(fitted, n, range(replicates), rng_seed)[..., None]
-    sims = _floc_moments(samples, samples, range(max_lag + 1), cfg)[..., 0, 0]
+    # the batch rule gives each replicate its own cross_floc bits, whatever the block
+    sims = np.concatenate([
+        _floc_moments(block[..., None], block[..., None], range(max_lag + 1), cfg)[..., 0, 0]
+        for block in _replicate_blocks(fitted, n, replicates, rng_seed)
+    ])
     tail = 100.0 * (1.0 - level) / 2.0
     lo = np.percentile(sims, tail, axis=0)
     hi = np.percentile(sims, 100.0 - tail, axis=0)
@@ -134,7 +141,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     fitted law (replicate r from substream r of ``rng_seed``), re-fitting
     and recomputing the statistic each time. The p-value is the fraction of
     simulated statistics at least as large as the observed one. The
-    replicates are fitted in stacks of up to 2^20 draws, each with the bits
+    replicates are fitted in blocks of up to 2^20 draws, each with the bits
     of its own ``fit_stable_params`` call.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
@@ -144,9 +151,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     fitted = fit_stable_params(col)
     d_obs = ks_statistic(col, fitted)
     exceed = 0
-    stack = max(1, _STACK_DRAWS // col.shape[0])
-    for lo in range(0, repetitions, stack):
-        sims = _replicates(fitted, col.shape[0], range(lo, min(lo + stack, repetitions)), rng_seed)
+    for sims in _replicate_blocks(fitted, col.shape[0], repetitions, rng_seed):
         fits = zip(*_fit_stack(sims))
         exceed += sum(
             ks_statistic(sim, StableParams(*map(float, fit))) >= d_obs for sim, fit in zip(sims, fits)

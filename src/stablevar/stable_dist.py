@@ -1,15 +1,12 @@
-"""Stable distribution function and quantiles.
-
-``stable_cdf`` evaluates Zolotarev's integral form of the CDF within
-+-``_TAIL_Z`` (standardized) at every alpha, and the leading power-law tail
-term beyond (Nolan 1997, *Numerical calculation of stable densities and
-distribution functions*, Theorem 1): fixed Gauss-Legendre nodes on two spans
-of the angle range that bisection finds per point (``_angle_integral``).
-For alpha > 1, ``stable_cdf_bulk`` interpolates a grid that one chirp-z
-transform of the Gil-Pelaez sum gives (``_kernels.gil_pelaez_cdf``; Mittnik,
-Doganoglu and Chenyao, 1999), with the tail term beyond ``_BULK_TAIL_Z``.
-``stable_quantile`` inverts the tail term in closed form past the CDF at
-+-``_TAIL_Z`` and, within, the bulk CDF by ``_invert`` on a node table.
+"""Stable distribution function and quantiles: one rule on the standardized z,
+set by ``_standard_cdf``. Past the switch at +-``_TAIL_Z`` s_ab, where
+s_ab = (1 + zeta^2)^(1/(2 alpha)) and zeta = beta tan(pi alpha / 2), one tail series
+serves (Zolotarev's expansion; Nolan 2020, *Univariate Stable Distributions*,
+ch. 3); within it Zolotarev's integral form (Nolan 1997, *Numerical calculation
+of stable densities and distribution functions*, Theorem 1), or for alpha > 1 in
+``stable_cdf_bulk`` and ``stable_quantile`` a grid from one chirp-z transform of
+the Gil-Pelaez sum (Mittnik, Doganoglu and Chenyao, 1999) out to the switch or
+twice ``_TAIL_Z``. At alpha = 1 zeta is undefined and there is no switch.
 """
 
 from __future__ import annotations
@@ -27,10 +24,8 @@ __all__ = ["stable_cdf", "stable_cdf_bulk", "stable_quantile"]
 
 # exp(-T^alpha) ~ 1e-17 truncates the inversion integral
 _LOG_CUTOFF = 39.1
-# beyond this standardized point the bulk path switches to the tail expansion
-_BULK_TAIL_Z = 45.0
-# beyond this standardized point stable_cdf takes the leading tail term
-_TAIL_Z = 100.0
+# the tail switch in units of s_ab; the series terms meet Zolotarev's form to 5.5e-15 there
+_TAIL_Z, _TAIL_TERMS = 45.0, 20
 # grid spacing: quintic Hermite stays within 1e-11 of the node sum
 _GRID_DZ = 0.04
 # exp(-g) is 1 in double precision below the first cut and under 2e-24 above
@@ -39,12 +34,13 @@ _LOG_G_CUTS = np.array([-37.0, 0.0, 4.0])
 _NODES, _CUT_STEPS, _S_MAX = 128, 20, 40.0
 # points per pass of the Zolotarev engine, which bounds its temporaries
 _CHUNK = 1024
-# regula falsi steps per quantile; alpha <= 1 node table: even integers hold the narrow
-# bulk the skew shift moves out near alpha 1, powers of two reach the edge at 0 of |beta| = 1
-# (2^-50 lies below 7.6e-15, the level-1e-12 quantile at alpha 0.1)
+# regula falsi steps per quantile; alpha <= 1 nodes: even integers for the bulk, powers of two
+# to the edge at 0 of |beta| = 1 (2^-50 lies below 7.6e-15, the level-1e-12 quantile at alpha
+# 0.1); past +-_TAIL_Z they double out to 2e299, past the level-1e-30 quantile at alpha 0.1
 _INVERT_STEPS = 14
-_TABLE_Z = np.concatenate([np.ldexp(1.0, np.arange(-50, 1)), np.arange(2.0, 101.0, 2.0)])
-_TABLE_Z = np.concatenate([-_TABLE_Z[::-1], [0.0], _TABLE_Z])
+_NEAR_Z = np.concatenate([np.ldexp(1.0, np.arange(-50, 1)), np.arange(2.0, _TAIL_Z, 2.0)])
+_NEAR_Z = np.concatenate([-_NEAR_Z[::-1], [0.0], _NEAR_Z])
+_FAR_Z = _TAIL_Z * np.exp2(np.arange(990.0))
 
 
 def _standardize(x: np.ndarray, params: StableParams) -> np.ndarray:
@@ -60,12 +56,17 @@ def _destandardize(z, params: StableParams):
     return params.delta + params.sigma * z
 
 
-def _tail_prob(z, alpha: float, beta: float):
-    """Leading-order P(Z > z) for the standard law, z > 0 large."""
-    if alpha == 2.0:
-        return 0.0
-    c = math.gamma(alpha) * math.sin(0.5 * math.pi * alpha) / math.pi
-    return c * (1.0 + beta) * z ** (-alpha)
+def _tail_prob(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """P(Z > z) past the switch (1-d z > 0): (1/pi) sum_k (-1)^(k+1) Gamma(alpha k) / k!
+    Im(w^k), w = (s_ab / z)^alpha e^(i theta), theta = pi alpha / 2 + atan(zeta). Im(w) is
+    sin(pi alpha / 2) (1 + beta) z^-alpha, so at beta = -1 every term is 0, as at alpha = 2."""
+    half, zeta = 0.5 * math.pi * alpha, beta * math.tan(0.5 * math.pi * alpha)
+    im = 0.0 if alpha == 2.0 else math.sin(half) * (1.0 + beta)
+    w = z[:, None] ** -alpha * complex(math.cos(half) - zeta * math.sin(half), im)
+    coef = [(-1) ** (k + 1) * math.gamma(alpha * k) / (math.factorial(k) * math.pi)
+            for k in range(1, _TAIL_TERMS + 1)]
+    # row sums, not a matrix product: each point keeps its bits whatever the batch
+    return (np.cumprod(np.repeat(w, _TAIL_TERMS, axis=1), axis=1).imag * coef).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,32 +145,47 @@ def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return np.where(side > 0.0, 1.0 - upper, upper)
 
 
+def _skew(alpha: float, beta: float) -> tuple[float, float, float]:
+    """(zeta, tail switch, grid reach) in standard z; at alpha = 1 zeta is undefined and
+    there is no switch, and the grid's node count grows with its reach, which stops at 90."""
+    zeta = 0.0 if alpha == 1.0 else beta * math.tan(0.5 * math.pi * alpha)
+    switch = math.inf if alpha == 1.0 else _TAIL_Z * math.hypot(1.0, zeta) ** (1.0 / alpha)
+    return zeta, switch, min(switch, 2.0 * _TAIL_Z)
+
+
+def _standard_cdf(z: np.ndarray, alpha: float, beta: float, grid=None) -> np.ndarray:
+    """Standard CDF at points z (1-d), and the one place its tail rule is set: the
+    chirp-z ``grid`` over its span when one is given, Zolotarev's form on to the
+    tail switch, the tail series past it."""
+    switch = _skew(alpha, beta)[1]
+    upper, lower = z > switch, z < -switch
+    near = np.abs(z) <= -grid[0] if grid is not None else np.zeros(z.shape, dtype=bool)
+    out = np.empty(z.shape)
+    for part, cdf in (
+        (near, lambda v: _grid_cdf(grid, v)),
+        (~(near | upper | lower), lambda v: _zolotarev_cdf(v, alpha, beta)),
+        (upper, lambda v: 1.0 - _tail_prob(v, alpha, beta)),
+        (lower, lambda v: _tail_prob(-v, alpha, -beta)),
+    ):
+        if part.any():
+            out[part] = cdf(z[part])
+    return np.clip(out, 0.0, 1.0)
+
+
 def stable_cdf(x, params: StableParams):
     """Distribution function of the stable law at scalar or array ``x``."""
     z = _standardize(x, params)
-    flat = z.ravel()
-    out = np.empty(flat.shape)
-    hi, lo = flat > _TAIL_Z, flat < -_TAIL_Z
-    out[hi] = 1.0 - _tail_prob(flat[hi], params.alpha, params.beta)
-    out[lo] = _tail_prob(-flat[lo], params.alpha, -params.beta)
-    mid = ~(hi | lo)
-    out[mid] = np.clip(_zolotarev_cdf(flat[mid], params.alpha, params.beta), 0.0, 1.0)
+    out = _standard_cdf(z.ravel(), params.alpha, params.beta)
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def _bulk_grid(alpha: float, beta: float, zmax: float):
     upper = _LOG_CUTOFF ** (1.0 / alpha)
     h = min(0.16 / max(zmax, 4.0), upper / 400.0)
-    n = int(math.ceil(upper / h))
-    if n % 2 == 1:
-        n += 1
-    t = np.linspace(0.0, upper, n + 1)
-    w = np.empty(n + 1)
-    w[0] = w[-1] = 1.0
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (upper / n) / 3.0
-    tt = t[1:]
+    n = 2 * math.ceil(upper / (2.0 * h))  # even, for Simpson's rule
+    w = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0) * ((upper / n) / 3.0)
+    w[0] = w[-1] = (upper / n) / 3.0
+    tt = np.linspace(0.0, upper, n + 1)[1:]
     decay = np.exp(-(tt**alpha))
     amp = decay * w[1:] / tt
     eta = beta * math.tan(0.5 * math.pi * alpha)
@@ -211,23 +227,18 @@ def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
 
 
 def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
-    """CDF at many points in one pass: the chirp-z grid for alpha > 1, else ``stable_cdf``."""
-    if params.alpha <= 1.0:
-        return np.asarray(stable_cdf(x, params))
+    """CDF at many points in one pass: for alpha > 1 one chirp-z grid serves out
+    to the largest point within its reach, ``stable_cdf``'s rule the rest."""
     z = _standardize(x, params)
-    out = np.empty(z.shape[0])
-    inner = np.abs(z) <= _BULK_TAIL_Z
-    if np.any(inner):
-        grid = _cdf_grid(params.alpha, params.beta, float(np.max(np.abs(z[inner]))))
-        out[inner] = np.clip(_grid_cdf(grid, z[inner]), 0.0, 1.0)
-    hi, lo = z > _BULK_TAIL_Z, z < -_BULK_TAIL_Z
-    out[hi] = 1.0 - _tail_prob(z[hi], params.alpha, params.beta)
-    out[lo] = _tail_prob(-z[lo], params.alpha, -params.beta)
-    return out
+    near = np.abs(z)[np.abs(z) <= _skew(params.alpha, params.beta)[2]]
+    grid = None
+    if params.alpha > 1.0 and near.size:
+        grid = _cdf_grid(params.alpha, params.beta, float(np.max(near)))
+    return _standard_cdf(z, params.alpha, params.beta, grid)
 
 
 def _logit(f):
-    f = np.clip(f, 1e-300, 1.0 - 2.0**-53)  # 0 and 1, or a grid a rounding past them, stay finite
+    f = np.clip(f, 1e-300, 1.0 - 2.0**-53)  # 0 and 1 stay finite
     return np.log(f) - np.log1p(-f)
 
 
@@ -252,33 +263,22 @@ def _invert(p: np.ndarray, z: np.ndarray, f: np.ndarray, cdf) -> np.ndarray:
 
 
 def stable_quantile(p, params: StableParams):
-    """Quantile(s) of the stable law.
-
-    Levels outside [cdf(-_TAIL_Z), cdf(_TAIL_Z)] (standardized) invert the
-    leading tail term in closed form, as ``stable_cdf`` switches there; levels
-    in the jump at the switch map to the switch point. ``_invert`` takes the
-    rest on the bulk CDF: the chirp-z grid for alpha > 1 (within 1e-6 in
-    probability), Zolotarev's form at ``_TABLE_Z`` for alpha <= 1."""
+    """Quantile(s) of the stable law by ``_invert`` on ``stable_cdf_bulk``'s rule:
+    the nodes are the chirp-z grid's for alpha > 1 (within 1e-6 in probability)
+    or ``_NEAR_Z``, and ``_FAR_Z`` past +-_TAIL_Z, over the tail switch."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")
-    p = arr.ravel()
     alpha, beta = params.alpha, params.beta
+    zeta, _, reach = _skew(alpha, beta)
+    grid, near = None, _NEAR_Z
     if alpha > 1.0:
-        grid = z0, dz, f = _cdf_grid(alpha, beta, _TAIL_Z)
-        cdf = functools.partial(_grid_cdf, grid)
-        nodes, table = z0 + dz * np.arange(f.shape[1]), f[0]
-        lo_edge, hi_edge = cdf(np.array([-_TAIL_Z, _TAIL_Z]))
-    else:
-        cdf = functools.partial(_zolotarev_cdf, alpha=alpha, beta=beta)
-        nodes, table = _TABLE_Z, cdf(_TABLE_Z)
-        lo_edge, hi_edge = table[0], table[-1]
-    z = np.empty(p.shape)
-    lo, hi = p < lo_edge, p > hi_edge
-    # _tail_prob(1, ...) is the constant C of P(Z > z) ~ C z^(-alpha)
-    z[lo] = -np.maximum(_TAIL_Z, (_tail_prob(1.0, alpha, -beta) / p[lo]) ** (1 / alpha))
-    z[hi] = np.maximum(_TAIL_Z, (_tail_prob(1.0, alpha, beta) / (1 - p[hi])) ** (1 / alpha))
-    mid = ~(lo | hi)
-    z[mid] = _invert(p[mid], nodes, table, cdf)
+        grid = z0, dz, f = _cdf_grid(alpha, beta, reach)
+        near = z0 + dz * np.arange(f.shape[1])
+    # near alpha 1 the skew shift carries the bulk out past +-_TAIL_Z
+    shifted = zeta + _NEAR_Z
+    nodes = np.unique(np.concatenate([-_FAR_Z, near, _FAR_Z, shifted[np.abs(shifted) > _TAIL_Z]]))
+    cdf = functools.partial(_standard_cdf, alpha=alpha, beta=beta, grid=grid)
+    z = _invert(arr.ravel(), nodes, cdf(nodes), cdf)
     q = _destandardize(z, params).reshape(arr.shape)
     return float(q) if arr.ndim == 0 else q

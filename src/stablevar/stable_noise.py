@@ -143,13 +143,11 @@ def _fit_stack(x: np.ndarray) -> tuple[np.ndarray, ...]:
     if x.shape[-1] < 100:
         raise ValidationError(f"need at least 100 observations, got {x.shape[-1]}")
     _check_finite(x, "sample")
-    if np.any(np.ptp(x, axis=-1) == 0.0):
-        raise ValidationError("degenerate sample: all values equal")
-    q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75], axis=-1)
-    if np.any(q[4] - q[0] <= 0.0):
-        raise ValidationError("degenerate sample: interquartile range is zero")
+    q = np.quantile(x, [0.28, 0.50, 0.72], axis=-1)
+    if np.any(q[2] - q[0] <= 0.0):
+        raise ValidationError("degenerate sample: the 28%-72% quantile spread is zero")
     # Fama-Roll 28%/72% spread; nearly alpha-free scale for symmetric laws
-    sigma0, delta0 = (q[3] - q[1]) / 1.654, q[2]
+    sigma0, delta0 = (q[2] - q[0]) / 1.654, q[1]
     # ECF at u_k = k u_1 as running powers of e1 = exp(1j u_1 z): one complex exponential
     # per point, and no more than two complex arrays of x's shape alive at once
     e1 = np.exp(1j * (_U[0] * ((x - delta0[:, None]) / sigma0[:, None])))

@@ -65,7 +65,9 @@ class TestAutoFloc:
     @pytest.mark.parametrize("fitted", [sv.StableParams(1.7, 0.2, 1.3, 0.1),
                                         sv.StableParams(1.3, -0.9, 0.6, -2.0)])
     @pytest.mark.parametrize("max_lag,replicates", [(6, 20), (0, 2), (0, 50), (20, 2), (20, 50)])
-    def test_null_band_is_percentiles_of_replicate_cross_floc(self, fitted, max_lag, replicates):
+    def test_null_band_is_percentiles_of_replicate_cross_floc(
+        self, fitted, max_lag, replicates, monkeypatch
+    ):
         # the stacked lag moments give each replicate the bits of its own cross_floc call
         cfg = FlocConfig(1.0, 0.6)
         lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, 0.9, rng_seed=5)
@@ -75,6 +77,10 @@ class TestAutoFloc:
         tail = 100.0 * (1.0 - 0.9) / 2.0
         assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
         assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
+        # replicate blocks of 3 (and a last short one) leave the band's bits as they are
+        monkeypatch.setattr(diagnostics, "_STACK_DRAWS", 3 * 150)
+        blocked = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, 0.9, rng_seed=5)
+        assert np.array_equal(blocked[0], lo) and np.array_equal(blocked[1], hi)
 
 
 class TestKsTest:

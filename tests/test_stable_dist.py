@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -7,23 +9,23 @@ import stablevar as sv
 from helpers import brute_gil_pelaez_cdf, quad_cdf
 from stablevar import _kernels, stable_dist
 from stablevar.errors import ValidationError
-from stablevar.stable_dist import (
-    _BULK_TAIL_Z,
-    _TAIL_Z,
-    stable_cdf,
-    stable_cdf_bulk,
-    stable_quantile,
-)
+from stablevar.stable_dist import _TAIL_Z, stable_cdf, stable_cdf_bulk, stable_quantile
 
 ENGINE_ALPHAS = (1.05, 1.3, 1.6, 1.9, 2.0)
 ENGINE_BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 TAIL_LEVELS = np.array([1e-4, 0.005, 0.5, 0.995, 1.0 - 1e-4])
+SWITCH_ALPHAS = (0.1, 0.5, 0.9, 0.999, 1.001, 1.01, 1.05, 1.6, 1.9)
+
+
+def _switch(alpha, beta):
+    """The standardized tail switch _TAIL_Z s_ab, s_ab = (1 + zeta^2)^(1/(2 alpha))."""
+    return _TAIL_Z * math.hypot(1.0, beta * math.tan(0.5 * math.pi * alpha)) ** (1.0 / alpha)
 
 
 def _engine_points(alpha, beta, seed):
-    """Standardized draws from the law plus the points just inside the tail
-    switch; the largest |z| sets the node spacing of the grid."""
-    edge = _BULK_TAIL_Z - 0.01
+    """Standardized draws from the law plus the points just inside the grid's
+    reach; the largest |z| sets the node spacing of the grid."""
+    edge = _TAIL_Z - 0.01
     draws = sv.sample_stable(sv.StableParams(alpha, beta, 1.0, 0.0), 40, seed)
     draws = draws[np.abs(draws) < edge]
     return np.concatenate([[-edge, edge], draws, np.linspace(-6.0, 6.0, 13)])
@@ -129,6 +131,55 @@ class TestQuantile:
             stable_quantile(np.array([0.5, 1.0]), p)
 
 
+class TestTailRule:
+    @pytest.mark.parametrize("alpha", SWITCH_ALPHAS)
+    def test_monotone_and_continuous_across_the_switch(self, alpha):
+        for beta in ENGINE_BETAS:
+            p, edge = sv.StableParams(alpha, beta, 1.0, 0.0), _switch(alpha, beta)
+            # steps of edge / 100 from the bulk out to 3 edges, each tail
+            side = edge * np.linspace(0.5, 3.0, 251)
+            assert np.all(np.diff(stable_cdf(np.concatenate([-side[::-1], side]), p)) >= 0.0)
+            for sign in (-1.0, 1.0):
+                inside, outside = stable_cdf(sign * edge * np.array([1.0 - 1e-13, 1.0 + 1e-13]), p)
+                assert abs(outside - inside) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9, 0.95, 0.99, 0.999,
+                                       1.001, 1.01, 1.05, 1.3, 1.6, 1.9, 1.99))
+    def test_series_matches_zolotarev(self, alpha):
+        for beta in (0.0, 0.1, -0.1, 0.5, -0.5, 1.0, -1.0):
+            z = _switch(alpha, beta) * np.array([1.0, 1.5, 3.0])
+            zolotarev = stable_dist._zolotarev_cdf(np.concatenate([z, -z]), alpha, beta)
+            series = np.concatenate([1.0 - stable_dist._tail_prob(z, alpha, beta),
+                                     stable_dist._tail_prob(z, alpha, -beta)])
+            assert np.max(np.abs(series - zolotarev)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9, 1.05, 1.6, 1.9))
+    def test_tail_quantiles_round_trip(self, alpha):
+        levels = np.logspace(-30.0, -8.0, 12)
+        for beta in (-1.0, 0.0, 0.5):
+            p = sv.StableParams(alpha, beta, 1.0, 0.0)
+            qs = stable_quantile(levels, p)
+            assert np.all(qs < -_TAIL_Z) and np.all(np.diff(qs) > 0)
+            assert np.allclose(stable_cdf(qs, p), levels, rtol=1e-12, atol=0.0)
+
+    def test_switch_moves_out_with_the_skew_near_alpha_one(self):
+        # a fixed switch at 45 sat inside this law's bulk: the bulk CDF gave 0
+        # at -45.01, where quadrature gives 0.964; now the grid serves there and
+        # Zolotarev's form at -100, past the grid's reach but within the switch
+        p = sv.StableParams(1.01, 1.0, 1.0, 0.0)
+        z = np.array([-100.0, -45.01])
+        assert quad_cdf(z, p)[1] == pytest.approx(0.96416001, abs=1e-8)
+        assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= 1e-6
+
+    def test_monotone_past_a_fixed_switch_near_alpha_one(self):
+        # a fixed switch at 100 gave 0.0043 at -150, where the law, whose mass
+        # lies near -637, has almost all of it
+        p = sv.StableParams(0.999, -1.0, 1.0, 0.0)
+        values = stable_cdf(np.array([-1000.0, -637.0, -150.0, -100.0, -45.0]), p)
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[2] == pytest.approx(1.0, abs=1e-12)
+
+
 class TestGridEngine:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
     def test_matches_dense_node_sum(self, alpha):
@@ -194,9 +245,10 @@ class TestVectorizedQuantile:
             for level, q in zip(TAIL_LEVELS, qs):
                 assert stable_quantile(level, p) == q
             back = stable_cdf(qs, p)
-            inner = np.abs(qs) <= _TAIL_Z
+            # the grid reaches the switch, but no further than twice _TAIL_Z
+            inner = np.abs(qs) <= min(_switch(alpha, beta), 2.0 * _TAIL_Z)
             assert np.max(np.abs(back[inner] - TAIL_LEVELS[inner])) < 1e-6
-            # past the grid the quantile inverts stable_cdf's tail expansion
+            # past the grid the quantile inverts stable_cdf itself
             assert np.allclose(back[~inner], TAIL_LEVELS[~inner], rtol=1e-12, atol=0.0)
 
     def test_tail_levels_reached(self):
@@ -206,26 +258,27 @@ class TestVectorizedQuantile:
             levels = np.array([level, 1.0 - 1e-4])
             qs = stable_quantile(levels, p)
             assert qs[0] < -_TAIL_Z and qs[-1] > _TAIL_Z
-            # past the switch the quantile inverts stable_cdf's tail expansion
+            # past the grid the quantile inverts stable_cdf itself
             assert np.allclose(stable_cdf(qs, p), levels, rtol=1e-12, atol=0.0)
-        # between the bulk CDF's tail switch and the grid edge: inverted on the grid
+        # past the grid's reach: inverted on stable_cdf itself
         p = sv.StableParams(1.05, 0.0, 1.0, 0.0)
         qs = stable_quantile(np.array([0.004, 0.996]), p)
-        assert np.all((np.abs(qs) > _BULK_TAIL_Z) & (np.abs(qs) < _TAIL_Z))
-        assert np.max(np.abs(stable_cdf(qs, p) - [0.004, 0.996])) < 1e-6
+        assert np.all(np.abs(qs) > _TAIL_Z)
+        assert np.allclose(stable_cdf(qs, p), [0.004, 0.996], rtol=1e-12, atol=0.0)
 
-    def test_levels_in_the_tail_switch_jump(self):
-        # stable_cdf's lower tail expansion at the switch sits below its
-        # quadrature value there: 0.001227 against 0.001298 at alpha = 1.05,
-        # beta = 0.5, and 0.007987 against 0.008326 at alpha = 0.9, beta = -0.5;
-        # levels in that jump map to the switch point itself
+    def test_levels_once_in_the_tail_switch_jump(self):
+        # a leading-term tail past a fixed switch at 100 jumped below Zolotarev's
+        # form there (0.001227 against 0.001298 at alpha = 1.05, beta = 0.5, and
+        # 0.007987 against 0.008326 at alpha = 0.9, beta = -0.5) and these levels
+        # mapped to the switch point; now they invert the one continuous CDF
         for alpha, beta, levels in (
             (1.05, 0.5, [0.0012, 0.00126, 0.00135]),
             (0.9, -0.5, [0.0079, 0.0081, 0.0085]),
         ):
-            qs = stable_quantile(np.array(levels), sv.StableParams(alpha, beta, 1.0, 0.0))
-            assert qs[0] < -_TAIL_Z < qs[2]
-            assert qs[1] == -_TAIL_Z
+            p = sv.StableParams(alpha, beta, 1.0, 0.0)
+            qs = stable_quantile(np.array(levels), p)
+            assert np.all(qs < -_TAIL_Z) and np.all(np.diff(qs) > 0)
+            assert np.allclose(stable_cdf(qs, p), levels, rtol=1e-12, atol=0.0)
 
     def test_shape_kept(self):
         p = sv.StableParams(1.6, 0.2, 1.0, 0.0)

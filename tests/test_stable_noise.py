@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,14 @@ class TestFitStableParams:
             sv.fit_stable_params(np.ones(500))  # degenerate
         with pytest.raises(ValidationError, match="sample contains non-finite values"):
             sv.fit_stable_params(np.r_[np.arange(200.0), np.inf])
+
+    def test_tied_middle_with_a_spread_interquartile_range(self):
+        # half the sample tied at the median: the 28% and 72% quantiles meet
+        # while the quartiles do not; the scale start divides by the former
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.zeros(50), rng.uniform(-2.0, -1.0, 25), rng.uniform(1.0, 2.0, 25)])
+        assert np.quantile(x, 0.75) > np.quantile(x, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="28%-72%"):
+                sv.fit_stable_params(x)
