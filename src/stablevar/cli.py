@@ -16,10 +16,10 @@ diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
 writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
 same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
 of 1 is rejected, as in the library. estimate rejects ``--b-exp`` for LS
-and YW and ``--normalizer`` for LS instead of ignoring them, and a seed must
-be a non-negative integer. Exit codes: 0 success, 1 validation
-error, 2 numerical failure. Outputs carry no timestamps, so a fixed seed
-reproduces files byte for byte.
+and YW instead of ignoring it; FLOC divides lag k by n - |k| and YW by n,
+as the library does. A seed must be a non-negative integer. Exit codes:
+0 success, 1 validation error, 2 numerical failure. Outputs carry no
+timestamps, so a fixed seed reproduces files byte for byte.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="FLOC exponent B (default: max per-column alpha estimate - 1.05)",
     )
-    est.add_argument("--normalizer", choices=("window", "n"), default=None)
     est.add_argument("--out", required=True, help="coefficient report CSV path")
     est.add_argument("--summary", default=None, help="optional summary text path")
 
@@ -121,14 +120,10 @@ def _cmd_estimate(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
         cfg, _ = floc_config(series, args.b_exp)
-        normalizer = args.normalizer or "window"
-        report = estimate_floc(series, args.order, cfg, normalizer=normalizer)
+        report = estimate_floc(series, args.order, cfg)
     elif args.method == "yw":
-        normalizer = args.normalizer or "n"
-        report = estimate_yw(series, args.order, normalizer=normalizer)
+        report = estimate_yw(series, args.order)
     else:
-        if args.normalizer is not None:
-            raise ValidationError("--normalizer does not apply to least squares")
         report = estimate_ls(series, args.order)
     report.to_csv(args.out)
     summary = report.summary_text()

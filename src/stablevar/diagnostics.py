@@ -78,6 +78,8 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
 
 
+# percentile of each side of the null band, the central 95% of the replicates
+_BAND_TAIL = 100.0 * (1.0 - 0.95) / 2.0
 # Draws per block of replicates (8 MB of float64): a 100-repetition KS test or a
 # 200-replicate null band is one block up to n = 10,485 or 5,242, and longer columns
 # keep the transients bounded (one stack of 100 x 100,000 draws peaked at 500 MB).
@@ -99,29 +101,24 @@ def auto_floc_null_band(
     max_lag: int,
     cfg: FlocConfig,
     replicates: int = 200,
-    level: float = 0.95,
     rng_seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pointwise null band of the auto-FLOC under i.i.d. noise.
+    """Pointwise 95% null band of the auto-FLOC under i.i.d. noise.
 
     Simulates ``replicates`` independent samples of length ``n`` from the
-    fitted law, one substream each, and takes per-lag percentiles of their
-    auto-FLOC, so an observed auto-FLOC can be judged against pure noise.
+    fitted law, one substream each, and takes the 2.5th and 97.5th per-lag
+    percentiles of their auto-FLOC, so an observed auto-FLOC can be judged
+    against pure noise.
     """
     if _check_int(max_lag, "max_lag", 0) >= n:
         raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
     _check_int(replicates, "replicates", 2)
-    if not (0.0 < level < 1.0):
-        raise ValidationError(f"level must be in (0, 1), got {level}")
     # the batch rule gives each replicate its own cross_floc bits, whatever the block
     sims = np.concatenate([
         _floc_moments(block[..., None], block[..., None], range(max_lag + 1), cfg)[..., 0, 0]
         for block in _replicate_blocks(fitted, n, replicates, rng_seed)
     ])
-    tail = 100.0 * (1.0 - level) / 2.0
-    lo = np.percentile(sims, tail, axis=0)
-    hi = np.percentile(sims, 100.0 - tail, axis=0)
-    return lo, hi
+    return tuple(np.percentile(sims, [_BAND_TAIL, 100.0 - _BAND_TAIL], axis=0))
 
 
 def ks_statistic(column, fitted: StableParams) -> float:
@@ -145,8 +142,6 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     of its own ``fit_stable_params`` call.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
-    if col.shape[0] < 100:
-        raise ValidationError(f"need at least 100 observations, got {col.shape[0]}")
     _check_int(repetitions, "repetitions", 100)
     fitted = fit_stable_params(col)
     d_obs = ks_statistic(col, fitted)

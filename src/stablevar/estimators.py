@@ -8,10 +8,10 @@ The FLOC and Yule-Walker estimators share one block solve
     [A_1 ... A_p] [Gamma_{l-k}]_{k,l} = [Gamma_1 ... Gamma_p]
 
 differing only in the lag-moment matrices plugged in: cross-FLOC matrices
-for FLOC, plain cross-moments for Yule-Walker. The window normalizer
-(divide by n - |lag|) and the classical one (divide by n) are both
-available; each method defaults to its literature-standard choice, and
-with matched normalizers FLOC at A = B = 1 and Yule-Walker coincide.
+for FLOC, plain cross-moments for Yule-Walker. Each method has one
+normalizer, its literature-standard one: FLOC divides lag k by n - |k|,
+Yule-Walker by n, so Yule-Walker's moments are FLOC's at A = B = 1 scaled
+by (n - |k|) / n. ``_BLOCK_METHODS`` holds both facts.
 
 All three run through one core on a stack of R series: ``_prepare``
 checks and mean-corrects once, then ``_block_fit`` or ``_ls_fit`` fits
@@ -57,7 +57,6 @@ class EstimationReport:
     residuals: SeriesMatrix
     column_means: np.ndarray
     cfg: Optional[FlocConfig] = None
-    normalizer: Optional[str] = None
 
     @property
     def order(self) -> int:
@@ -151,8 +150,6 @@ class EstimationReport:
         if self.cfg is not None:
             lines.append(f"exp_a: {float(self.cfg.exp_a)!r}")
             lines.append(f"exp_b: {float(self.cfg.exp_b)!r}")
-        if self.normalizer is not None:
-            lines.append(f"normalizer: {self.normalizer}")
         return "\n".join(lines) + "\n"
 
 
@@ -171,11 +168,6 @@ def residuals(series: SeriesMatrix, coeffs: Sequence[np.ndarray]) -> SeriesMatri
     for k, mat in enumerate(coeffs, start=1):
         res -= x[p - k : series.n - k] @ np.asarray(mat).T
     return SeriesMatrix(res)
-
-
-def _validate_normalizer(normalizer: str) -> None:
-    if normalizer not in ("window", "n"):
-        raise ValidationError(f"normalizer must be 'window' or 'n', got {normalizer!r}")
 
 
 def _prepare(values: np.ndarray, p: int):
@@ -235,9 +227,12 @@ def _solve_block(gammas: np.ndarray):
     return stacked.reshape(reps, p, r, r).transpose(0, 1, 3, 2), condition, bad
 
 
-def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, normalizer: str,
-               label: str):
-    """Block-system coefficients of each mean-corrected series in a stack (R, n, r).
+# method -> (divisor of its lag-k moments: "window" n - |k| or "n", name of its lag matrices)
+_BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
+
+
+def _block_fit(corrected: np.ndarray, failed: dict, p: int, method: str, cfg: FlocConfig):
+    """Block-system coefficients of ``method`` for each mean-corrected series in a stack (R, n, r).
 
     ``failed`` maps the series that failed the checks of ``_prepare`` to
     their errors. Returns the coefficients (R, p, r, r), the block
@@ -247,6 +242,7 @@ def _block_fit(corrected: np.ndarray, failed: dict, p: int, cfg: FlocConfig, nor
     size = p * corrected.shape[-1]
     if corrected.shape[-2] <= 2 * size:
         return _too_short(corrected, p, 2 * size)
+    normalizer, label = _BLOCK_METHODS[method]
     gammas = lag_matrix_set(corrected, p, cfg)
     if normalizer == "n":
         n = corrected.shape[-2]
@@ -288,17 +284,13 @@ def _ls_fit(corrected: np.ndarray, failed: dict, p: int):
     return coeffs, condition, errors
 
 
-# method -> (default normalizer, name of its lag matrices in errors)
-_BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
-
-
 def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
     """FLOC, least-squares and Yule-Walker coefficients of each series in a stack (R, n, r).
 
     ``keys`` holds ("floc", B) for exponents (1, B), ("ls", None) and
-    ("yw", None), each giving the coefficients of its ``estimate_*`` at the
-    default normalizer, without residuals or reports. Returns {key: fit},
-    each fit as ``_block_fit`` returns it, from one mean correction.
+    ("yw", None), each giving the coefficients of its ``estimate_*``, without
+    residuals or reports. Returns {key: fit}, each fit as ``_block_fit``
+    returns it, from one mean correction.
     """
     corrected, _, failed = _prepare(values, p)
     out = {}
@@ -307,7 +299,7 @@ def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
             out[(method, b)] = _ls_fit(corrected, failed, p)
         else:
             cfg = FlocConfig(1.0, 1.0 if method == "yw" else b)
-            out[(method, b)] = _block_fit(corrected, failed, p, cfg, *_BLOCK_METHODS[method])
+            out[(method, b)] = _block_fit(corrected, failed, p, method, cfg)
     return out
 
 
@@ -322,29 +314,20 @@ def _estimate_one(method: str, series: SeriesMatrix, p: int, fit, *args, **extra
     return EstimationReport(method, coeffs, float(condition[0]), res, means[0], **extra)
 
 
-def estimate_floc(
-    series: SeriesMatrix,
-    p: int,
-    cfg: FlocConfig,
-    normalizer: str = "window",
-) -> EstimationReport:
+def estimate_floc(series: SeriesMatrix, p: int, cfg: FlocConfig) -> EstimationReport:
     """FLOC coefficient estimates from the lag cross-FLOC block system.
 
     The first exponent is pinned to A = 1; choose B below alpha - 1 (the
     usual working default is B = alpha_hat - 1.05).
     """
-    _validate_normalizer(normalizer)
     if cfg.exp_a != 1.0:
         raise ValidationError(f"FLOC estimation fixes A = 1, got A = {cfg.exp_a}")
-    return _estimate_one("floc", series, p, _block_fit, cfg, normalizer, "cross-FLOC",
-                         cfg=cfg, normalizer=normalizer)
+    return _estimate_one("floc", series, p, _block_fit, "floc", cfg, cfg=cfg)
 
 
-def estimate_yw(series: SeriesMatrix, p: int, normalizer: str = "n") -> EstimationReport:
+def estimate_yw(series: SeriesMatrix, p: int) -> EstimationReport:
     """Classical Yule-Walker: the block system with sample cross-moments."""
-    _validate_normalizer(normalizer)
-    return _estimate_one("yw", series, p, _block_fit, FlocConfig(1.0, 1.0), normalizer,
-                         "autocovariance", normalizer=normalizer)
+    return _estimate_one("yw", series, p, _block_fit, "yw", FlocConfig(1.0, 1.0))
 
 
 def estimate_ls(series: SeriesMatrix, p: int) -> EstimationReport:

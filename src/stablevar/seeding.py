@@ -1,11 +1,12 @@
 """Seed handling: every stochastic operation takes an explicit seed.
 
-``as_generator`` normalizes ints / SeedSequences / Generators to a
-numpy Generator. ``substream`` derives an independent stream from
-(seed, index), so Monte Carlo replication i sees the same draws whichever
-chunk of replications it is simulated in; ``_child_seed`` derives a seed
-from (seed, *path). All three reject a seed that is not a non-negative
-integer with a ``ValidationError``, whichever entry point passed it.
+A seed is a non-negative int or a numpy Generator: ``as_generator``
+returns a Generator as it is and seeds a new one from an int.
+``substream`` derives an independent stream from (seed, index), so Monte
+Carlo replication i sees the same draws whichever chunk of replications it
+is simulated in; ``_child_seed`` derives a seed from (seed, *path); both
+take an int. Any other seed, a SeedSequence too, is a ``ValidationError``,
+whichever entry point passed it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import _check_int
 
-Seed = Union[int, np.random.SeedSequence, np.random.Generator]
+Seed = Union[int, np.random.Generator]
 
 
 def _check_seed(seed) -> int:
@@ -26,8 +27,6 @@ def _check_seed(seed) -> int:
 def as_generator(seed: Seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(_check_seed(seed))
 
 

@@ -3,10 +3,10 @@ set by ``_standard_cdf``. Past the switch at +-``_TAIL_Z`` s_ab, where
 s_ab = (1 + zeta^2)^(1/(2 alpha)) and zeta = beta tan(pi alpha / 2), one tail series
 serves (Zolotarev's expansion; Nolan 2020, *Univariate Stable Distributions*,
 ch. 3); within it Zolotarev's integral form (Nolan 1997, *Numerical calculation
-of stable densities and distribution functions*, Theorem 1), or for alpha > 1 in
-``stable_cdf_bulk`` and ``stable_quantile`` a grid from one chirp-z transform of
-the Gil-Pelaez sum (Mittnik, Doganoglu and Chenyao, 1999) out to the switch or
-twice ``_TAIL_Z``. At alpha = 1 zeta is undefined and there is no switch.
+of stable densities and distribution functions*, Theorem 1), or for alpha > 1 and
+|zeta| <= 32 in ``stable_cdf_bulk`` and ``stable_quantile`` a grid from one chirp-z
+transform of the Gil-Pelaez sum (Mittnik, Doganoglu and Chenyao, 1999) out to the
+switch or twice ``_TAIL_Z``. At alpha = 1 zeta is undefined and there is no switch.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ _LOG_CUTOFF = 39.1
 _TAIL_Z, _TAIL_TERMS = 45.0, 20
 # grid spacing: quintic Hermite stays within 1e-11 of the node sum
 _GRID_DZ = 0.04
+# the grid's largest |zeta|: past it the phase zeta t^alpha outruns the grid's nodes
+_GRID_ZETA = 32.0
 # exp(-g) is 1 in double precision below the first cut and under 2e-24 above
 # the last; the logit runs over +-_S_MAX, whose ends hold 4e-18 of the range
 _LOG_G_CUTS = np.array([-37.0, 0.0, 4.0])
@@ -147,10 +149,12 @@ def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 def _skew(alpha: float, beta: float) -> tuple[float, float, float]:
     """(zeta, tail switch, grid reach) in standard z; at alpha = 1 zeta is undefined and
-    there is no switch, and the grid's node count grows with its reach, which stops at 90."""
+    there is no switch. The grid's node count grows with its reach, which stops at 90; the
+    reach is 0, no grid, unless alpha > 1 and |zeta| <= _GRID_ZETA."""
     zeta = 0.0 if alpha == 1.0 else beta * math.tan(0.5 * math.pi * alpha)
     switch = math.inf if alpha == 1.0 else _TAIL_Z * math.hypot(1.0, zeta) ** (1.0 / alpha)
-    return zeta, switch, min(switch, 2.0 * _TAIL_Z)
+    gridded = alpha > 1.0 and abs(zeta) <= _GRID_ZETA
+    return zeta, switch, min(switch, 2.0 * _TAIL_Z) if gridded else 0.0
 
 
 def _standard_cdf(z: np.ndarray, alpha: float, beta: float, grid=None) -> np.ndarray:
@@ -227,12 +231,13 @@ def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
 
 
 def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
-    """CDF at many points in one pass: for alpha > 1 one chirp-z grid serves out
-    to the largest point within its reach, ``stable_cdf``'s rule the rest."""
+    """CDF at many points in one pass: one chirp-z grid serves out to the largest
+    point within its reach (``_skew``), ``stable_cdf``'s rule the rest."""
     z = _standardize(x, params)
-    near = np.abs(z)[np.abs(z) <= _skew(params.alpha, params.beta)[2]]
+    reach = _skew(params.alpha, params.beta)[2]
+    near = np.abs(z)[np.abs(z) <= reach]
     grid = None
-    if params.alpha > 1.0 and near.size:
+    if reach > 0.0 and near.size:
         grid = _cdf_grid(params.alpha, params.beta, float(np.max(near)))
     return _standard_cdf(z, params.alpha, params.beta, grid)
 
@@ -264,7 +269,7 @@ def _invert(p: np.ndarray, z: np.ndarray, f: np.ndarray, cdf) -> np.ndarray:
 
 def stable_quantile(p, params: StableParams):
     """Quantile(s) of the stable law by ``_invert`` on ``stable_cdf_bulk``'s rule:
-    the nodes are the chirp-z grid's for alpha > 1 (within 1e-6 in probability)
+    the nodes are the chirp-z grid's where it has a reach (within 1e-6 in probability)
     or ``_NEAR_Z``, and ``_FAR_Z`` past +-_TAIL_Z, over the tail switch."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
@@ -272,7 +277,7 @@ def stable_quantile(p, params: StableParams):
     alpha, beta = params.alpha, params.beta
     zeta, _, reach = _skew(alpha, beta)
     grid, near = None, _NEAR_Z
-    if alpha > 1.0:
+    if reach > 0.0:
         grid = z0, dz, f = _cdf_grid(alpha, beta, reach)
         near = z0 + dz * np.arange(f.shape[1])
     # near alpha 1 the skew shift carries the bulk out past +-_TAIL_Z

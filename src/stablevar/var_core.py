@@ -95,14 +95,14 @@ def companion_matrix(coeffs: Sequence[np.ndarray]) -> np.ndarray:
     return comp
 
 
-def is_causal(model: VarModel, margin: float = DEFAULT_CAUSALITY_MARGIN) -> CausalityResult:
-    """Whether the companion spectral radius is below 1 - margin.
+def is_causal(model: VarModel) -> CausalityResult:
+    """Whether the companion spectral radius is below 1 - DEFAULT_CAUSALITY_MARGIN.
 
     Radius < 1 is equivalent to det(I - A_1 z - ... - A_p z^p) != 0 on the
     closed unit disk, the usual causality condition.
     """
     radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model.coeffs)))))
-    return CausalityResult(radius < 1.0 - margin, radius)
+    return CausalityResult(radius < 1.0 - DEFAULT_CAUSALITY_MARGIN, radius)
 
 
 def _require_causal(model: VarModel) -> None:

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from stablevar.cli import main
+from stablevar.cli import _build_parser, main
 from stablevar.diagnostics import ks_summary_line, write_auto_floc_csv, write_qq_csv
 
 MODEL_CFG = """\
@@ -43,6 +45,31 @@ def model_cfg(tmp_path):
     p = tmp_path / "model.cfg"
     p.write_text(MODEL_CFG)
     return p
+
+
+def _readme_synopsis() -> dict:
+    """{subcommand: set of flags} from the synopsis block under README's "Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags, command = {}, None
+    for line in section.splitlines():
+        if line.startswith("    stablevar "):
+            command = line.split()[1]
+            flags[command] = set()
+        elif not line.startswith("    "):
+            command = None
+        if command is not None:
+            flags[command].update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_lists_every_flag_of_the_parser():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser_flags = {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert _readme_synopsis() == parser_flags
 
 
 class TestSimulate:
@@ -142,6 +169,16 @@ class TestEstimate:
                      "--b-exp", "0.5", "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "--b-exp applies only to FLOC" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_normalizer_flag_is_gone(self, model_cfg, tmp_path, capsys):
+        # each method has one normalizer, so the flag is bad usage
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        code = main(["estimate", "--data", str(data), "--order", "2",
+                     "--normalizer", "n", "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "unrecognized arguments: --normalizer n" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_short_series_validation_exit_code(self, tmp_path):

@@ -70,16 +70,17 @@ class TestAutoFloc:
     ):
         # the stacked lag moments give each replicate the bits of its own cross_floc call
         cfg = FlocConfig(1.0, 0.6)
-        lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, 0.9, rng_seed=5)
+        lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, rng_seed=5)
         lags = np.arange(max_lag + 1)
         samples = [sv.sample_stable(fitted, 150, substream(5, rep)) for rep in range(replicates)]
         sims = [sv.cross_floc(x, x, lags, cfg) for x in samples]
-        tail = 100.0 * (1.0 - 0.9) / 2.0
+        # the fixed 95% band: the 2.5th and 97.5th percentiles, as 0.95 gives them
+        tail = 100.0 * (1.0 - 0.95) / 2.0
         assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
         assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
         # replicate blocks of 3 (and a last short one) leave the band's bits as they are
         monkeypatch.setattr(diagnostics, "_STACK_DRAWS", 3 * 150)
-        blocked = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, 0.9, rng_seed=5)
+        blocked = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, rng_seed=5)
         assert np.array_equal(blocked[0], lo) and np.array_equal(blocked[1], hi)
 
 

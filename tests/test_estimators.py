@@ -4,6 +4,7 @@ import pytest
 import stablevar as sv
 from helpers import var2_model
 from stablevar.errors import NumericalError, ValidationError
+from stablevar.estimators import _solve_block
 from stablevar.floc import FlocConfig, _floc_moments
 from stablevar.seeding import substream
 
@@ -143,18 +144,16 @@ class TestFlocEstimator:
 
 class TestMethodAgreement:
     def test_floc_unit_exponents_equals_yw(self):
+        # one block solve: FLOC at A = B = 1 on the moments divided by n - |k|,
+        # Yule-Walker on the same moments divided by n
         series = sv.simulate(var2_model(2.0), 2000, 500, 16)
-        for norm in ("window", "n"):
-            f = sv.estimate_floc(series, 2, FlocConfig(1.0, 1.0), normalizer=norm)
-            y = sv.estimate_yw(series, 2, normalizer=norm)
-            assert np.max(np.abs(f.coeff_array() - y.coeff_array())) < 1e-8
-
-    def test_normalizers_differ_but_agree_asymptotically(self):
-        series = sv.simulate(var2_model(2.0), 3000, 500, 17)
-        w = sv.estimate_yw(series, 2, normalizer="window")
-        n = sv.estimate_yw(series, 2, normalizer="n")
-        gap = np.max(np.abs(w.coeff_array() - n.coeff_array()))
-        assert 0 < gap < 0.01
+        gammas = sv.lag_matrix_set(sv.mean_correct(series), 2, FlocConfig(1.0, 1.0))
+        by_n = gammas * ((2000 - np.abs(np.arange(-1, 3))) / 2000)[:, None, None]
+        f = sv.estimate_floc(series, 2, FlocConfig(1.0, 1.0))
+        y = sv.estimate_yw(series, 2)
+        assert np.array_equal(f.coeff_array(), _solve_block(gammas[None])[0][0])
+        assert np.array_equal(y.coeff_array(), _solve_block(by_n[None])[0][0])
+        assert not np.array_equal(f.coeff_array(), y.coeff_array())
 
     def test_yw_white_noise_near_zero(self):
         spec = sv.SymmetricStableNoiseSpec.iid(2, 2.0)

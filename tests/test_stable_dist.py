@@ -164,8 +164,8 @@ class TestTailRule:
 
     def test_switch_moves_out_with_the_skew_near_alpha_one(self):
         # a fixed switch at 45 sat inside this law's bulk: the bulk CDF gave 0
-        # at -45.01, where quadrature gives 0.964; now the grid serves there and
-        # Zolotarev's form at -100, past the grid's reach but within the switch
+        # at -45.01, where quadrature gives 0.964; now Zolotarev's form serves
+        # both points, within the switch (zeta = 64 keeps this law off the grid)
         p = sv.StableParams(1.01, 1.0, 1.0, 0.0)
         z = np.array([-100.0, -45.01])
         assert quad_cdf(z, p)[1] == pytest.approx(0.96416001, abs=1e-8)
@@ -222,6 +222,19 @@ class TestGridEngine:
                 (np.linspace(-4.0, 4.0, 41), 4e-5),
             ):
                 assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= bound
+
+    @pytest.mark.parametrize("beta", (-1.0, 1.0))
+    def test_full_skew_near_alpha_one_leaves_the_grid(self, beta):
+        # |zeta| > 32 (637 at alpha 1.001) outruns the grid's nodes: 3.8e-5 off there;
+        # Zolotarev's form serves instead, and up to |zeta| 32 the grid stays within 1e-6
+        z = np.linspace(-45.0, 45.0, 181)
+        for alpha in (1.001, 1.005, 1.01, 1.02, 1.05):
+            got = stable_cdf_bulk(z, sv.StableParams(alpha, beta, 1.0, 0.0))
+            zolotarev = stable_dist._zolotarev_cdf(z, alpha, beta)
+            if alpha <= 1.01:
+                assert np.array_equal(got, zolotarev)
+            else:
+                assert np.max(np.abs(got - zolotarev)) <= 1e-6
 
     def test_no_zolotarev_above_alpha_one(self, monkeypatch):
         def refuse(*args, **kwargs):

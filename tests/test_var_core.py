@@ -163,7 +163,8 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             sv.simulate(model, 10, 0, 0)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    # a seed is an int or a Generator; a SeedSequence is refused like any other object
+    @pytest.mark.parametrize("seed", [1.5, -1, True, np.random.SeedSequence(3)])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             sv.simulate(var2_model(1.6), 50, 10, seed)
