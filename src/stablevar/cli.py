@@ -44,7 +44,10 @@ from .var_core import mean_correct, simulate
 
 
 class _Parser(argparse.ArgumentParser):
-    # bad usage is a validation error (exit 1), not argparse's default exit 2
+    # full flag names only; bad usage is a validation error (exit 1), not argparse's exit 2
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ValidationError(message)
 

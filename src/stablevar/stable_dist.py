@@ -4,9 +4,11 @@ s_ab = (1 + zeta^2)^(1/(2 alpha)) and zeta = beta tan(pi alpha / 2), one tail se
 serves (Zolotarev's expansion; Nolan 2020, *Univariate Stable Distributions*,
 ch. 3); within it Zolotarev's integral form (Nolan 1997, *Numerical calculation
 of stable densities and distribution functions*, Theorem 1), or for alpha > 1 and
-|zeta| <= 32 in ``stable_cdf_bulk`` and ``stable_quantile`` a grid from one chirp-z
-transform of the Gil-Pelaez sum (Mittnik, Doganoglu and Chenyao, 1999) out to the
-switch or twice ``_TAIL_Z``. At alpha = 1 zeta is undefined and there is no switch.
+|zeta| <= 32 in ``stable_cdf_bulk`` and ``stable_quantile`` a grid out to the switch
+or twice ``_TAIL_Z``: one chirp-z transform of the Gil-Pelaez trapezoid sum (Mittnik,
+Doganoglu and Chenyao, 1999) plus a polynomial in z for its error at the t^alpha branch
+point (Navot 1961, *J. Math. Phys.* 40), within 1e-9 of Zolotarev's form between its
+points. At alpha = 1 zeta is undefined and there is no switch.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ from .stable_noise import StableParams
 
 __all__ = ["stable_cdf", "stable_cdf_bulk", "stable_quantile"]
 
-# exp(-T^alpha) ~ 1e-17 truncates the inversion integral
+# the trapezoid stops at T = _LOG_CUTOFF^(1/alpha), where exp(-T^alpha) = 1e-17
 _LOG_CUTOFF = 39.1
 # the tail switch in units of s_ab; the series terms meet Zolotarev's form to 5.5e-15 there
 _TAIL_Z, _TAIL_TERMS = 45.0, 20
-# grid spacing: quintic Hermite stays within 1e-11 of the node sum
-_GRID_DZ = 0.04
+# grid spacing: quintic Hermite between the grid's points adds at most 1.6e-10
+_GRID_DZ = 0.08
+# the trapezoid's correction sums k = 1.._SERIES and l = 0.._SERIES; the node spacing h
+# keeps |c| h^alpha <= _SERIES_RATIO, c = 1 - i zeta, so the k series falls fast near alpha 1
+_SERIES, _SERIES_RATIO = 10, 0.3
+# _riemann_zeta: _ZETA_TERMS terms, then Euler-Maclaurin's tail with B_2j / (2j)!, j = 1..5
+_ZETA_TERMS, _EM_B = 6, np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160])
 # the grid's largest |zeta|: past it the phase zeta t^alpha outruns the grid's nodes
 _GRID_ZETA = 32.0
 # exp(-g) is 1 in double precision below the first cut and under 2e-24 above
@@ -183,34 +190,53 @@ def stable_cdf(x, params: StableParams):
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
+def _riemann_zeta(x: np.ndarray) -> np.ndarray:
+    """Riemann's zeta at x > 1, within 2e-12 relative on (1, 40]: n - 1 = _ZETA_TERMS terms, the
+    tail's integral and Euler-Maclaurin's terms B_2j / (2j)! x (x+1) ... (x+2j-2) n^(1-x-2j)."""
+    n = _ZETA_TERMS + 1.0
+    head = np.power.outer(np.arange(1.0, n), -x).sum(axis=0)
+    rise = np.cumprod((x[..., None] + np.arange(2.0 * _EM_B.size - 1)) / n, axis=-1)[..., ::2]
+    return head + n**-x * (n / (x - 1.0) + 0.5 + rise @ _EM_B)
+
+
+def _trapezoid_correction(alpha: float, beta: float, h: float) -> np.ndarray:
+    """Coefficients b of P(z) = sum_l b_l u^l, u = h z / (2 pi), the trapezoid sum's error at t = 0
+    (Navot 1961). Im[phi(t) e^(-itz)] / t sums Im[(-c)^k (-i)^l] z^l t^s / (k! l!), c = 1 - i zeta,
+    s = k alpha + l - 1; the k = 0 terms need only the t = 0 node, and each k >= 1 term leaves
+    R(-s) h^(s+1) = 2 (h / 2 pi)^(s+1) cos(pi (s+1) / 2) Gamma(s+1) R(s+1), R Riemann's zeta."""
+    k, l = np.arange(1, _SERIES + 1)[:, None], np.arange(_SERIES + 1)
+    x = alpha * k + l
+    # Gamma(x) (h / 2 pi)^(k alpha) / (k! l!) by rising factorials in l
+    lead = [math.gamma(alpha * j) / math.factorial(j) * (h / (2.0 * math.pi)) ** (alpha * j)
+            for j in range(1, _SERIES + 1)]
+    g = np.cumprod(np.column_stack([lead, x[:, :-1] / l[1:]]), axis=1)
+    im = ((complex(-1.0, _skew(alpha, beta)[0]) ** k) * (-1j) ** l).imag
+    return (2.0 * im * np.cos(0.5 * math.pi * x) * _riemann_zeta(x) * g).sum(axis=0)
+
+
 def _bulk_grid(alpha: float, beta: float, zmax: float):
-    upper = _LOG_CUTOFF ** (1.0 / alpha)
-    h = min(0.16 / max(zmax, 4.0), upper / 400.0)
-    n = 2 * math.ceil(upper / (2.0 * h))  # even, for Simpson's rule
-    w = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0) * ((upper / n) / 3.0)
-    w[0] = w[-1] = (upper / n) / 3.0
-    tt = np.linspace(0.0, upper, n + 1)[1:]
-    decay = np.exp(-(tt**alpha))
-    amp = decay * w[1:] / tt
-    eta = beta * math.tan(0.5 * math.pi * alpha)
-    ph = eta * tt**alpha
-    # the eta * t^(alpha-1) part of the integrand is not C^4 at t = 0, which
-    # wrecks Simpson's order; integrate it in closed form and subtract its
-    # grid approximation (a z-independent constant)
-    exact = (eta / alpha) * (1.0 - math.exp(-(upper**alpha)))
-    on_grid = float(np.sum(w[1:] * decay * eta * tt ** (alpha - 1.0)))
-    return tt, amp, ph, w[0], exact - on_grid
+    """``_kernels.gil_pelaez_cdf``'s (t, amp, ph, w0) on the trapezoid nodes t_j = j h, j >= 1;
+    h zmax <= 1 keeps u = h z / (2 pi) small and the trapezoid's aliases 2 pi / h away."""
+    upper, zeta = _LOG_CUTOFF ** (1.0 / alpha), _skew(alpha, beta)[0]
+    h = min(1.0 / max(zmax, 4.0), (_SERIES_RATIO / math.hypot(1.0, zeta)) ** (1.0 / alpha))
+    t = h * np.arange(1, math.ceil(upper / h) + 1)
+    return t, np.exp(-(t**alpha)) * h / t, zeta * t**alpha, 0.5 * h
 
 
 def _cdf_grid(alpha: float, beta: float, zmax: float):
     """(z0, _GRID_DZ, f): f[d] is the d-th z-derivative of the standard CDF
     at z0 + k _GRID_DZ, on a grid symmetric about 0 covering [-zmax, zmax]."""
-    t, amp, ph, w0, correction = _bulk_grid(alpha, beta, zmax)
+    t, amp, ph, w0 = _bulk_grid(alpha, beta, zmax)
     m = int(zmax / _GRID_DZ) + 2
     z = _GRID_DZ * np.arange(-m, m + 1)
-    f = _kernels.gil_pelaez_cdf(z, t, amp, ph, w0)
-    f[0] -= correction / math.pi
-    return z[0], _GRID_DZ, f
+    # the trapezoid sum plus P / pi and its z-derivatives: rows against the powers u^l
+    scale, l = t[0] / (2.0 * math.pi), np.arange(_SERIES + 1)
+    b = _trapezoid_correction(alpha, beta, t[0]) / math.pi
+    rows, u = np.zeros((3, l.size)), np.ones((l.size, z.size))
+    rows[0], rows[1, :-1], rows[2, :-2] = b, scale * (l * b)[1:], scale**2 * (l * (l - 1) * b)[2:]
+    for j in l[1:]:
+        u[j] = u[j - 1] * (scale * z)
+    return z[0], _GRID_DZ, _kernels.gil_pelaez_cdf(z, t, amp, ph, w0) + rows @ u
 
 
 def _grid_cdf(grid, z: np.ndarray) -> np.ndarray:
@@ -269,7 +295,7 @@ def _invert(p: np.ndarray, z: np.ndarray, f: np.ndarray, cdf) -> np.ndarray:
 
 def stable_quantile(p, params: StableParams):
     """Quantile(s) of the stable law by ``_invert`` on ``stable_cdf_bulk``'s rule:
-    the nodes are the chirp-z grid's where it has a reach (within 1e-6 in probability)
+    the nodes are the chirp-z grid's where it has a reach (within 1e-9 in probability)
     or ``_NEAR_Z``, and ``_FAR_Z`` past +-_TAIL_Z, over the tail switch."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):

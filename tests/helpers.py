@@ -82,10 +82,9 @@ def brute_gil_pelaez_cdf(z, t, amp, ph, w0):
     """Dense node sum of the Gil-Pelaez inversion: one sin and one cos per
     (point, node). Rows: the CDF and its first and second z-derivatives.
 
-    ``t``, ``amp``, ``ph`` and ``w0`` are the fixed-grid nodes, combined
+    ``t``, ``amp``, ``ph`` and ``w0`` are the trapezoid nodes, combined
     exp(-t^alpha) * weight / t factors, skewness phases and t = 0 weight of
-    ``stable_dist._bulk_grid``; the caller subtracts its correction / pi
-    from row 0.
+    ``stable_dist._bulk_grid``; the caller adds the trapezoid's correction.
     """
     z = np.asarray(z, dtype=float)
     arg = ph[None, :] - t[None, :] * z[:, None]

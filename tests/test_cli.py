@@ -156,7 +156,7 @@ class TestEstimate:
     def test_non_finite_b_is_validation_error(self, model_cfg, tmp_path, capsys):
         data = tmp_path / "series.csv"
         main(["simulate", "--config", str(model_cfg), "--out", str(data)])
-        code = main(["estimate", "--data", str(data), "--order", "2", "--b", "nan",
+        code = main(["estimate", "--data", str(data), "--order", "2", "--b-exp", "nan",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "exponents must be finite" in capsys.readouterr().err
@@ -179,6 +179,17 @@ class TestEstimate:
                      "--normalizer", "n", "--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert "unrecognized arguments: --normalizer n" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--b", "0.5"), ("--meth", "yw"), ("--ord", "2")])
+    def test_flag_prefixes_are_bad_usage(self, model_cfg, tmp_path, capsys, flag, value):
+        # flags are taken by their full names only, as README's synopsis lists them
+        data = tmp_path / "series.csv"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        code = main(["estimate", "--data", str(data), "--order", "2", flag, value,
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_short_series_validation_exit_code(self, tmp_path):

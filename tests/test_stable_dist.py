@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.special
+from scipy.optimize import brentq
 from scipy.stats import levy_stable, norm
 
 import stablevar as sv
@@ -14,6 +16,7 @@ from stablevar.stable_dist import _TAIL_Z, stable_cdf, stable_cdf_bulk, stable_q
 ENGINE_ALPHAS = (1.05, 1.3, 1.6, 1.9, 2.0)
 ENGINE_BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 TAIL_LEVELS = np.array([1e-4, 0.005, 0.5, 0.995, 1.0 - 1e-4])
+SWEEP_ALPHAS = (1.01, 1.02, 1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 1.95, 2.0)
 SWITCH_ALPHAS = (0.1, 0.5, 0.9, 0.999, 1.001, 1.01, 1.05, 1.6, 1.9)
 
 
@@ -182,21 +185,48 @@ class TestTailRule:
 
 class TestGridEngine:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
-    def test_matches_dense_node_sum(self, alpha):
-        for i, beta in enumerate(ENGINE_BETAS):
-            for z in (_engine_points(alpha, beta, i), np.linspace(-3.0, 2.5, 23)):
-                zmax = float(np.max(np.abs(z)))
-                t, amp, ph, w0, correction = stable_dist._bulk_grid(alpha, beta, zmax)
-                want = np.clip(brute_gil_pelaez_cdf(z, t, amp, ph, w0)[0] - correction / np.pi, 0, 1)
+    def test_grid_is_the_corrected_trapezoid(self, alpha):
+        # each row of the grid is the dense trapezoid sum on _bulk_grid's nodes plus
+        # P(z) / pi, P of _trapezoid_correction, or its first or second z-derivative;
+        # worst measured 9.1e-15
+        poly = np.polynomial.polynomial
+        for beta in ENGINE_BETAS:
+            for zmax in (0.5, 2.5, 10.0, _TAIL_Z - 0.01):
+                z0, dz, f = stable_dist._cdf_grid(alpha, beta, zmax)
+                z = z0 + dz * np.arange(f.shape[1])
+                pick = np.linspace(0, z.size - 1, 61).astype(int)
+                t, amp, ph, w0 = stable_dist._bulk_grid(alpha, beta, zmax)
+                b = stable_dist._trapezoid_correction(alpha, beta, t[0])
+                scale = t[0] / (2.0 * np.pi)
+                p = np.stack([poly.polyval(scale * z[pick], poly.polyder(b, d)) * scale**d
+                              for d in range(3)])
+                want = brute_gil_pelaez_cdf(z[pick], t, amp, ph, w0) + p / np.pi
+                assert np.max(np.abs(f[:, pick] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_matches_zolotarev(self, alpha):
+        # worst measured 1.6e-10 (alpha 1.01, beta 0, zmax 0.5), most of it the
+        # quintic Hermite interpolation between the grid's nodes
+        for beta in (-1.0, -0.5, 0.0, 0.3, 1.0):
+            reach = stable_dist._skew(alpha, beta)[2]
+            if reach == 0.0:
+                continue
+            for zmax in (0.5, 2.0, 4.0, 10.0, 36.0, min(90.0, reach)):
+                z = np.linspace(-zmax, zmax, 97)
                 got = stable_cdf_bulk(z, sv.StableParams(alpha, beta, 1.0, 0.0))
-                assert np.max(np.abs(got - want)) <= 1e-9
+                assert np.max(np.abs(got - stable_dist._zolotarev_cdf(z, alpha, beta))) <= 1e-9
+
+    def test_riemann_zeta_matches_scipy(self):
+        x = np.concatenate([1.0 + np.logspace(-9.0, 0.0, 91), np.linspace(2.0, 40.0, 381)])
+        want = scipy.special.zeta(x)
+        assert np.max(np.abs(stable_dist._riemann_zeta(x) / want - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("zmax", (4.0, 10.0, 45.0, 100.0))
     def test_kernel_rows_match_dense_node_sum(self, zmax):
         # all three rows, on the spacing of _cdf_grid and on an arbitrary
-        # one, at ~150 grid points; worst measured 5.4e-14 (row 0, zmax 100)
+        # one, at ~150 grid points; worst measured 9.3e-14 (row 0, zmax 100)
         for alpha, beta in ((1.05, 1.0), (1.5, 0.3), (1.9, -1.0)):
-            t, amp, ph, w0, _ = stable_dist._bulk_grid(alpha, beta, zmax)
+            t, amp, ph, w0 = stable_dist._bulk_grid(alpha, beta, zmax)
             for dz in (stable_dist._GRID_DZ, 0.0173):
                 m = int(zmax / dz) + 2
                 z = dz * np.arange(-m, m + 1)
@@ -213,20 +243,16 @@ class TestGridEngine:
     def test_matches_quad(self, alpha):
         for i, beta in enumerate(ENGINE_BETAS):
             p = sv.StableParams(alpha, beta, 1.0, 0.0)
-            # the node spacing shrinks as the largest |z| grows; point sets
-            # within +-4 or +-10 get coarser nodes and larger errors, bounded
-            # here by what the grid meets today (3.4e-5 and 3.6e-6 at worst)
-            for z, bound in (
-                (_engine_points(alpha, beta, 100 + i)[:12], 1e-6),
-                (np.linspace(-10.0, 10.0, 41), 5e-6),
-                (np.linspace(-4.0, 4.0, 41), 4e-5),
-            ):
-                assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= bound
+            # the node spacing grows as the largest |z| shrinks, and the trapezoid's
+            # correction keeps the coarser nodes as accurate: worst measured 1.0e-10
+            for z in (_engine_points(alpha, beta, 100 + i)[:12], np.linspace(-10.0, 10.0, 41),
+                      np.linspace(-4.0, 4.0, 41)):
+                assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= 1e-9
 
     @pytest.mark.parametrize("beta", (-1.0, 1.0))
     def test_full_skew_near_alpha_one_leaves_the_grid(self, beta):
         # |zeta| > 32 (637 at alpha 1.001) outruns the grid's nodes: 3.8e-5 off there;
-        # Zolotarev's form serves instead, and up to |zeta| 32 the grid stays within 1e-6
+        # Zolotarev's form serves instead, and up to |zeta| 32 the grid stays within 1e-9
         z = np.linspace(-45.0, 45.0, 181)
         for alpha in (1.001, 1.005, 1.01, 1.02, 1.05):
             got = stable_cdf_bulk(z, sv.StableParams(alpha, beta, 1.0, 0.0))
@@ -234,7 +260,7 @@ class TestGridEngine:
             if alpha <= 1.01:
                 assert np.array_equal(got, zolotarev)
             else:
-                assert np.max(np.abs(got - zolotarev)) <= 1e-6
+                assert np.max(np.abs(got - zolotarev)) <= 1e-9
 
     def test_no_zolotarev_above_alpha_one(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -263,6 +289,25 @@ class TestVectorizedQuantile:
             assert np.max(np.abs(back[inner] - TAIL_LEVELS[inner])) < 1e-6
             # past the grid the quantile inverts stable_cdf itself
             assert np.allclose(back[~inner], TAIL_LEVELS[~inner], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", (1.05, 1.3, 1.6, 1.9, 2.0))
+    def test_grid_quantiles_match_zolotarev_inversion(self, alpha):
+        # levels whose quantile lies within the grid's reach, against a root of
+        # Zolotarev's form: relative error (absolute within +-1), worst measured
+        # 2.8e-10 (alpha 1.6, beta +-1)
+        levels = np.array([1e-4, 0.005, 0.05, 0.25, 0.5, 0.75, 0.95, 0.995, 1.0 - 1e-4])
+        for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            reach = stable_dist._skew(alpha, beta)[2]
+            qs = stable_quantile(levels, sv.StableParams(alpha, beta, 1.0, 0.0))
+            for level, q in zip(levels, qs):
+                if abs(q) > reach:
+                    continue
+
+                def gap(v, level=level):
+                    return stable_dist._zolotarev_cdf(np.array([v]), alpha, beta)[0] - level
+
+                want = brentq(gap, q - 1.0, q + 1.0, xtol=1e-14, rtol=1e-15)
+                assert abs(q - want) <= 1e-9 * max(abs(want), 1.0)
 
     def test_tail_levels_reached(self):
         # alpha <= 1 included: these levels lie past any bracket on the quadrature
