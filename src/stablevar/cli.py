@@ -35,8 +35,8 @@ from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_y
 from .experiments import (
     diagnose_residuals,
     floc_config,
-    _read_model_config,
     load_experiment_config,
+    load_model_config,
     run_monte_carlo,
 )
 from .series import SeriesMatrix
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    model, _, ints = _read_model_config(args.config)
+    model, ints = load_model_config(args.config)
     n = args.n if args.n is not None else ints["n"]
     if n is None:
         raise ValidationError("sample length required: pass --n or put n in the config")

@@ -41,15 +41,12 @@ __all__ = [
 class AutoFlocSeries:
     """Auto-FLOC values of one column at lags 0..L."""
 
-    lags: np.ndarray
     values: np.ndarray
     cfg: FlocConfig
 
-    def __post_init__(self) -> None:
-        if self.lags.shape != self.values.shape:
-            raise ValidationError("lags and values must have matching lengths")
-        if self.lags[0] != 0:
-            raise ValidationError("lag 0 must be present")
+    @property
+    def lags(self) -> np.ndarray:
+        return np.arange(len(self.values))
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,7 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
         raise ValidationError(f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}")
     if not np.any(col != 0.0):
         raise ValidationError("degenerate all-zero column")
-    lags = np.arange(max_lag + 1)
-    values = cross_floc(col, col, lags, cfg)
-    return AutoFlocSeries(lags=lags, values=values, cfg=cfg)
+    return AutoFlocSeries(values=cross_floc(col, col, np.arange(max_lag + 1), cfg), cfg=cfg)
 
 
 # percentile of each side of the null band, the central 95% of the replicates

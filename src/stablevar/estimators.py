@@ -14,9 +14,9 @@ Yule-Walker by n, so Yule-Walker's moments are FLOC's at A = B = 1 scaled
 by (n - |k|) / n. ``_BLOCK_METHODS`` holds both facts.
 
 All three run through one core on a stack of R series: ``_prepare``
-checks and mean-corrects once, then ``_block_fit`` or ``_ls_fit`` fits
-each series. ``estimate_*`` are the stack of one; the Monte Carlo harness
-passes a chunk of replications to ``_estimate_stack``.
+checks and mean-corrects once, then ``_fit`` fits each series by the
+block system or by ``_ls_fit``. ``estimate_*`` are the stack of one; the
+Monte Carlo harness passes a chunk of replications to ``_estimate_stack``.
 """
 
 from __future__ import annotations
@@ -231,19 +231,23 @@ def _solve_block(gammas: np.ndarray):
 _BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
 
 
-def _block_fit(corrected: np.ndarray, failed: dict, p: int, method: str, cfg: FlocConfig):
-    """Block-system coefficients of ``method`` for each mean-corrected series in a stack (R, n, r).
+def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[float] = None):
+    """Coefficients of ``method`` for each mean-corrected series in a stack (R, n, r).
 
-    ``failed`` maps the series that failed the checks of ``_prepare`` to
-    their errors. Returns the coefficients (R, p, r, r), the block
-    condition numbers (R,), NaN for those series, and {index: exception}
-    with the exception that estimating each failing series alone raises.
+    ``method`` is "floc" (exponents (1, ``b``)), "yw" or "ls"; ``failed`` maps
+    the series that failed the checks of ``_prepare`` to their errors.
+    Returns the coefficients (R, p, r, r), the condition numbers (R,) of
+    each block matrix (FLOC, Yule-Walker) or regressor matrix (``_ls_fit``),
+    NaN for those series, and {index: exception} with the exception that
+    estimating each failing series alone raises.
     """
+    if method == "ls":
+        return _ls_fit(corrected, failed, p)
     size = p * corrected.shape[-1]
     if corrected.shape[-2] <= 2 * size:
         return _too_short(corrected, p, 2 * size)
     normalizer, label = _BLOCK_METHODS[method]
-    gammas = lag_matrix_set(corrected, p, cfg)
+    gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, 1.0 if method == "yw" else b))
     if normalizer == "n":
         n = corrected.shape[-2]
         gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
@@ -262,8 +266,8 @@ def _block_fit(corrected: np.ndarray, failed: dict, p: int, method: str, cfg: Fl
 def _ls_fit(corrected: np.ndarray, failed: dict, p: int):
     """Least-squares coefficients of each mean-corrected series in a stack (R, n, r).
 
-    Returns as ``_block_fit`` does, with the condition number of each
-    series' regressor matrix from the singular values ``lstsq`` returns.
+    Returns as ``_fit`` does, with the condition number of each series'
+    regressor matrix from the singular values ``lstsq`` returns.
     """
     reps, n, r = corrected.shape
     if n <= p * r + p:
@@ -289,29 +293,23 @@ def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
 
     ``keys`` holds ("floc", B) for exponents (1, B), ("ls", None) and
     ("yw", None), each giving the coefficients of its ``estimate_*``, without
-    residuals or reports. Returns {key: fit}, each fit as ``_block_fit``
-    returns it, from one mean correction.
+    residuals or reports. Returns {key: fit}, each fit as ``_fit`` returns
+    it, from one mean correction.
     """
     corrected, _, failed = _prepare(values, p)
-    out = {}
-    for method, b in keys:
-        if method == "ls":
-            out[(method, b)] = _ls_fit(corrected, failed, p)
-        else:
-            cfg = FlocConfig(1.0, 1.0 if method == "yw" else b)
-            out[(method, b)] = _block_fit(corrected, failed, p, method, cfg)
-    return out
+    return {key: _fit(corrected, failed, p, *key) for key in keys}
 
 
-def _estimate_one(method: str, series: SeriesMatrix, p: int, fit, *args, **extra):
-    """Report of ``fit(corrected, failed, p, *args)`` on one series: the stack of one."""
+def _estimate_one(method: str, series: SeriesMatrix, p: int, cfg: Optional[FlocConfig] = None):
+    """Report of ``method`` (exponents ``cfg`` for FLOC) on one series: the stack of one."""
     corrected, means, failed = _prepare(series.values[None], p)
-    coeffs, condition, errors = fit(corrected, failed, p, *args)
+    b = None if cfg is None else cfg.exp_b
+    coeffs, condition, errors = _fit(corrected, failed, p, method, b)
     if errors:
         raise errors[0]
     coeffs = tuple(np.ascontiguousarray(a) for a in coeffs[0])
     res = residuals(SeriesMatrix(corrected[0]), coeffs)
-    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], **extra)
+    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], cfg)
 
 
 def estimate_floc(series: SeriesMatrix, p: int, cfg: FlocConfig) -> EstimationReport:
@@ -322,14 +320,14 @@ def estimate_floc(series: SeriesMatrix, p: int, cfg: FlocConfig) -> EstimationRe
     """
     if cfg.exp_a != 1.0:
         raise ValidationError(f"FLOC estimation fixes A = 1, got A = {cfg.exp_a}")
-    return _estimate_one("floc", series, p, _block_fit, "floc", cfg, cfg=cfg)
+    return _estimate_one("floc", series, p, cfg)
 
 
 def estimate_yw(series: SeriesMatrix, p: int) -> EstimationReport:
     """Classical Yule-Walker: the block system with sample cross-moments."""
-    return _estimate_one("yw", series, p, _block_fit, "yw", FlocConfig(1.0, 1.0))
+    return _estimate_one("yw", series, p)
 
 
 def estimate_ls(series: SeriesMatrix, p: int) -> EstimationReport:
     """Least squares: regress x[t] on (x[t-1], ..., x[t-p])."""
-    return _estimate_one("ls", series, p, _ls_fit)
+    return _estimate_one("ls", series, p)

@@ -74,10 +74,10 @@ class ExperimentConfig:
     ``burn_in`` None is replaced by the default of ``simulate`` for the
     model, so the config (and ``summary_text``) holds the value used.
 
-    ``workers`` is accepted and checked but selects nothing: replications
-    run in chunks of arrays in one thread, which was faster than the thread
-    pool it once chose (that pool was bound by the interpreter lock). It
-    stays because existing config files and callers still pass it.
+    ``workers`` is checked but selects nothing: replications run in chunks
+    of arrays in one thread. The field stays only because the benchmark's
+    Monte Carlo set-up (``stablebench/workloads.py::mc_setup``) passes
+    ``workers=1``; config files no longer take the key.
     """
 
     model: VarModel
@@ -154,9 +154,20 @@ class FailureRecord:
 class MonteCarloReport:
     config: ExperimentConfig
     cells: tuple
-    failures: Dict[Tuple[str, Optional[float]], int]
-    failed_replications: int
     failure_records: Tuple[FailureRecord, ...] = ()
+
+    @property
+    def failures(self) -> Dict[Tuple[str, Optional[float]], int]:
+        """Failed replications of each estimator, in ``_estimate_keys`` order, zeros included."""
+        counts = dict.fromkeys(_estimate_keys(self.config), 0)
+        for rec in self.failure_records:
+            counts[(rec.method, rec.b)] += 1
+        return counts
+
+    @property
+    def failed_replications(self) -> int:
+        """Replications in which at least one estimator failed."""
+        return len({rec.replication for rec in self.failure_records})
 
     def cell(self, method: str, b: Optional[float], k: int, i: int, j: int) -> CellStats:
         for c in self.cells:
@@ -177,7 +188,7 @@ class MonteCarloReport:
         """Table-style layout: one row per coefficient, mean/RMSE per B column."""
         if method not in self.config.methods:
             raise KeyError(method)
-        bs = self.config.b_values if method == "floc" else (None,)
+        bs = [b for m, b in _estimate_keys(self.config) if m == method]
         cols = ["mean,rmse" if b is None else f"B={b:g} mean,B={b:g} rmse" for b in bs]
         # the cells of each (method, B) run k, j, i: the table's row order
         per_b = [[c for c in self.cells if (c.method, c.b) == (method, b)] for b in bs]
@@ -199,8 +210,7 @@ class MonteCarloReport:
             "b_values: " + ",".join(f"{b:g}" for b in cfg.b_values),
             f"failed_replications: {self.failed_replications}",
         ]
-        for key in _estimate_keys(cfg):
-            lines.append(f"failures[{_key_name(*key)}]: {self.failures.get(key, 0)}")
+        lines += [f"failures[{_key_name(*key)}]: {n}" for key, n in self.failures.items()]
         for rec in self.failure_records:
             lines.append(
                 f"failure[{_key_name(rec.method, rec.b)}]: replication {rec.replication}, "
@@ -210,13 +220,8 @@ class MonteCarloReport:
 
 
 def _estimate_keys(cfg: ExperimentConfig):
-    keys = []
-    for method in cfg.methods:
-        if method == "floc":
-            keys.extend(("floc", b) for b in cfg.b_values)
-        else:
-            keys.append((method, None))
-    return keys
+    """(method, B) of each estimator of a run: FLOC at every B, LS and YW at None."""
+    return [(m, b) for m in cfg.methods for b in (cfg.b_values if m == "floc" else (None,))]
 
 
 def _key_name(method: str, b: Optional[float]) -> str:
@@ -252,9 +257,8 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
                 for i, exc in errors.items()
             ]
 
-    failures = {key: int(failed[key].sum()) for key in keys}
-    failed_replications = int(np.logical_or.reduce([failed[key] for key in keys]).sum())
-    for key, count in failures.items():
+    for key in keys:
+        count = int(failed[key].sum())
         if count > 0.01 * cfg.replications:
             raise NumericalError(
                 f"{_key_name(*key)} failed in {count} of {cfg.replications} replications (> 1%)"
@@ -266,29 +270,16 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
         stack = estimates[(method, b)][~failed[(method, b)]]
         mean = stack.mean(axis=0)
         rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
-        used = stack.shape[0]
-        for k in range(1, p + 1):
-            for j in range(1, r + 1):
-                for i in range(1, r + 1):
-                    cells.append(
-                        CellStats(
-                            method=method,
-                            b=b,
-                            k=k,
-                            i=i,
-                            j=j,
-                            label=coefficient_label(k, i, j, r),
-                            true_value=float(truth[k - 1, i - 1, j - 1]),
-                            mean=float(mean[k - 1, i - 1, j - 1]),
-                            rmse=float(rmse[k - 1, i - 1, j - 1]),
-                            used=used,
-                        )
-                    )
+        for k, j, i in np.ndindex(p, r, r):  # lag, column, row: the table's row order
+            cells.append(CellStats(
+                method=method, b=b, k=k + 1, i=i + 1, j=j + 1,
+                label=coefficient_label(k + 1, i + 1, j + 1, r),
+                true_value=float(truth[k, i, j]), mean=float(mean[k, i, j]),
+                rmse=float(rmse[k, i, j]), used=stack.shape[0],
+            ))
     return MonteCarloReport(
         config=cfg,
         cells=tuple(cells),
-        failures=failures,
-        failed_replications=failed_replications,
         failure_records=tuple(
             sorted(records, key=lambda rec: (rec.replication, keys.index((rec.method, rec.b))))
         ),
@@ -427,22 +418,36 @@ def _parse_kv(path) -> Dict[str, str]:
     return out
 
 
-def _parse_floats(text: str, what: str) -> list:
+def _fields(text: str, key: str) -> list:
+    """The stripped comma-separated fields of a value; an empty field is refused."""
+    fields = [v.strip() for v in text.split(",")]
+    if "" in fields:
+        raise ValidationError(f"empty field in {key} = {text!r}")
+    return fields
+
+
+def _parse_floats(text: str, key: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in _fields(text, key)]
     except ValueError as exc:
-        raise ValidationError(f"bad {what}: {exc}") from exc
+        raise ValidationError(f"bad {key}: {exc}") from exc
 
 
-def _parse_int(kv: Dict[str, str], key: str, default: Optional[int] = None) -> int:
+def _parse_int(kv: Dict[str, str], key: str) -> int:
     if key not in kv:
-        if default is None:
-            raise ValidationError(f"missing required key {key!r}")
-        return default
+        raise ValidationError(f"missing required key {key!r}")
     try:
         return int(kv[key])
     except ValueError as exc:
         raise ValidationError(f"bad {key}: {exc}") from exc
+
+
+def _per_component(text: str, key: str, dim: int) -> list:
+    """The values of a per-component key: one shared by all ``dim`` components, or ``dim``."""
+    vals = _parse_floats(text, key)
+    if len(vals) not in (1, dim):
+        raise ValidationError(f"{key} needs 1 or {dim} values, got {len(vals)}")
+    return vals * (dim // len(vals))
 
 
 def _build_model(kv: Dict[str, str]) -> VarModel:
@@ -461,18 +466,10 @@ def _build_model(kv: Dict[str, str]) -> VarModel:
                 f"{key} needs {dim * dim} row-major entries, got {len(vals)}"
             )
         coeffs.append(np.array(vals).reshape(dim, dim))
-    alphas = _parse_floats(kv.get("alpha", ""), "alpha")
-    if not alphas:
+    if "alpha" not in kv:
         raise ValidationError("missing required key 'alpha'")
-    if len(alphas) == 1:
-        alphas = alphas * dim
-    if len(alphas) != dim:
-        raise ValidationError(f"alpha needs 1 or {dim} values, got {len(alphas)}")
-    sigmas = _parse_floats(kv.get("sigma", "1.0"), "sigma")
-    if len(sigmas) == 1:
-        sigmas = sigmas * dim
-    if len(sigmas) != dim:
-        raise ValidationError(f"sigma needs 1 or {dim} values, got {len(sigmas)}")
+    alphas = _per_component(kv["alpha"], "alpha", dim)
+    sigmas = _per_component(kv.get("sigma", "1.0"), "sigma", dim)
     noise = SymmetricStableNoiseSpec(
         tuple(StableParams.symmetric(a, s) for a, s in zip(alphas, sigmas))
     )
@@ -480,48 +477,39 @@ def _build_model(kv: Dict[str, str]) -> VarModel:
 
 
 _MODEL_KEYS = {"dim", "order", "alpha", "sigma", "n", "burn_in", "seed"}
-_EXPERIMENT_KEYS = _MODEL_KEYS | {"b_values", "replications", "methods", "workers"}
+_EXPERIMENT_KEYS = _MODEL_KEYS | {"b_values", "replications", "methods"}
 
 
-def _check_keys(kv: Dict[str, str], allowed: set, order: int, path) -> None:
-    coeff_keys = {f"a{k}" for k in range(1, order + 1)}
-    unknown = set(kv) - allowed - coeff_keys
-    if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _read_model_config(path) -> Tuple[VarModel, Dict[str, str], Dict[str, Optional[int]]]:
-    """The model, the raw keys and the optional integers n, seed and burn_in (None if absent)."""
+def _read_config(path, allowed: set):
+    """The keys of a config file, its model and its integers n, seed and burn_in (None if
+    absent); a key outside ``allowed`` and the model's a1..a<p> is refused."""
     kv = _parse_kv(path)
     model = _build_model(kv)
-    _check_keys(kv, _MODEL_KEYS, model.order, path)
+    unknown = set(kv) - allowed - {f"a{k}" for k in range(1, model.order + 1)}
+    if unknown:
+        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}")
     ints = {key: _parse_int(kv, key) if key in kv else None for key in ("n", "seed", "burn_in")}
-    return model, kv, ints
+    return kv, model, ints
 
 
-def load_model_config(path) -> Tuple[VarModel, Dict[str, str]]:
-    """Read a model description; returns the model and the raw keys.
-
-    The optional keys n, seed and burn_in must be integers when present.
-    """
-    model, kv, _ = _read_model_config(path)
-    return model, kv
+def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
+    """Read a model description; returns the model and its integers n, seed and
+    burn_in, each None when the file leaves it out."""
+    _, model, ints = _read_config(path, _MODEL_KEYS)
+    return model, ints
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    kv = _parse_kv(path)
-    model = _build_model(kv)
-    _check_keys(kv, _EXPERIMENT_KEYS, model.order, path)
-    methods = tuple(
-        m.strip().lower() for m in kv.get("methods", "floc,ls,yw").split(",") if m.strip()
-    )
+    kv, model, ints = _read_config(path, _EXPERIMENT_KEYS)
+    for key in ("n", "seed"):
+        if ints[key] is None:
+            raise ValidationError(f"missing required key {key!r}")
     return ExperimentConfig(
         model=model,
-        n=_parse_int(kv, "n"),
-        b_values=tuple(_parse_floats(kv.get("b_values", ""), "b_values")),
+        n=ints["n"],
+        b_values=tuple(_parse_floats(kv["b_values"], "b_values")) if "b_values" in kv else (),
         replications=_parse_int(kv, "replications"),
-        seed=_parse_int(kv, "seed"),
-        methods=methods,
-        burn_in=_parse_int(kv, "burn_in") if "burn_in" in kv else None,
-        workers=_parse_int(kv, "workers", 1),
+        seed=ints["seed"],
+        methods=tuple(_fields(kv["methods"], "methods")) if "methods" in kv else _METHODS,
+        burn_in=ints["burn_in"],
     )

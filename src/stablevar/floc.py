@@ -88,7 +88,8 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
 
     Averages signed_power(xi[n], A) * signed_power(xj[n-k], B) over the
     valid window, which has exactly N - |k| terms. An int ``k`` gives a
-    float; a sequence of lags gives an array with one value per lag.
+    float; a sequence of ints gives an array with one value per lag. Float
+    and bool lags are refused.
     """
     xi = _as_column(xi, "xi")
     xj = _as_column(xj, "xj")
@@ -97,9 +98,11 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
             f"trajectories must share a length, got {xi.shape[0]} and {xj.shape[0]}"
         )
     n = xi.shape[0]
-    lags = np.asarray(k).astype(int)
+    lags = np.asarray(k)
     if lags.size == 0:
         raise ValidationError("no lags given")
+    if not np.issubdtype(lags.dtype, np.integer):  # bool is not an integer dtype
+        raise ValidationError(f"lags must be integers, got {k!r}")
     bad = lags[np.abs(lags) >= n]
     if bad.size:
         raise ValidationError(f"lag {bad[0]} out of range for length {n}: empty window")

@@ -298,7 +298,7 @@ def stable_quantile(p, params: StableParams):
     the nodes are the chirp-z grid's where it has a reach (within 1e-9 in probability)
     or ``_NEAR_Z``, and ``_FAR_Z`` past +-_TAIL_Z, over the tail switch."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # written so that NaN fails too
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")
     alpha, beta = params.alpha, params.beta
     zeta, _, reach = _skew(alpha, beta)

@@ -120,6 +120,25 @@ class TestSimulate:
         assert code == 1
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("n", "sample length required: pass --n or put n in the config"),
+            ("seed", "seed required: pass --seed or put seed in the config"),
+        ],
+    )
+    def test_config_without_n_or_seed_needs_the_flag(self, tmp_path, capsys, key, message):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("".join(
+            line + "\n" for line in MODEL_CFG.splitlines() if not line.startswith(f"{key} ")
+        ))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+        flag = ["--n", "40"] if key == "n" else ["--seed", "3"]
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), *flag]) == 0
+
     def test_non_integer_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"
         cfg.write_text(MODEL_CFG.replace("n = 300", "n = abc"))

@@ -23,8 +23,9 @@ b_values = 0.0, 0.55
 replications = 4
 seed = 7
 methods = floc, ls, yw
-workers = 1
 """
+
+MODEL_TEXT = "dim = 2\norder = 1\na1 = 0.1, 0.3, 0.2, 0.1\nalpha = 1.6\nsigma = 1.0\n"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -117,9 +118,67 @@ class TestConfigFile:
     def test_model_config(self, tmp_path):
         path = tmp_path / "model.cfg"
         path.write_text("dim = 1\norder = 1\na1 = 0.5\nalpha = 2.0\nn = 30\nseed = 3\n")
-        model, kv = sv.load_model_config(path)
+        model, ints = sv.load_model_config(path)
         assert model.dim == 1 and model.order == 1
-        assert kv["n"] == "30"
+        assert ints == {"n": 30, "seed": 3, "burn_in": None}
+        path.write_text(MODEL_TEXT)
+        assert sv.load_model_config(path)[1] == {"n": None, "seed": None, "burn_in": None}
+
+    def test_workers_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "mc.cfg"
+        path.write_text(MC_CONFIG_TEXT + "workers = 1\n")
+        with pytest.raises(ValidationError, match=r"unknown key\(s\) \['workers'\]"):
+            sv.load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("a1 = 0.1, 0.3, 0.2, 0.1", "a1 = 0.1,,0.3,0.2,0.1", "a1"),
+            ("alpha = 1.6", "alpha = 1.6,", "alpha"),
+            ("sigma = 1.0", "sigma = ,1.0", "sigma"),
+            ("b_values = 0.0, 0.55", "b_values = 0.0, , 0.55", "b_values"),
+            ("b_values = 0.0, 0.55", "b_values =", "b_values"),
+            ("methods = floc, ls, yw", "methods = floc,,ls", "methods"),
+        ],
+    )
+    def test_empty_list_field_is_refused(self, tmp_path, old, new, key):
+        path = tmp_path / "mc.cfg"
+        path.write_text(MC_CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ValidationError, match=f"empty field in {key} = "):
+            sv.load_experiment_config(path)
+        if old in MODEL_TEXT:  # the model reader shares the check
+            path.write_text(MODEL_TEXT.replace(old, new))
+            with pytest.raises(ValidationError, match=f"empty field in {key} = "):
+                sv.load_model_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dim 2\n", r"mc.cfg:1: expected key = value"),
+            ("# only a comment\n\n", r"mc.cfg: empty config"),
+            (MODEL_TEXT.replace("0.3", "x"), r"bad a1: could not convert string to float: 'x'"),
+            (MODEL_TEXT.replace("order = 1", "order = 0"), r"dim and order must be >= 1"),
+            (MODEL_TEXT.replace("dim = 2", "dim = 0"), r"dim and order must be >= 1"),
+            (MODEL_TEXT.replace("alpha = 1.6\n", ""), r"missing required key 'alpha'"),
+            (MODEL_TEXT.replace("1.6", "1.6, 1.7, 1.8"), r"alpha needs 1 or 2 values, got 3"),
+            (MODEL_TEXT.replace("1.0", "1, 2, 3"), r"sigma needs 1 or 2 values, got 3"),
+            (MODEL_TEXT + "n = 50\nseed = 1\nb_values = 0.5\n",
+             r"missing required key 'replications'"),
+            (MODEL_TEXT + "seed = 1\nreplications = 2\nb_values = 0.5\n",
+             r"missing required key 'n'"),
+            (MODEL_TEXT + "n = 50\nreplications = 2\nb_values = 0.5\n",
+             r"missing required key 'seed'"),
+            (MODEL_TEXT + "n = 5.0\nseed = 1\nreplications = 2\n", r"bad n: invalid literal"),
+        ],
+    )
+    def test_malformed_file_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "mc.cfg"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            sv.load_experiment_config(path)
+        if "replications" not in text and "b_values" not in text:  # a model file too
+            with pytest.raises(ValidationError, match=message):
+                sv.load_model_config(path)
 
 
 class TestExperimentConfigValidation:

@@ -148,6 +148,14 @@ class TestLagMoments:
         with pytest.raises(ValidationError, match="no lags"):
             sv.cross_floc(xi, xj, [], cfg)
 
+    @pytest.mark.parametrize(
+        "lag", [1.5, 1.0, True, np.float64(2.0), [0, 1.5], np.array([True, False]), [1, None]]
+    )
+    def test_non_integer_lag_is_refused(self, lag):
+        xi, xj = np.random.default_rng(5).standard_t(1.5, (2, 30))
+        with pytest.raises(ValidationError, match="lags must be integers"):
+            sv.cross_floc(xi, xj, lag, FlocConfig(1.0, 0.4))
+
 
 class TestLagMatrix:
     def test_unit_exponents_equal_cross_moments(self):

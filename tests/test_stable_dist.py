@@ -133,6 +133,11 @@ class TestQuantile:
         with pytest.raises(ValidationError):
             stable_quantile(np.array([0.5, 1.0]), p)
 
+    @pytest.mark.parametrize("levels", [np.nan, [0.5, np.nan], [[0.25], [np.nan]]])
+    def test_nan_level_is_refused(self, levels):
+        with pytest.raises(ValidationError, match=r"strictly inside \(0, 1\)"):
+            stable_quantile(levels, sv.StableParams(1.6, 0.0, 1.0, 0.0))
+
 
 class TestTailRule:
     @pytest.mark.parametrize("alpha", SWITCH_ALPHAS)
