@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ValidationError, _check_finite, _check_int
-from .floc import FlocConfig, _floc_moments, cross_floc
+from .floc import FlocConfig, _as_column, _floc_moments, cross_floc
 from .seeding import substream
 from .series import _write_csv
 from .stable_dist import stable_cdf_bulk, stable_quantile
@@ -65,7 +65,7 @@ class QqData(NamedTuple):
 
 def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
     """Auto-FLOC value cross_floc(column, column, k) for k = 0..max_lag."""
-    col = _check_finite(np.asarray(residual_column, dtype=float).ravel(), "column")
+    col = _check_finite(_as_column(residual_column, "column"), "column")
     if _check_int(max_lag, "max_lag", 0) >= col.shape[0]:
         raise ValidationError(f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}")
     if not np.any(col != 0.0):
@@ -118,7 +118,7 @@ def auto_floc_null_band(
 
 def ks_statistic(column, fitted: StableParams) -> float:
     """sup-distance between the empirical CDF and the fitted stable CDF."""
-    x = np.sort(_check_finite(np.asarray(column, dtype=float).ravel(), "column"))
+    x = np.sort(_check_finite(_as_column(column, "column"), "column"))
     n = x.shape[0]
     cdf = stable_cdf_bulk(x, fitted)
     steps = np.arange(1, n + 1) / n
@@ -157,7 +157,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
 def qq_data(residual_column, fitted: StableParams, grid: int = 99) -> QqData:
     """(empirical quantile, fitted quantile) pairs at mid-grid levels."""
     _check_int(grid, "grid", 2)
-    col = _check_finite(np.asarray(residual_column, dtype=float).ravel(), "column")
+    col = _check_finite(_as_column(residual_column, "column"), "column")
     levels = (np.arange(grid) + 0.5) / grid
     empirical = np.quantile(col, levels)
     fitted_q = stable_quantile(levels, fitted)

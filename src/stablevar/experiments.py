@@ -94,6 +94,8 @@ class ExperimentConfig:
             _check_int(getattr(self, name), name, minimum)
         object.__setattr__(self, "burn_in", _resolve_burn_in(self.model, self.burn_in))
         _check_seed(self.seed)
+        if isinstance(self.methods, str):
+            raise ValidationError(f"methods must be a sequence of method names, got {self.methods!r}")
         methods = tuple(m.lower() for m in self.methods)
         if not methods:
             raise ValidationError("at least one method is required")

@@ -88,8 +88,8 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
 
     Averages signed_power(xi[n], A) * signed_power(xj[n-k], B) over the
     valid window, which has exactly N - |k| terms. An int ``k`` gives a
-    float; a sequence of ints gives an array with one value per lag. Float
-    and bool lags are refused.
+    float; an array of ints gives an array of its shape, one value per lag.
+    Float and bool lags are refused.
     """
     xi = _as_column(xi, "xi")
     xj = _as_column(xj, "xj")
@@ -106,8 +106,8 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
     bad = lags[np.abs(lags) >= n]
     if bad.size:
         raise ValidationError(f"lag {bad[0]} out of range for length {n}: empty window")
-    values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), cfg)[:, 0, 0]
-    return float(values[0]) if lags.ndim == 0 else values
+    values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), cfg)[:, 0, 0].reshape(lags.shape)
+    return float(values) if lags.ndim == 0 else values
 
 
 def lag_matrix_set(series, p: int, cfg: FlocConfig) -> np.ndarray:

@@ -8,7 +8,8 @@ of stable densities and distribution functions*, Theorem 1), or for alpha > 1 an
 or twice ``_TAIL_Z``: one chirp-z transform of the Gil-Pelaez trapezoid sum (Mittnik,
 Doganoglu and Chenyao, 1999) plus a polynomial in z for its error at the t^alpha branch
 point (Navot 1961, *J. Math. Phys.* 40), within 1e-9 of Zolotarev's form between its
-points. At alpha = 1 zeta is undefined and there is no switch.
+points. At alpha = 1 zeta is undefined and there is no switch. ``stable_quantile``
+inverts the rule over one node table at every alpha; a grid only evaluates it there.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .stable_noise import StableParams
+from .stable_noise import StableParams, _destandardize, _standardize
 
 __all__ = ["stable_cdf", "stable_cdf_bulk", "stable_quantile"]
 
@@ -43,7 +44,7 @@ _LOG_G_CUTS = np.array([-37.0, 0.0, 4.0])
 _NODES, _CUT_STEPS, _S_MAX = 128, 20, 40.0
 # points per pass of the Zolotarev engine, which bounds its temporaries
 _CHUNK = 1024
-# regula falsi steps per quantile; alpha <= 1 nodes: even integers for the bulk, powers of two
+# regula falsi steps per quantile; nodes: even integers for the bulk, powers of two
 # to the edge at 0 of |beta| = 1 (2^-50 lies below 7.6e-15, the level-1e-12 quantile at alpha
 # 0.1); past +-_TAIL_Z they double out to 2e299, past the level-1e-30 quantile at alpha 0.1
 _INVERT_STEPS = 14
@@ -52,24 +53,11 @@ _NEAR_Z = np.concatenate([-_NEAR_Z[::-1], [0.0], _NEAR_Z])
 _FAR_Z = _TAIL_Z * np.exp2(np.arange(990.0))
 
 
-def _standardize(x: np.ndarray, params: StableParams) -> np.ndarray:
-    z = (np.asarray(x, dtype=float) - params.delta) / params.sigma
-    if params.alpha == 1.0:
-        z = z - (2.0 / math.pi) * params.beta * math.log(params.sigma)
-    return z
-
-
-def _destandardize(z, params: StableParams):
-    if params.alpha == 1.0:
-        z = z + (2.0 / math.pi) * params.beta * math.log(params.sigma)
-    return params.delta + params.sigma * z
-
-
 def _tail_prob(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """P(Z > z) past the switch (1-d z > 0): (1/pi) sum_k (-1)^(k+1) Gamma(alpha k) / k!
     Im(w^k), w = (s_ab / z)^alpha e^(i theta), theta = pi alpha / 2 + atan(zeta). Im(w) is
     sin(pi alpha / 2) (1 + beta) z^-alpha, so at beta = -1 every term is 0, as at alpha = 2."""
-    half, zeta = 0.5 * math.pi * alpha, beta * math.tan(0.5 * math.pi * alpha)
+    half, zeta = 0.5 * math.pi * alpha, _skew(alpha, beta)[0]
     im = 0.0 if alpha == 2.0 else math.sin(half) * (1.0 + beta)
     w = z[:, None] ** -alpha * complex(math.cos(half) - zeta * math.sin(half), im)
     coef = [(-1) ** (k + 1) * math.gamma(alpha * k) / (math.factorial(k) * math.pi)
@@ -146,7 +134,7 @@ def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     # P(Z > |z|), of the law mirrored when z < 0, is the integral (alpha > 1) or the range's share
     # less it (alpha < 1); the range is empty for alpha < 1 and beta -1 there: no mass past 0
     side = np.where(z < 0.0, -1.0, 1.0)
-    share = 0.5 + np.arctan(side * beta * math.tan(0.5 * np.pi * alpha)) / (alpha * np.pi)
+    share = 0.5 + np.arctan(side * _skew(alpha, beta)[0]) / (alpha * np.pi)
     live = (z != 0.0) & (share > 0.0)
     upper = np.zeros(z.shape)
     upper[live] = _angle_integral(np.abs(z[live]), alpha, side[live] * beta)
@@ -294,21 +282,18 @@ def _invert(p: np.ndarray, z: np.ndarray, f: np.ndarray, cdf) -> np.ndarray:
 
 
 def stable_quantile(p, params: StableParams):
-    """Quantile(s) of the stable law by ``_invert`` on ``stable_cdf_bulk``'s rule:
-    the nodes are the chirp-z grid's where it has a reach (within 1e-9 in probability)
-    or ``_NEAR_Z``, and ``_FAR_Z`` past +-_TAIL_Z, over the tail switch."""
+    """Quantile(s) of the stable law by ``_invert`` on ``stable_cdf_bulk``'s rule, the
+    chirp-z grid evaluating it where it has a reach (within 1e-9 in probability): one
+    node table at every alpha, ``_NEAR_Z`` and ``_FAR_Z`` past +-_TAIL_Z, over the switch."""
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):  # written so that NaN fails too
         raise ValidationError("quantile levels must lie strictly inside (0, 1)")
     alpha, beta = params.alpha, params.beta
     zeta, _, reach = _skew(alpha, beta)
-    grid, near = None, _NEAR_Z
-    if reach > 0.0:
-        grid = z0, dz, f = _cdf_grid(alpha, beta, reach)
-        near = z0 + dz * np.arange(f.shape[1])
+    grid = _cdf_grid(alpha, beta, reach) if reach > 0.0 else None
     # near alpha 1 the skew shift carries the bulk out past +-_TAIL_Z
     shifted = zeta + _NEAR_Z
-    nodes = np.unique(np.concatenate([-_FAR_Z, near, _FAR_Z, shifted[np.abs(shifted) > _TAIL_Z]]))
+    nodes = np.unique(np.concatenate([-_FAR_Z, _NEAR_Z, _FAR_Z, shifted[np.abs(shifted) > _TAIL_Z]]))
     cdf = functools.partial(_standard_cdf, alpha=alpha, beta=beta, grid=grid)
     z = _invert(arr.ravel(), nodes, cdf(nodes), cdf)
     q = _destandardize(z, params).reshape(arr.shape)

@@ -41,7 +41,7 @@ class StableParams:
     """Parameter quadruple of a univariate stable law.
 
     ``alpha`` is the stability index in (0, 2], ``beta`` the skewness in
-    [-1, 1], ``sigma`` the scale (> 0) and ``delta`` the shift. The
+    [-1, 1], ``sigma`` the scale (positive, finite) and ``delta`` the shift. The
     characteristic function convention is
     exp{-(sigma|t|)^alpha [1 - i beta sign(t) tan(pi alpha/2)] + i delta t}
     for alpha != 1, with the usual logarithmic skewness term at alpha = 1.
@@ -57,8 +57,8 @@ class StableParams:
             raise ValidationError(f"alpha must be in (0, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ValidationError(f"beta must be in [-1, 1], got {self.beta}")
-        if not (self.sigma > 0.0):
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        if not (0.0 < self.sigma < math.inf):
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.delta):
             raise ValidationError(f"delta must be finite, got {self.delta}")
 
@@ -70,6 +70,19 @@ class StableParams:
     def symmetric(cls, alpha: float, sigma: float = 1.0) -> "StableParams":
         """Symmetric law: beta and delta pinned to zero."""
         return cls(alpha=alpha, beta=0.0, sigma=sigma, delta=0.0)
+
+
+def _standardize(x: np.ndarray, params: StableParams) -> np.ndarray:
+    z = (np.asarray(x, dtype=float) - params.delta) / params.sigma
+    if params.alpha == 1.0:
+        z = z - (2.0 / math.pi) * params.beta * math.log(params.sigma)
+    return z
+
+
+def _destandardize(z, params: StableParams):
+    if params.alpha == 1.0:
+        z = z + (2.0 / math.pi) * params.beta * math.log(params.sigma)
+    return params.delta + params.sigma * z
 
 
 @dataclass(frozen=True)
@@ -111,13 +124,7 @@ def sample_stable(params: StableParams, count: int, rng_seed: Seed) -> np.ndarra
         return rng.normal(0.0, params.sigma * math.sqrt(2.0), count) + params.delta
     phi = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, count)
     w = rng.standard_exponential(count)
-    x = _kernels.stable_transform(phi, w, params.alpha, params.beta)
-    if params.alpha == 1.0:
-        shift = params.delta + (2.0 / np.pi) * params.beta * params.sigma * math.log(
-            params.sigma
-        )
-        return params.sigma * x + shift
-    return params.sigma * x + params.delta
+    return _destandardize(_kernels.stable_transform(phi, w, params.alpha, params.beta), params)
 
 
 def sample_noise_matrix(

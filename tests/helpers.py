@@ -6,7 +6,8 @@ import numpy as np
 from scipy import integrate
 
 import stablevar as sv
-from stablevar.stable_dist import _LOG_CUTOFF, _standardize
+from stablevar.stable_dist import _LOG_CUTOFF
+from stablevar.stable_noise import _standardize
 
 A1 = np.array([[0.1, 0.3], [0.2, 0.1]])
 A2 = np.array([[0.2, 0.2], [0.05, 0.1]])

@@ -255,6 +255,13 @@ class TestMonteCarlo:
         for name in ("floc_table.csv", "ls_table.csv", "cells_long.csv", "summary.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_infinite_sigma_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(MC_CFG + "sigma = inf\n")
+        assert main(["montecarlo", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "sigma must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text(MC_CFG)

@@ -56,6 +56,10 @@ class TestAutoFloc:
         with pytest.raises(ValidationError, match="non-finite"):
             sv.auto_floc(col, 5, FlocConfig(1.0, 0.5))
 
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValidationError, match="column is empty"):
+            sv.auto_floc([], 0, FlocConfig(1.0, 0.5))
+
     def test_null_band_rejects_lags_past_the_series(self):
         fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)
         for max_lag in (-1, 150, 151):
@@ -146,6 +150,10 @@ class TestKsTest:
         with pytest.raises(ValidationError, match="non-finite"):
             ks_statistic(col, fitted)
 
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValidationError, match="column is empty"):
+            ks_statistic([], sv.StableParams(1.7, 0.0, 1.0, 0.0))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             sv.ks_test_stable(np.ones(50), repetitions=100, rng_seed=0)
@@ -190,6 +198,10 @@ class TestQqData:
         col[17] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             sv.qq_data(col, sv.StableParams.symmetric(1.7), grid=9)
+
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValidationError, match="column is empty"):
+            sv.qq_data([], sv.StableParams.symmetric(1.7), 5)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):

@@ -201,6 +201,10 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValidationError):
             small_config(methods=("floc", "mle"))
 
+    def test_methods_string_rejected(self):
+        with pytest.raises(ValidationError, match="sequence of method names, got 'ls'"):
+            small_config(methods="ls", b_values=())
+
     def test_ls_only_without_b_ok(self):
         cfg = small_config(methods=("ls",), b_values=())
         assert cfg.methods == ("ls",)

@@ -142,6 +142,10 @@ class TestLagMoments:
         assert got.shape == (5,)
         for k, v in zip(lags, got):
             assert v == sv.cross_floc(xi, xj, int(k), cfg)
+        square = sv.cross_floc(xi, xj, lags[:4].reshape(2, 2), cfg)
+        assert square.shape == (2, 2)
+        assert np.array_equal(square.ravel(), got[:4])
+        assert type(sv.cross_floc(xi, xj, np.int64(2), cfg)) is float
         for bad, message in (([0, 30], "lag 30 out"), ([-30], "lag -30 out"), (30, "lag 30 out")):
             with pytest.raises(ValidationError, match=message):
                 sv.cross_floc(xi, xj, bad, cfg)

@@ -25,6 +25,8 @@ class TestStableParams:
             sv.StableParams(1.5, sigma=0.0)
         with pytest.raises(ValidationError):
             sv.StableParams(1.5, delta=float("nan"))
+        with pytest.raises(ValidationError, match="sigma must be positive and finite, got inf"):
+            sv.StableParams(1.5, sigma=float("inf"))
 
     def test_symmetric_constructor(self):
         p = sv.StableParams.symmetric(1.6, 2.0)
