@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError, _check_finite, _check_int
 from .floc import FlocConfig, _as_column, _floc_moments, cross_floc
-from .seeding import substream
+from .seeding import substream_blocks
 from .series import _write_csv
 from .stable_dist import stable_cdf_bulk, stable_quantile
 from .stable_noise import StableParams, _fit_stack, fit_stable_params, sample_stable
@@ -75,19 +75,13 @@ def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
 
 # percentile of each side of the null band, the central 95% of the replicates
 _BAND_TAIL = 100.0 * (1.0 - 0.95) / 2.0
-# Draws per block of replicates (8 MB of float64): a 100-repetition KS test or a
-# 200-replicate null band is one block up to n = 10,485 or 5,242, and longer columns
-# keep the transients bounded (one stack of 100 x 100,000 draws peaked at 500 MB).
-_STACK_DRAWS = 1 << 20
 
 
 def _replicate_blocks(fitted: StableParams, n: int, count: int, rng_seed: int):
-    """``count`` replicates of ``n`` draws of the fitted law, as (reps, n) blocks of up to
-    ``_STACK_DRAWS`` draws; replicate r comes from substream r of ``rng_seed``."""
-    stack = max(1, _STACK_DRAWS // n)
-    for lo in range(0, count, stack):
-        reps = range(lo, min(lo + stack, count))
-        yield np.stack([sample_stable(fitted, n, substream(rng_seed, r)) for r in reps])
+    """``count`` replicates of ``n`` draws of the fitted law, as (reps, n) blocks of
+    ``substream_blocks``; replicate r comes from substream r of ``rng_seed``."""
+    for _, generators in substream_blocks(rng_seed, count, n):
+        yield np.stack([sample_stable(fitted, n, g) for g in generators])
 
 
 def auto_floc_null_band(
@@ -133,8 +127,8 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     fitted law (replicate r from substream r of ``rng_seed``), re-fitting
     and recomputing the statistic each time. The p-value is the fraction of
     simulated statistics at least as large as the observed one. The
-    replicates are fitted in blocks of up to 2^20 draws, each with the bits
-    of its own ``fit_stable_params`` call.
+    replicates are fitted in the blocks of ``seeding.substream_blocks``, each
+    with the bits of its own ``fit_stable_params`` call.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
     _check_int(repetitions, "repetitions", 100)

@@ -11,12 +11,12 @@ differing only in the lag-moment matrices plugged in: cross-FLOC matrices
 for FLOC, plain cross-moments for Yule-Walker. Each method has one
 normalizer, its literature-standard one: FLOC divides lag k by n - |k|,
 Yule-Walker by n, so Yule-Walker's moments are FLOC's at A = B = 1 scaled
-by (n - |k|) / n. ``_BLOCK_METHODS`` holds both facts.
+by (n - |k|) / n; ``_fit`` branches on the method once for both facts.
 
 All three run through one core on a stack of R series: ``_prepare``
 checks and mean-corrects once, then ``_fit`` fits each series by the
 block system or by ``_ls_fit``. ``estimate_*`` are the stack of one; the
-Monte Carlo harness passes a chunk of replications to ``_estimate_stack``.
+Monte Carlo harness passes a block of replications to ``_estimate_stack``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, _check_int
 from .floc import FlocConfig, lag_matrix_set
-from .series import SeriesMatrix, _csv_rows, _write_csv
+from .series import SeriesMatrix, _csv_rows, _open_text, _write_csv
 
 __all__ = [
     "EstimationReport",
@@ -91,7 +91,7 @@ class EstimationReport:
         report, a duplicate or out-of-range row, a non-finite value, mixed
         methods) raises ValidationError naming the offending line.
         """
-        with open(path, "r") as fh:
+        with _open_text(path) as fh:
             declaration = fh.readline().strip()
             match = _REPORT_DECLARATION.fullmatch(declaration)
             if match is None:
@@ -102,8 +102,7 @@ class EstimationReport:
             header = fh.readline().strip()
             if header != _REPORT_HEADER:
                 raise ValidationError(f"{path}:2: expected report header, got {header!r}")
-            coeffs = np.empty((p, r, r))
-            filled = np.zeros((p, r, r), dtype=bool)
+            values = {}  # (k, i, j) -> value: no array is sized before the rows are complete
             method = None
             lineno = 2
             for lineno, parts in _csv_rows(path, fh, 5, 3):
@@ -125,19 +124,19 @@ class EstimationReport:
                         f"{path}:{lineno}: index k={k}, i={i}, j={j} outside "
                         f"declared order={p} dim={r}"
                     )
-                if filled[k - 1, i - 1, j - 1]:
+                if (k, i, j) in values:
                     raise ValidationError(f"{path}:{lineno}: duplicate row k={k}, i={i}, j={j}")
                 if not math.isfinite(value):
                     raise ValidationError(f"{path}:{lineno}: non-finite value {parts[4]!r}")
-                filled[k - 1, i - 1, j - 1] = True
-                coeffs[k - 1, i - 1, j - 1] = value
-        if not filled.all():
-            k, i, j = np.argwhere(~filled)[0] + 1
+                values[k, i, j] = value
+        indices = ((k + 1, i + 1, j + 1) for k in range(p) for i in range(r) for j in range(r))
+        if len(values) < p * r * r:
+            k, i, j = next(index for index in indices if index not in values)
             raise ValidationError(
                 f"{path}:{lineno}: report ends without row k={k}, i={i}, j={j} "
-                f"(declared order={p} dim={r} needs {p * r * r} rows, got {filled.sum()})"
+                f"(declared order={p} dim={r} needs {p * r * r} rows, got {len(values)})"
             )
-        return method, list(coeffs)
+        return method, list(np.array([values[index] for index in indices]).reshape(p, r, r))
 
     def summary_text(self) -> str:
         lines = [
@@ -227,8 +226,8 @@ def _solve_block(gammas: np.ndarray):
     return stacked.reshape(reps, p, r, r).transpose(0, 1, 3, 2), condition, bad
 
 
-# method -> (divisor of its lag-k moments: "window" n - |k| or "n", name of its lag matrices)
-_BLOCK_METHODS = {"floc": ("window", "cross-FLOC"), "yw": ("n", "autocovariance")}
+# name of each block method's lag matrices, for its singular-system message
+_BLOCK_LABELS = {"floc": "cross-FLOC", "yw": "autocovariance"}
 
 
 def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[float] = None):
@@ -246,17 +245,18 @@ def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[f
     size = p * corrected.shape[-1]
     if corrected.shape[-2] <= 2 * size:
         return _too_short(corrected, p, 2 * size)
-    normalizer, label = _BLOCK_METHODS[method]
-    gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, 1.0 if method == "yw" else b))
-    if normalizer == "n":
+    if method == "yw":  # FLOC's moments at A = B = 1, lag k divided by n, not n - |k|
         n = corrected.shape[-2]
+        gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, 1.0))
         gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
+    else:
+        gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, b))
     coeffs, condition, bad = _solve_block(gammas)
     condition[list(failed)] = np.nan
     errors = dict(failed)
     for i in np.flatnonzero(bad):
         errors.setdefault(int(i), NumericalError(
-            f"{label} block matrix ({size}x{size} of lag matrices "
+            f"{_BLOCK_LABELS[method]} block matrix ({size}x{size} of lag matrices "
             f"Gamma_-{p - 1}..Gamma_{p - 1}) is numerically singular: "
             f"condition {condition[i]:.3g}"
         ))

@@ -2,10 +2,10 @@
 
 ``run_monte_carlo`` simulates many realisations of a known model, estimates
 the coefficients with each requested method, and reports per-coefficient
-means and RMSEs. It simulates a chunk of replications as arrays at a time
-and fits every method on the chunk through the estimators' stacked core.
+means and RMSEs. It simulates a block of replications as arrays at a time
+and fits every method on the block through the estimators' stacked core.
 Replication i always draws from substream (seed, i), so adding methods or
-changing the chunk size never perturbs the simulated paths, and reports
+changing the block size never perturbs the simulated paths, and reports
 are reproducible byte for byte.
 
 ``run_pipeline`` is the real-data path: mean-correct, pick the FLOC
@@ -36,8 +36,8 @@ from .diagnostics import (
 from .errors import NumericalError, ValidationError, _check_int
 from .estimators import EstimationReport, _estimate_stack, estimate_floc
 from .floc import FlocConfig
-from .seeding import _check_seed, _child_seed, substream
-from .series import SeriesMatrix, _write_csv
+from .seeding import _check_seed, _child_seed, substream_blocks
+from .series import SeriesMatrix, _open_text, _write_csv
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
 from .var_core import VarModel, _resolve_burn_in, _simulate_paths, mean_correct
 
@@ -60,11 +60,6 @@ __all__ = [
 
 _METHODS = ("floc", "ls", "yw")
 DEFAULT_B_OFFSET = 1.05  # working default B = alpha_hat - 1.05, clamped at 0
-# Path values (1 MiB of floats) per chunk of Monte Carlo replications. On
-# the paper grid (1,500 rows of 2 columns) that is 43 replications. 200 of
-# them took 0.24 s in such chunks and also all at once, and 0.70 s one at a
-# time (2 cores); the chunk bounds the memory that the arrays take.
-_BATCH_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class ExperimentConfig:
     ``burn_in`` None is replaced by the default of ``simulate`` for the
     model, so the config (and ``summary_text``) holds the value used.
 
-    ``workers`` is checked but selects nothing: replications run in chunks
+    ``workers`` is checked but selects nothing: replications run in blocks
     of arrays in one thread. The field stays only because the benchmark's
     Monte Carlo set-up (``stablebench/workloads.py::mc_setup``) passes
     ``workers=1``; config files no longer take the key.
@@ -234,7 +229,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
     """Mean and RMSE of every coefficient estimate over seeded replications.
 
     Replications are simulated and estimated (``estimators._estimate_stack``)
-    a chunk at a time, as arrays of about ``_BATCH_VALUES`` path values.
+    a block of ``seeding.substream_blocks`` at a time, as arrays of path values.
     Failed estimates (non-finite paths, constant columns, too few rows,
     singular systems) are recorded per replication and estimator and
     excluded from the statistics; the run aborts if any estimator fails in
@@ -245,14 +240,11 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
     estimates = {key: np.empty((cfg.replications, p, r, r)) for key in keys}
     failed = {key: np.zeros(cfg.replications, dtype=bool) for key in keys}
     records = []
-    chunk = max(1, _BATCH_VALUES // ((cfg.n + cfg.burn_in) * r))
-    for start in range(0, cfg.replications, chunk):
-        reps = range(start, min(start + chunk, cfg.replications))
-        paths = _simulate_paths(
-            cfg.model, cfg.n, cfg.burn_in, [substream(cfg.seed, rep) for rep in reps]
-        )
+    path_values = (cfg.n + cfg.burn_in) * r
+    for start, generators in substream_blocks(cfg.seed, cfg.replications, path_values):
+        paths = _simulate_paths(cfg.model, cfg.n, cfg.burn_in, generators)
         for key, (coeffs, condition, errors) in _estimate_stack(paths, p, keys).items():
-            estimates[key][reps.start : reps.stop] = coeffs
+            estimates[key][start : start + len(paths)] = coeffs
             failed[key][[start + i for i in errors]] = True
             records += [
                 FailureRecord(start + i, *key, type(exc).__name__, str(exc), float(condition[i]))
@@ -403,7 +395,7 @@ def run_pipeline(
 
 def _parse_kv(path) -> Dict[str, str]:
     out: Dict[str, str] = {}
-    with open(path, "r") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -11,6 +11,7 @@ The coefficient-report reader takes its rows from ``_csv_rows`` as well.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,16 @@ def _write_csv(path, header: str, rows, preamble: str = "") -> None:
     with open(path, "w", newline="") as fh:
         fh.write(preamble + header + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@contextmanager
+def _open_text(path):
+    """``open(path)``, whose reads raise a ValidationError naming ``path`` on undecodable bytes."""
+    with open(path, "r") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
 
 
 def _csv_rows(path, fh, width: int, start: int):
@@ -82,7 +93,7 @@ class SeriesMatrix:
         must read 1, 2, ..., n in order, so a shuffled, repeated or spliced
         file is refused rather than estimated as if it were in order.
         """
-        with open(path, "r") as fh:
+        with _open_text(path) as fh:
             header = fh.readline().strip()
             if not header:
                 raise ValidationError(f"{path}: empty file")

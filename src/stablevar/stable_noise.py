@@ -9,7 +9,7 @@ and speed, not a replica of any particular published hybrid estimator.
 
 The ECF at u = 0.1, 0.2, ..., 1.0 is taken as running powers of one
 exponential, exp(0.1j z). One fit core runs over a stack of samples (R, n),
-so the KS bootstrap fits all its replicates at once. Batch rule: every
+so the KS bootstrap fits a block of its replicates at once. Batch rule: every
 reduction runs along a sample's own row, so a sample gets the same bits
 alone (``fit_stable_params``) as in any stack.
 """

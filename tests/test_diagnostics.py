@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from stablevar import diagnostics
+from stablevar import diagnostics, seeding
 from stablevar.diagnostics import ks_statistic, write_auto_floc_csv, write_qq_csv
 from stablevar.errors import ValidationError
 from stablevar.floc import FlocConfig
@@ -83,7 +83,7 @@ class TestAutoFloc:
         assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
         assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
         # replicate blocks of 3 (and a last short one) leave the band's bits as they are
-        monkeypatch.setattr(diagnostics, "_STACK_DRAWS", 3 * 150)
+        monkeypatch.setattr(seeding, "_BLOCK_VALUES", 3 * 150)
         blocked = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, rng_seed=5)
         assert np.array_equal(blocked[0], lo) and np.array_equal(blocked[1], hi)
 
@@ -142,6 +142,9 @@ class TestKsTest:
         assert res.fitted == fitted and res.statistic == d_obs
         assert seen[1:] == want
         assert res.p_value == sum(d >= d_obs for d in want) / 100
+        # replicate blocks of 3 (and a last short one) leave the statistic, p-value and fit
+        monkeypatch.setattr(seeding, "_BLOCK_VALUES", 3 * n)
+        assert sv.ks_test_stable(col, repetitions=100, rng_seed=seed) == res
 
     def test_rejects_non_finite_column(self):
         fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,9 @@ class TestReportCsv:
             ("# order=2", FULL_2X2_VAR2, r":1: expected declaration"),
             # a short row after a blank line: blank lines still count
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["", "floc,2,2"], r":11: expected 5 fields, got 3"),
+            # a declared shape too big to allocate: refused from its rows, with no array sized
+            ("# order=999999999 dim=99999", ["floc,1,1,1,0.5"],
+             r":3: report ends without row k=1, i=1, j=2"),
         ],
     )
     def test_strict_reader_rejects(self, tmp_path, declaration, rows, reason):
@@ -249,6 +254,12 @@ class TestReportCsv:
         p = tmp_path / "bad.csv"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=r"bad\.csv" + reason):
+            sv.EstimationReport.read_coeffs_csv(p)
+
+    def test_undecodable_report_names_the_file(self, tmp_path):
+        p = tmp_path / "report.csv"
+        p.write_bytes(b"# order=1 dim=1\nmethod,k,i,j,value\nls,1,1,1,0.1\xff\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{p}: not utf-8 text")):
             sv.EstimationReport.read_coeffs_csv(p)
 
     def test_strict_reader_accepts_full_body(self, tmp_path):

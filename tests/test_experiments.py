@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import stablevar as sv
 from helpers import A1, A2, var2_model
-from stablevar import estimators, experiments
+from stablevar import estimators, experiments, seeding
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.experiments import ExperimentConfig, coefficient_label
 from stablevar.seeding import substream
@@ -181,6 +183,14 @@ class TestConfigFile:
                 sv.load_model_config(path)
 
 
+    def test_undecodable_file_names_it(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_bytes(MODEL_TEXT.encode() + b"# \xff\n")
+        for load in (sv.load_model_config, sv.load_experiment_config):
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: not utf-8 text")):
+                load(path)
+
+
 class TestExperimentConfigValidation:
     def test_floc_needs_b_values(self):
         with pytest.raises(ValidationError):
@@ -292,10 +302,10 @@ class TestRunMonteCarlo:
         b = sv.run_monte_carlo(small_config())
         assert a.cells == b.cells
 
-    # chunks of one replication, of four (6 = 4 + 2) and of all six
-    @pytest.mark.parametrize("batch_values", [1, 4 * 250 * 2, 10**9])
-    def test_cells_equal_per_replication_estimates(self, monkeypatch, batch_values):
-        monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
+    # blocks of one replication, of four (6 = 4 + 2) and of all six
+    @pytest.mark.parametrize("block_values", [1, 4 * 250 * 2, 10**9])
+    def test_cells_equal_per_replication_estimates(self, monkeypatch, block_values):
+        monkeypatch.setattr(seeding, "_BLOCK_VALUES", block_values)
         cfg = small_config(b_values=(0.0, 0.55))
         report = sv.run_monte_carlo(cfg)
         assert_cells_match_per_replication(report, cfg, skip=())
@@ -315,7 +325,7 @@ class TestRunMonteCarlo:
         def flaky(gammas):
             coeffs, condition, bad = real(gammas)
             calls["i"] += 1
-            if calls["i"] == 0:  # the FLOC solve of the one chunk of 150
+            if calls["i"] == 0:  # the FLOC solve of the one block of 150
                 condition[2], bad[2] = np.inf, True
             return coeffs, condition, bad
 
@@ -348,8 +358,8 @@ class TestRunMonteCarlo:
         with pytest.raises(NumericalError, match="> 1%"):
             sv.run_monte_carlo(small_config(replications=10))
 
-    # replication 9 lies in the third chunk of four, or in the only chunk
-    @pytest.mark.parametrize("batch_values", [4 * 250 * 2, 10**9])
+    # replication 9 lies in the third block of four, or in the only block
+    @pytest.mark.parametrize("block_values", [4 * 250 * 2, 10**9])
     @pytest.mark.parametrize(
         "defect, methods, error, message",
         [
@@ -361,9 +371,9 @@ class TestRunMonteCarlo:
         ids=["constant", "inf", "inf-without-ls", "duplicate"],
     )
     def test_constant_column_fails_every_estimator(
-        self, monkeypatch, batch_values, defect, methods, error, message
+        self, monkeypatch, block_values, defect, methods, error, message
     ):
-        monkeypatch.setattr(experiments, "_BATCH_VALUES", batch_values)
+        monkeypatch.setattr(seeding, "_BLOCK_VALUES", block_values)
         real = experiments._simulate_paths
         seen = [0]
 

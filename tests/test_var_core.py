@@ -394,6 +394,16 @@ class TestSeriesCsv:
             back = sv.SeriesMatrix.from_csv(path).values
             assert np.array_equal(back, np.array(expected)[:, None])
 
+    # in the header, and in a data row far past it, which the fast path hands to the line reader
+    @pytest.mark.parametrize("at", [0, 60_000])
+    def test_undecodable_byte_names_the_file(self, tmp_path, at):
+        path = tmp_path / "series.csv"
+        sv.SeriesMatrix(np.random.default_rng(6).standard_normal((2000, 2))).to_csv(path)
+        text = path.read_bytes()
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not utf-8 text")):
+            sv.SeriesMatrix.from_csv(path)
+
     def test_header_only_raises_without_warning(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,x1,x2\n")
