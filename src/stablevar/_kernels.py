@@ -2,11 +2,13 @@
 transform, the VAR recursion (the causal moving-average form, one
 block-Toeplitz product per series and one carried window per block of
 time), the cross-FLOC window sums (one matrix product per lag) and the
-bulk Gil-Pelaez CDF on an equispaced grid (one chirp-z transform).
+bulk Gil-Pelaez CDF of a stack of laws on one equispaced grid (one
+chirp-z transform per row, the rows' FFTs in one call).
 
-Batch rule: a kernel that takes a stack of series gives each series the
+Batch rule: a kernel that takes a stack of series or laws gives each the
 same bits it gets alone. The VAR recursion keeps it by running the same
-operations with the same shapes per series, whatever the stack size.
+operations with the same shapes per series, whatever the stack size; the
+CDF by elementwise operations and FFTs that run row by row.
 
 Callers reach them as attributes of this module (``_kernels.var_recursion``
 and so on), so each kernel has one implementation under one name.
@@ -130,29 +132,33 @@ def gil_pelaez_cdf(
     t: np.ndarray,
     amp: np.ndarray,
     ph: np.ndarray,
-    w0: float,
+    w0: float | np.ndarray,
 ) -> np.ndarray:
-    """CDF of a standard stable law and its first two z-derivatives on a grid.
+    """CDF of standard stable laws and their first two z-derivatives on a grid.
 
-    ``t`` holds the quadrature nodes t_j = j h (j >= 1), ``amp`` the combined
-    exp(-t^alpha) * weight / t factors, ``ph`` the skewness phase at each
-    node, and ``w0`` the weight of the t=0 node whose integrand limit is -z
-    (valid for alpha > 1). Row 0 is 0.5 - (S(z) - w0 z) / pi with
-    S(z) = Im sum_j c_j W^(jk), c_j = amp_j exp(i ph_j), W = exp(-i h dz),
-    at z = k dz for k = -m..m and any spacing dz; the d-th z-derivative
-    multiplies c_j by (-i t_j)^d. With jk = (j^2 + k^2 - (k-j)^2) / 2 each
-    row is one convolution with the chirp W^(-n^2/2) (Bluestein's chirp-z
-    transform), whose FFT the three rows share.
+    One law per leading index of ``t``, ``amp`` and ``ph`` (..., nodes) and
+    ``w0`` (...); every law takes the same grid ``z`` (2m+1,) and the result
+    is (..., 3, 2m+1). ``t`` holds the quadrature nodes t_j = j h (j >= 1),
+    ``amp`` the combined exp(-t^alpha) * weight / t factors, ``ph`` the
+    skewness phase at each node, and ``w0`` the weight of the t=0 node whose
+    integrand limit is -z (valid for alpha > 1). Row 0 is
+    0.5 - (S(z) - w0 z) / pi with S(z) = Im sum_j c_j W^(jk),
+    c_j = amp_j exp(i ph_j), W = exp(-i h dz), at z = k dz for k = -m..m and
+    any spacing dz; the d-th z-derivative multiplies c_j by (-i t_j)^d. With
+    jk = (j^2 + k^2 - (k-j)^2) / 2 each row is one convolution with the chirp
+    W^(-n^2/2) (Bluestein's chirp-z transform), whose FFT the three rows share.
     """
-    m, nodes = z.shape[0] // 2, t.shape[0]
+    m, nodes = z.shape[0] // 2, t.shape[-1]
     size = _fast_len(nodes + 2 * m + 1)
+    w0 = np.asarray(w0)[..., None, None]
     n = np.arange(m + nodes + 1.0)
-    chirp = np.exp(1j * (0.5 * t[0] * (z[m + 1] - z[m])) * n * n)  # W^(-n^2/2), n >= 0
-    c = amp * np.exp(1j * ph) * chirp[1 : nodes + 1].conj()
-    coef = np.fft.fft(np.stack([c, -1j * t * c, -t * t * c]), size)
+    chirp = np.exp(1j * (0.5 * t[..., :1] * (z[m + 1] - z[m])) * n * n)  # W^(-n^2/2), n >= 0
+    c = amp * np.exp(1j * ph) * chirp[..., 1 : nodes + 1].conj()
+    coef = np.fft.fft(np.stack([c, -1j * t * c, -t * t * c], axis=-2), size)
     # c_j W^(j^2/2) sits at j - 1 and W^(-n^2/2) at n + m + nodes, so the
     # convolution holds point k at k + m + nodes - 1
-    response = np.fft.fft(chirp[np.abs(np.arange(-m - nodes, m))], size)
-    conv = np.fft.ifft(coef * response)[:, nodes - 1 : nodes + 2 * m]
-    s = (conv * chirp[np.abs(np.arange(-m, m + 1))].conj()).imag
-    return np.stack([0.5 * math.pi - (s[0] - w0 * z), w0 - s[1], -s[2]]) / math.pi
+    response = np.fft.fft(chirp[..., np.abs(np.arange(-m - nodes, m))], size)
+    conv = np.fft.ifft(coef * response[..., None, :])[..., nodes - 1 : nodes + 2 * m]
+    s = (conv * chirp[..., None, np.abs(np.arange(-m, m + 1))].conj()).imag
+    rows = [0.5 * math.pi - (s[..., :1, :] - w0 * z), w0 - s[..., 1:2, :], -s[..., 2:, :]]
+    return np.concatenate(rows, axis=-2) / math.pi

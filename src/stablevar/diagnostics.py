@@ -19,8 +19,8 @@ from .errors import ValidationError, _check_finite, _check_int
 from .floc import FlocConfig, _as_column, _floc_moments, cross_floc
 from .seeding import substream_blocks
 from .series import _write_csv
-from .stable_dist import stable_cdf_bulk, stable_quantile
-from .stable_noise import StableParams, _fit_stack, fit_stable_params, sample_stable
+from .stable_dist import _cdf_stack, stable_cdf_bulk, stable_quantile
+from .stable_noise import StableParams, _fit_stack, _standardize, fit_stable_params, sample_stable
 
 __all__ = [
     "AutoFlocSeries",
@@ -110,13 +110,18 @@ def auto_floc_null_band(
     return tuple(np.percentile(sims, [_BAND_TAIL, 100.0 - _BAND_TAIL], axis=0))
 
 
+def _ks_distance(cdf: np.ndarray) -> np.ndarray:
+    """sup-distance between the empirical CDF of each row of sorted points and its fitted
+    CDF values ``cdf`` (..., n)."""
+    n = cdf.shape[-1]
+    steps = np.arange(1, n + 1) / n
+    return np.maximum(np.max(steps - cdf, axis=-1), np.max(cdf - (steps - 1.0 / n), axis=-1))
+
+
 def ks_statistic(column, fitted: StableParams) -> float:
     """sup-distance between the empirical CDF and the fitted stable CDF."""
     x = np.sort(_check_finite(_as_column(column, "column"), "column"))
-    n = x.shape[0]
-    cdf = stable_cdf_bulk(x, fitted)
-    steps = np.arange(1, n + 1) / n
-    return float(max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n))))
+    return float(_ks_distance(stable_cdf_bulk(x, fitted)))
 
 
 def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -> KsTestResult:
@@ -126,9 +131,10 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     fitted CDF, then simulates ``repetitions`` same-length samples from the
     fitted law (replicate r from substream r of ``rng_seed``), re-fitting
     and recomputing the statistic each time. The p-value is the fraction of
-    simulated statistics at least as large as the observed one. The
-    replicates are fitted in the blocks of ``seeding.substream_blocks``, each
-    with the bits of its own ``fit_stable_params`` call.
+    simulated statistics at least as large as the observed one. Each block
+    of ``seeding.substream_blocks`` is fitted, sorted and standardized as a
+    stack and its CDF values come from one ``_cdf_stack`` pass, each
+    replicate with the bits of its own ``ks_statistic(sim, fit_stable_params(sim))``.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
     _check_int(repetitions, "repetitions", 100)
@@ -136,10 +142,10 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     d_obs = ks_statistic(col, fitted)
     exceed = 0
     for sims in _replicate_blocks(fitted, col.shape[0], repetitions, rng_seed):
-        fits = zip(*_fit_stack(sims))
-        exceed += sum(
-            ks_statistic(sim, StableParams(*map(float, fit))) >= d_obs for sim, fit in zip(sims, fits)
-        )
+        fits = _fit_stack(sims)
+        z = np.stack([_standardize(x, StableParams(*map(float, fit)))
+                      for x, fit in zip(np.sort(sims, axis=1), zip(*fits))])
+        exceed += int(np.sum(_ks_distance(_cdf_stack(z, *fits[:2])) >= d_obs))
     return KsTestResult(
         statistic=d_obs,
         p_value=exceed / repetitions,

@@ -19,6 +19,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -474,15 +475,26 @@ _MODEL_KEYS = {"dim", "order", "alpha", "sigma", "n", "burn_in", "seed"}
 _EXPERIMENT_KEYS = _MODEL_KEYS | {"b_values", "replications", "methods"}
 
 
+@contextmanager
+def _naming(path):
+    """Put ``path`` in front of a ValidationError raised within."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _read_config(path, allowed: set):
     """The keys of a config file, its model and its integers n, seed and burn_in (None if
-    absent); a key outside ``allowed`` and the model's a1..a<p> is refused."""
+    absent); a key outside ``allowed`` and the model's a1..a<p> is refused. Every
+    ValidationError names ``path``."""
     kv = _parse_kv(path)
-    model = _build_model(kv)
-    unknown = set(kv) - allowed - {f"a{k}" for k in range(1, model.order + 1)}
-    if unknown:
-        raise ValidationError(f"{path}: unknown key(s) {sorted(unknown)}")
-    ints = {key: _parse_int(kv, key) if key in kv else None for key in ("n", "seed", "burn_in")}
+    with _naming(path):
+        model = _build_model(kv)
+        unknown = set(kv) - allowed - {f"a{k}" for k in range(1, model.order + 1)}
+        if unknown:
+            raise ValidationError(f"unknown key(s) {sorted(unknown)}")
+        ints = {key: _parse_int(kv, key) if key in kv else None for key in ("n", "seed", "burn_in")}
     return kv, model, ints
 
 
@@ -495,15 +507,16 @@ def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
 
 def load_experiment_config(path) -> ExperimentConfig:
     kv, model, ints = _read_config(path, _EXPERIMENT_KEYS)
-    for key in ("n", "seed"):
-        if ints[key] is None:
-            raise ValidationError(f"missing required key {key!r}")
-    return ExperimentConfig(
-        model=model,
-        n=ints["n"],
-        b_values=tuple(_parse_floats(kv["b_values"], "b_values")) if "b_values" in kv else (),
-        replications=_parse_int(kv, "replications"),
-        seed=ints["seed"],
-        methods=tuple(_fields(kv["methods"], "methods")) if "methods" in kv else _METHODS,
-        burn_in=ints["burn_in"],
-    )
+    with _naming(path):
+        for key in ("n", "seed"):
+            if ints[key] is None:
+                raise ValidationError(f"missing required key {key!r}")
+        return ExperimentConfig(
+            model=model,
+            n=ints["n"],
+            b_values=tuple(_parse_floats(kv["b_values"], "b_values")) if "b_values" in kv else (),
+            replications=_parse_int(kv, "replications"),
+            seed=ints["seed"],
+            methods=tuple(_fields(kv["methods"], "methods")) if "methods" in kv else _METHODS,
+            burn_in=ints["burn_in"],
+        )

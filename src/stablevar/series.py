@@ -33,8 +33,9 @@ def _write_csv(path, header: str, rows, preamble: str = "") -> None:
 
 @contextmanager
 def _open_text(path):
-    """``open(path)``, whose reads raise a ValidationError naming ``path`` on undecodable bytes."""
-    with open(path, "r") as fh:
+    """``path`` opened as UTF-8 text, a leading byte-order mark dropped, whose reads raise a
+    ValidationError naming ``path`` on undecodable bytes."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

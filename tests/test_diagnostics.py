@@ -123,7 +123,7 @@ class TestKsTest:
     @pytest.mark.parametrize("alpha, n", [(1.6, 1000), (0.9, 100)])  # 0.9: Zolotarev's CDF
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_per_replicate_loop(self, alpha, n, seed, monkeypatch):
-        # the stacked bootstrap fit gives every replicate the bits of its own fit
+        # the stacked bootstrap gives every replicate the bits of its own fit and statistic
         col = sv.sample_stable(sv.StableParams(alpha, 0.3, 1.5, 0.2), n, 100 + seed)
         fitted = sv.fit_stable_params(col)
         d_obs = ks_statistic(col, fitted)
@@ -131,16 +131,16 @@ class TestKsTest:
         for rep in range(100):
             sim = sv.sample_stable(fitted, n, substream(seed, rep))
             want.append(ks_statistic(sim, sv.fit_stable_params(sim)))
-        seen = []
+        seen, distance = [], diagnostics._ks_distance
 
-        def recording(x, f):
-            seen.append(ks_statistic(x, f))
+        def recording(cdf):
+            seen.append(distance(cdf))
             return seen[-1]
 
-        monkeypatch.setattr(diagnostics, "ks_statistic", recording)
+        monkeypatch.setattr(diagnostics, "_ks_distance", recording)
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=seed)
         assert res.fitted == fitted and res.statistic == d_obs
-        assert seen[1:] == want
+        assert seen[0] == d_obs and np.concatenate(seen[1:]).tolist() == want
         assert res.p_value == sum(d >= d_obs for d in want) / 100
         # replicate blocks of 3 (and a last short one) leave the statistic, p-value and fit
         monkeypatch.setattr(seeding, "_BLOCK_VALUES", 3 * n)

@@ -256,6 +256,12 @@ class TestReportCsv:
         with pytest.raises(ValidationError, match=r"bad\.csv" + reason):
             sv.EstimationReport.read_coeffs_csv(p)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "report.csv"
+        p.write_bytes(b"\xef\xbb\xbf# order=1 dim=1\nmethod,k,i,j,value\nls,1,1,1,0.1\n")
+        method, coeffs = sv.EstimationReport.read_coeffs_csv(p)
+        assert method == "ls" and coeffs[0].tolist() == [[0.1]]
+
     def test_undecodable_report_names_the_file(self, tmp_path):
         p = tmp_path / "report.csv"
         p.write_bytes(b"# order=1 dim=1\nmethod,k,i,j,value\nls,1,1,1,0.1\xff\n")

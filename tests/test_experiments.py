@@ -174,14 +174,26 @@ class TestConfigFile:
         ],
     )
     def test_malformed_file_names_its_fault(self, tmp_path, text, message):
+        # every message names the file first
         path = tmp_path / "mc.cfg"
         path.write_text(text)
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=message) as exc:
             sv.load_experiment_config(path)
+        assert str(exc.value).startswith(str(path))
         if "replications" not in text and "b_values" not in text:  # a model file too
-            with pytest.raises(ValidationError, match=message):
+            with pytest.raises(ValidationError, match=message) as exc:
                 sv.load_model_config(path)
+            assert str(exc.value).startswith(str(path))
 
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a leading U+FEFF once stuck to the first key: "missing required key 'dim'"
+        path, plain = tmp_path / "mc.cfg", tmp_path / "plain.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + MC_CONFIG_TEXT.encode())
+        plain.write_text(MC_CONFIG_TEXT)
+        assert repr(sv.load_experiment_config(path)) == repr(sv.load_experiment_config(plain))
+        path.write_bytes(b"\xef\xbb\xbf" + MODEL_TEXT.encode())
+        assert sv.load_model_config(path)[0].dim == 2
 
     def test_undecodable_file_names_it(self, tmp_path):
         path = tmp_path / "model.cfg"

@@ -11,7 +11,7 @@ import stablevar as sv
 from helpers import brute_gil_pelaez_cdf, quad_cdf
 from stablevar import _kernels, stable_dist
 from stablevar.errors import ValidationError
-from stablevar.stable_dist import _TAIL_Z, stable_cdf, stable_cdf_bulk, stable_quantile
+from stablevar.stable_dist import _GRID_CAP, _TAIL_Z, stable_cdf, stable_cdf_bulk, stable_quantile
 
 ENGINE_ALPHAS = (1.05, 1.3, 1.6, 1.9, 2.0)
 ENGINE_BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -26,8 +26,8 @@ def _switch(alpha, beta):
 
 
 def _engine_points(alpha, beta, seed):
-    """Standardized draws from the law plus the points just inside the grid's
-    reach; the largest |z| sets the node spacing of the grid."""
+    """Standardized draws from the law plus the points just inside the switch
+    at _TAIL_Z s_ab, which the grid's reach holds."""
     edge = _TAIL_Z - 0.01
     draws = sv.sample_stable(sv.StableParams(alpha, beta, 1.0, 0.0), 40, seed)
     draws = draws[np.abs(draws) < edge]
@@ -161,6 +161,18 @@ class TestTailRule:
                                      stable_dist._tail_prob(z, alpha, -beta)])
             assert np.max(np.abs(series - zolotarev)) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.001, 1.01, 1.05,
+                                       1.3, 1.6, 1.9, 1.99, 1.999))
+    def test_series_relative_accuracy_on_the_heavy_side(self, alpha):
+        # _invert works on logit(F), so the tail's relative error is what counts; P(Z > z)
+        # at beta >= 0 is the heavy side, and Zolotarev's form gives it as P(Z < -z) of the
+        # mirrored law, with no cancellation; worst measured 5.1e-12 (alpha 0.999, beta 0.9)
+        for beta in (0.0, 0.1, 0.5, 0.9, 0.99):
+            z = _switch(alpha, beta) * np.array([1.0, 1.5, 3.0])
+            zolotarev = stable_dist._zolotarev_cdf(-z, alpha, -beta)
+            series = stable_dist._tail_prob(z, alpha, beta)
+            assert np.max(np.abs(series / zolotarev - 1.0)) <= 1e-11
+
     @pytest.mark.parametrize("alpha", (0.1, 0.5, 0.9, 1.05, 1.6, 1.9))
     def test_tail_quantiles_round_trip(self, alpha):
         levels = np.logspace(-30.0, -8.0, 12)
@@ -191,22 +203,23 @@ class TestTailRule:
 class TestGridEngine:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
     def test_grid_is_the_corrected_trapezoid(self, alpha):
-        # each row of the grid is the dense trapezoid sum on _bulk_grid's nodes plus
+        # each row of the law's grid is the dense trapezoid sum on _bulk_grid's nodes plus
         # P(z) / pi, P of _trapezoid_correction, or its first or second z-derivative;
         # worst measured 9.1e-15
         poly = np.polynomial.polynomial
         for beta in ENGINE_BETAS:
-            for zmax in (0.5, 2.5, 10.0, _TAIL_Z - 0.01):
-                z0, dz, f = stable_dist._cdf_grid(alpha, beta, zmax)
-                z = z0 + dz * np.arange(f.shape[1])
-                pick = np.linspace(0, z.size - 1, 61).astype(int)
-                t, amp, ph, w0 = stable_dist._bulk_grid(alpha, beta, zmax)
-                b = stable_dist._trapezoid_correction(alpha, beta, t[0])
-                scale = t[0] / (2.0 * np.pi)
-                p = np.stack([poly.polyval(scale * z[pick], poly.polyder(b, d)) * scale**d
-                              for d in range(3)])
-                want = brute_gil_pelaez_cdf(z[pick], t, amp, ph, w0) + p / np.pi
-                assert np.max(np.abs(f[:, pick] - want)) <= 1e-12
+            zeta, h, m, size = stable_dist._grid_shape(alpha, beta)
+            law = np.array([alpha]), np.array([zeta]), np.array([h])
+            f = stable_dist._cdf_grid(*law, m, size)[0]
+            z = stable_dist._GRID_DZ * np.arange(-m, m + 1)
+            pick = np.linspace(0, z.size - 1, 61).astype(int)
+            t, amp, ph, w0 = (v[0] for v in stable_dist._bulk_grid(*law, size - 2 * m - 1))
+            b = stable_dist._trapezoid_correction(*law)[0]
+            scale = h / (2.0 * np.pi)
+            p = np.stack([poly.polyval(scale * z[pick], poly.polyder(b, d)) * scale**d
+                          for d in range(3)])
+            want = brute_gil_pelaez_cdf(z[pick], t, amp, ph, w0) + p / np.pi
+            assert np.max(np.abs(f[:, pick] - want)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
     def test_matches_zolotarev(self, alpha):
@@ -228,10 +241,14 @@ class TestGridEngine:
 
     @pytest.mark.parametrize("zmax", (4.0, 10.0, 45.0, 100.0))
     def test_kernel_rows_match_dense_node_sum(self, zmax):
-        # all three rows, on the spacing of _cdf_grid and on an arbitrary
-        # one, at ~150 grid points; worst measured 9.3e-14 (row 0, zmax 100)
+        # all three rows, on the spacing of _cdf_grid and on an arbitrary one, at ~150
+        # grid points, with nodes spaced at most 1 / zmax; worst measured 9.3e-14
         for alpha, beta in ((1.05, 1.0), (1.5, 0.3), (1.9, -1.0)):
-            t, amp, ph, w0 = stable_dist._bulk_grid(alpha, beta, zmax)
+            zeta, h, _, _ = stable_dist._grid_shape(alpha, beta)
+            h = min(h, 1.0 / zmax)
+            t, amp, ph, w0 = (v[0] for v in stable_dist._bulk_grid(
+                np.array([alpha]), np.array([zeta]), np.array([h]),
+                math.ceil(stable_dist._LOG_CUTOFF ** (1.0 / alpha) / h)))
             for dz in (stable_dist._GRID_DZ, 0.0173):
                 m = int(zmax / dz) + 2
                 z = dz * np.arange(-m, m + 1)
@@ -248,8 +265,7 @@ class TestGridEngine:
     def test_matches_quad(self, alpha):
         for i, beta in enumerate(ENGINE_BETAS):
             p = sv.StableParams(alpha, beta, 1.0, 0.0)
-            # the node spacing grows as the largest |z| shrinks, and the trapezoid's
-            # correction keeps the coarser nodes as accurate: worst measured 1.0e-10
+            # the grid spans the law's reach whatever the points: worst measured 1.0e-10
             for z in (_engine_points(alpha, beta, 100 + i)[:12], np.linspace(-10.0, 10.0, 41),
                       np.linspace(-4.0, 4.0, 41)):
                 assert np.max(np.abs(stable_cdf_bulk(z, p) - quad_cdf(z, p))) <= 1e-9
@@ -279,6 +295,30 @@ class TestGridEngine:
         stable_quantile(TAIL_LEVELS, p)
 
 
+class TestStack:
+    # grid shapes (m, FFT length), alpha 2 (t^alpha by its exponent) in a chirp-z pass with
+    # other laws, a law whose reach stops short of its switch, and laws without a grid:
+    # alpha 0.9, alpha 1 with skew, |zeta| > 32
+    LAWS = ((1.6, 0.0), (1.6, 0.3), (1.75, -0.2), (1.3, 0.9), (2.0, 0.4), (2.0, 0.0),
+            (1.95, 0.0), (1.05, 1.0), (0.9, 0.2), (1.0, 0.5), (1.01, 1.0))
+
+    def test_rows_keep_their_one_law_bits(self, monkeypatch):
+        gridded = [law for law in self.LAWS if stable_dist._skew(*law)[2] > 0.0]
+        shapes = [stable_dist._grid_shape(*law)[2:] for law in gridded]
+        assert len(set(shapes)) >= 4 and shapes.count(stable_dist._grid_shape(2.0, 0.0)[2:]) == 3
+        rng = np.random.default_rng(7)
+        far = [-1e4, -150.0, -100.0, -20.0, 20.0, 100.0, 150.0, 1e4]
+        z = np.sort(np.column_stack([4.0 * rng.standard_cauchy((len(self.LAWS), 30)),
+                                     np.tile(far, (len(self.LAWS), 1))]), axis=1)
+        alpha, beta = np.array(self.LAWS).T
+        want = np.stack([stable_cdf_bulk(row, sv.StableParams(*law))
+                         for row, law in zip(z, self.LAWS)])
+        assert np.array_equal(stable_dist._cdf_stack(z, alpha, beta), want)
+        # chirp-z passes of one law and point passes of 3 rows keep every row's bits too
+        monkeypatch.setattr(stable_dist, "_PASS_VALUES", 3 * z.shape[1])
+        assert np.array_equal(stable_dist._cdf_stack(z, alpha, beta), want)
+
+
 class TestVectorizedQuantile:
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS + (0.5, 0.9, 1.0))
     def test_roundtrip_and_tail_levels(self, alpha):
@@ -289,8 +329,8 @@ class TestVectorizedQuantile:
             for level, q in zip(TAIL_LEVELS, qs):
                 assert stable_quantile(level, p) == q
             back = stable_cdf(qs, p)
-            # the grid reaches the switch, but no further than twice _TAIL_Z
-            inner = np.abs(qs) <= min(_switch(alpha, beta), 2.0 * _TAIL_Z)
+            # the grid reaches the switch, but no further than _GRID_CAP
+            inner = np.abs(qs) <= min(_switch(alpha, beta), _GRID_CAP)
             assert np.max(np.abs(back[inner] - TAIL_LEVELS[inner])) < 1e-6
             # past the grid the quantile inverts stable_cdf itself
             assert np.allclose(back[~inner], TAIL_LEVELS[~inner], rtol=1e-12, atol=0.0)
@@ -342,6 +382,13 @@ class TestVectorizedQuantile:
             qs = stable_quantile(np.array(levels), p)
             assert np.all(qs < -_TAIL_Z) and np.all(np.diff(qs) > 0)
             assert np.allclose(stable_cdf(qs, p), levels, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (1.6, 1.0)])
+    def test_light_tail_quantiles_stay_in_order(self, alpha, beta):
+        # these levels lie below the CDF's accuracy in a light tail, where they have no
+        # meaningful quantile; an earlier inversion gave -11.97, -11.41, -11.92 at alpha 2
+        qs = stable_quantile(np.logspace(-30.0, -8.0, 12), sv.StableParams(alpha, beta, 1.0, 0.0))
+        assert np.all(np.isfinite(qs)) and np.all(np.diff(qs) >= 0.0)
 
     def test_shape_kept(self):
         p = sv.StableParams(1.6, 0.2, 1.0, 0.0)

@@ -404,6 +404,14 @@ class TestSeriesCsv:
         with pytest.raises(ValidationError, match=re.escape(f"{path}: not utf-8 text")):
             sv.SeriesMatrix.from_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark once stuck to the header: "expected header 't,x1,...,xr', got '\ufefft,x1,x2'"
+        path = tmp_path / "series.csv"
+        series = sv.SeriesMatrix(np.random.default_rng(6).standard_normal((50, 2)))
+        series.to_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert np.array_equal(sv.SeriesMatrix.from_csv(path).values, series.values)
+
     def test_header_only_raises_without_warning(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("t,x1,x2\n")
