@@ -115,18 +115,6 @@ def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:
     )
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT runs on small radices."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        odd = p5  # 3^b 5^c, times the least power of two that reaches n
-        while odd < best:
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        p5 *= 5
-    return best
-
-
 def gil_pelaez_cdf(
     z: np.ndarray,
     t: np.ndarray,
@@ -149,7 +137,7 @@ def gil_pelaez_cdf(
     W^(-n^2/2) (Bluestein's chirp-z transform), whose FFT the three rows share.
     """
     m, nodes = z.shape[0] // 2, t.shape[-1]
-    size = _fast_len(nodes + 2 * m + 1)
+    size = nodes + 2 * m + 1  # the FFT length: the caller picks nodes that make it fast
     w0 = np.asarray(w0)[..., None, None]
     n = np.arange(m + nodes + 1.0)
     chirp = np.exp(1j * (0.5 * t[..., :1] * (z[m + 1] - z[m])) * n * n)  # W^(-n^2/2), n >= 0

@@ -508,15 +508,13 @@ def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
 def load_experiment_config(path) -> ExperimentConfig:
     kv, model, ints = _read_config(path, _EXPERIMENT_KEYS)
     with _naming(path):
-        for key in ("n", "seed"):
-            if ints[key] is None:
-                raise ValidationError(f"missing required key {key!r}")
+        n, seed = _parse_int(kv, "n"), _parse_int(kv, "seed")  # checked before replications
         return ExperimentConfig(
             model=model,
-            n=ints["n"],
+            n=n,
             b_values=tuple(_parse_floats(kv["b_values"], "b_values")) if "b_values" in kv else (),
             replications=_parse_int(kv, "replications"),
-            seed=ints["seed"],
+            seed=seed,
             methods=tuple(_fields(kv["methods"], "methods")) if "methods" in kv else _METHODS,
             burn_in=ints["burn_in"],
         )

@@ -9,15 +9,16 @@ densities and distribution functions*, Theorem 1), or for alpha > 1 and |zeta| <
 ``_GRID_CAP`` if nearer: one chirp-z transform of the Gil-Pelaez trapezoid sum (Mittnik,
 Doganoglu and Chenyao, 1999) plus a polynomial in z for its error at the t^alpha branch
 point (Navot 1961, *J. Math. Phys.* 40), within 1e-9 of Zolotarev's form between its
-points. A grid's geometry follows from its law alone, so a stack's laws fall into a few
-grid shapes and ``_grid_stack`` builds each shape's grids in one transform. The one-law
-functions are the stack of one, and each law of a stack gets the bits of its one-law call.
-At alpha = 1 zeta is undefined and there is no switch. ``stable_quantile`` inverts the
-rule over one node table at every alpha; a grid only evaluates it there.
+points. ``_law`` gives a law's zeta, switch and grid from the law alone, so a stack's laws
+fall into a few grid shapes and ``_grid_stack`` builds each shape's grids in one transform.
+The one-law functions are the stack of one, and each law of a stack gets the bits of its
+one-law call. ``stable_quantile`` inverts the rule over one node table at every alpha; a grid
+only evaluates it there.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -45,6 +46,8 @@ _SERIES, _SERIES_RATIO = 10, 0.3
 _ZETA_TERMS, _EM_B = 6, np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160])
 # the grid's largest |zeta|: past it the phase zeta t^alpha outruns the grid's nodes
 _GRID_ZETA = 32.0
+# 2^a 3^b 5^c: all of them up to 2^15, since 3^10 and 5^7 lie past it
+_FAST_LENS = sorted(2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7))
 # values per pass of the stacked CDF, which bounds its temporaries: a chirp-z pass of
 # ``_grid_stack`` takes as many laws as fit with their FFT lengths, a point pass of
 # ``_cdf_stack`` as many rows as fit with their points (at least one either way)
@@ -73,7 +76,7 @@ def _tail_prob(z: np.ndarray, alpha, beta) -> np.ndarray:
     laws, law = np.unique(alpha + 1j * beta, return_inverse=True)  # one complex key per law
     base, coef = [], []
     for a, b in zip(laws.real.tolist(), laws.imag.tolist()):
-        half, zeta = 0.5 * math.pi * a, _skew(a, b)[0]
+        half, zeta = 0.5 * math.pi * a, _law(a, b)[0]
         base.append(complex(math.cos(half) - zeta * math.sin(half),
                             0.0 if a == 2.0 else math.sin(half) * (1.0 + b)))
         coef.append([(-1) ** (k + 1) * math.gamma(a * k) / (math.factorial(k) * math.pi)
@@ -153,7 +156,7 @@ def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     # P(Z > |z|), of the law mirrored when z < 0, is the integral (alpha > 1) or the range's share
     # less it (alpha < 1); the range is empty for alpha < 1 and beta -1 there: no mass past 0
     side = np.where(z < 0.0, -1.0, 1.0)
-    share = 0.5 + np.arctan(side * _skew(alpha, beta)[0]) / (alpha * np.pi)
+    share = 0.5 + np.arctan(side * _law(alpha, beta)[0]) / (alpha * np.pi)
     live = (z != 0.0) & (share > 0.0)
     upper = np.zeros(z.shape)
     upper[live] = _angle_integral(np.abs(z[live]), alpha, side[live] * beta)
@@ -161,22 +164,12 @@ def _zolotarev_cdf(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return np.where(side > 0.0, 1.0 - upper, upper)
 
 
-def _skew(alpha: float, beta: float) -> tuple[float, float, float]:
-    """(zeta, tail switch, grid reach) in standard z; at alpha = 1 zeta is undefined and
-    there is no switch. The reach is the switch, at most _GRID_CAP, or 0, no grid, unless
-    alpha > 1 and |zeta| <= _GRID_ZETA."""
-    zeta = 0.0 if alpha == 1.0 else beta * math.tan(0.5 * math.pi * alpha)
-    switch = math.inf if alpha == 1.0 else _TAIL_Z * math.hypot(1.0, zeta) ** (1.0 / alpha)
-    gridded = alpha > 1.0 and abs(zeta) <= _GRID_ZETA
-    return zeta, switch, min(switch, _GRID_CAP) if gridded else 0.0
-
-
 def _standard_cdf(z: np.ndarray, alpha: np.ndarray, beta: np.ndarray, grid=None) -> np.ndarray:
     """Standard CDF of law i (``alpha[i]``, ``beta[i]``) at row i of z (L, n), and the one
     place its tail rule is set: the ``_grid_stack`` ``grid`` over its span where the law has
     one, Zolotarev's form on to the tail switch, the tail series past it (one pass)."""
     laws = list(zip(alpha.tolist(), beta.tolist()))
-    switch = np.array([_skew(a, b)[1] for a, b in laws])[:, None]
+    switch = np.array([_law(a, b)[1] for a, b in laws])[:, None]
     sign = np.where(z > switch, 1.0, 0.0) - np.where(z < -switch, 1.0, 0.0)
     tail = sign != 0.0
     out = np.empty(z.shape)
@@ -228,15 +221,27 @@ def _trapezoid_correction(alpha: np.ndarray, zeta: np.ndarray, h: np.ndarray) ->
     return (2.0 * im * np.cos(0.5 * math.pi * x) * _riemann_zeta(x) * g).sum(axis=1)
 
 
-def _grid_shape(alpha: float, beta: float) -> tuple[float, float, int, int]:
-    """(zeta, h, m, size) of the chirp-z grid over a law's reach (``_skew``, > 0): points
-    k _GRID_DZ, k = -m..m, and trapezoid nodes t_j = j h, j = 1..size - 2m - 1, that fill the
-    FFT length ``size``; the nodes past _LOG_CUTOFF^(1/alpha) carry amplitudes below 1e-17.
-    h reach <= 1 keeps u = h z / (2 pi) small and the trapezoid's aliases 2 pi / h away."""
-    zeta, _, reach = _skew(alpha, beta)
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs on small radices: exact up to 2^15
+    (a grid needs at most 6,200), and one such length past it."""
+    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
+
+
+def _law(alpha: float, beta: float) -> tuple[float, float, float, float, int, int]:
+    """(zeta, tail switch, grid reach, h, m, size) in standard z: no switch at alpha = 1, where
+    zeta is undefined, and no grid (the last four 0) unless alpha > 1 and |zeta| <= _GRID_ZETA. A
+    grid reaches the nearer of the switch and _GRID_CAP: points k _GRID_DZ, k = -m..m, and nodes
+    t_j = j h, j = 1..size - 2m - 1, filling the FFT length ``size`` past _LOG_CUTOFF^(1/alpha)
+    (amplitudes below 1e-17); h reach <= 1 keeps u = h z / (2 pi) small, aliases 2 pi / h away."""
+    zeta = 0.0 if alpha == 1.0 else beta * math.tan(0.5 * math.pi * alpha)
+    switch = math.inf if alpha == 1.0 else _TAIL_Z * math.hypot(1.0, zeta) ** (1.0 / alpha)
+    if not (alpha > 1.0 and abs(zeta) <= _GRID_ZETA):
+        return zeta, switch, 0.0, 0.0, 0, 0
+    reach = min(switch, _GRID_CAP)
     h = min(1.0 / reach, (_SERIES_RATIO / math.hypot(1.0, zeta)) ** (1.0 / alpha))
     m = int(reach / _GRID_DZ) + 2
-    return zeta, h, m, _kernels._fast_len(math.ceil(_LOG_CUTOFF ** (1.0 / alpha) / h) + 2 * m + 1)
+    size = _fast_len(math.ceil(_LOG_CUTOFF ** (1.0 / alpha) / h) + 2 * m + 1)
+    return zeta, switch, reach, h, m, size
 
 
 def _bulk_grid(alpha: np.ndarray, zeta: np.ndarray, h: np.ndarray, nodes: int):
@@ -249,8 +254,8 @@ def _bulk_grid(alpha: np.ndarray, zeta: np.ndarray, h: np.ndarray, nodes: int):
 
 
 def _cdf_grid(alpha: np.ndarray, zeta: np.ndarray, h: np.ndarray, m: int, size: int) -> np.ndarray:
-    """f (L, 3, 2m + 1) for a stack of laws (L,) of one ``_grid_shape``: f[i, d] is the
-    d-th z-derivative of law i's standard CDF at k _GRID_DZ, k = -m..m."""
+    """f (L, 3, 2m + 1) for a stack of laws (L,) of one grid shape (``_law``'s m and size):
+    f[i, d] is the d-th z-derivative of law i's standard CDF at k _GRID_DZ, k = -m..m."""
     z = _GRID_DZ * np.arange(-m, m + 1)
     f = _kernels.gil_pelaez_cdf(z, *_bulk_grid(alpha, zeta, h, size - 2 * m - 1))
     # plus P / pi and its z-derivatives, summed term by term in the powers u^l
@@ -270,9 +275,7 @@ def _cdf_grid(alpha: np.ndarray, zeta: np.ndarray, h: np.ndarray, m: int, size: 
 def _grid_stack(alpha: np.ndarray, beta: np.ndarray):
     """(m, f) of a stack of laws (L,): law i's ``_cdf_grid`` in f[i, :, : 2 m[i] + 1], and
     m[i] = 0 for a law without a reach. One ``_cdf_grid`` per grid shape and pass."""
-    laws = [_grid_shape(a, b) if _skew(a, b)[2] > 0.0 else (0.0, 0.0, 0, 0)
-            for a, b in zip(alpha.tolist(), beta.tolist())]
-    zeta, h, m, size = (np.array(v) for v in zip(*laws))
+    zeta, _, _, h, m, size = (np.array(v) for v in zip(*map(_law, alpha.tolist(), beta.tolist())))
     f = np.zeros((m.size, 3, 2 * m.max() + 1))
     for shape in sorted(set(zip(m.tolist(), size.tolist())) - {(0, 0)}):
         same = np.flatnonzero((m == shape[0]) & (size == shape[1]))
@@ -316,7 +319,7 @@ def _cdf_stack(z: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 def stable_cdf_bulk(x: np.ndarray, params: StableParams) -> np.ndarray:
     """CDF at many points in one pass: the stack of one of ``_cdf_stack``, whose chirp-z
-    grid serves within the law's reach (``_skew``) and ``stable_cdf``'s rule the rest."""
+    grid serves within the law's reach (``_law``) and ``stable_cdf``'s rule the rest."""
     z = _standardize(x, params)
     out = _cdf_stack(z.reshape(1, -1), np.array([params.alpha]), np.array([params.beta]))
     return out.reshape(z.shape)
@@ -365,7 +368,7 @@ def stable_quantile(p, params: StableParams):
     law = np.array([params.alpha]), np.array([params.beta])
     grid = _grid_stack(*law)
     # near alpha 1 the skew shift carries the bulk out past +-_TAIL_Z
-    shifted = _skew(params.alpha, params.beta)[0] + _NEAR_Z
+    shifted = _law(params.alpha, params.beta)[0] + _NEAR_Z
     nodes = np.unique(np.concatenate([-_FAR_Z, _NEAR_Z, _FAR_Z, shifted[np.abs(shifted) > _TAIL_Z]]))
 
     def cdf(v):

@@ -166,13 +166,13 @@ def _fit_stack(x: np.ndarray) -> tuple[np.ndarray, ...]:
     ecf = np.stack(ecf, axis=-1)
 
     # log(-log|ecf|) = alpha log u + alpha log sigma_rel: least-squares line on log u
-    y = np.log(-np.log(np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)))
+    mod = np.clip(np.abs(ecf), 1e-12, 1.0 - 1e-12)
+    y = np.log(-np.log(mod))
     slope = (y * _LOG_U_C).sum(axis=-1) / (_LOG_U_C * _LOG_U_C).sum()
     alpha = np.clip(slope, 0.1, 2.0)
     sigma_rel = np.exp((y.mean(axis=-1) - slope * _LOG_U.mean()) / alpha)
 
-    # phase = delta_rel u + beta skew(u): least squares with lstsq's rank cutoff,
-    # which drops the skew column where it vanishes (tan(pi alpha / 2) ~ 1e-16 at alpha 2)
+    # phase = delta_rel u + beta skew(u) by least squares
     near_one = np.abs(alpha - 1.0) <= 0.02
     a, s = alpha[:, None], sigma_rel[:, None]
     skew = np.where(
@@ -185,11 +185,17 @@ def _fit_stack(x: np.ndarray) -> tuple[np.ndarray, ...]:
     # the design's transpose [u; skew] (R, 2, 10) = V diag(sv) U^T keeps each sum on a last axis
     design_t = np.stack([np.broadcast_to(_U, skew.shape), skew], axis=1)
     v, sv, u_t = np.linalg.svd(design_t, full_matrices=False)
-    w = (u_t * np.unwrap(np.angle(ecf), axis=-1)[:, None, :]).sum(axis=-1)
-    keep = sv > np.finfo(float).eps * _U.shape[0] * sv[:, :1]
-    w = np.divide(w, sv, out=np.zeros_like(w), where=keep)
+    phase = np.unwrap(np.angle(ecf), axis=-1)
+    w = (u_t * phase[:, None, :]).sum(axis=-1)
+    w = np.divide(w, sv, out=np.zeros_like(w), where=sv > 0.0)
     delta_rel = v[:, 0, 0] * w[:, 0] + v[:, 0, 1] * w[:, 1]
     beta = np.clip(v[:, 1, 0] * w[:, 0] + v[:, 1, 1] * w[:, 1], -1.0, 1.0)
+    # the phase's sd at u: sqrt((1 - |ecf(2u)|) / 2n) / |ecf(u)|, |ecf(2u)| = |ecf(u)|^(2^alpha);
+    # where the skew column is below it at every u (alpha near 2) beta is 0, delta_rel on u alone
+    noise = np.sqrt(-np.expm1(np.exp2(a) * np.log(mod)) / (2 * x.shape[-1])) / mod
+    flat = np.all(np.abs(skew) < noise, axis=-1)
+    beta = np.where(flat, 0.0, beta)
+    delta_rel = np.where(flat, (phase * _U).sum(axis=-1) / (_U * _U).sum(), delta_rel)
 
     sigma = sigma_rel * sigma0
     delta = delta0 + sigma0 * delta_rel
@@ -203,10 +209,11 @@ def fit_stable_params(sample: Sequence[float]) -> StableParams:
 
     Sample quantiles give starting scale and location, which standardize
     the sample; alpha, beta and the relative scale and shift then come from
-    regressing the log modulus and the phase of the empirical
-    characteristic function at u = 0.1, 0.2, ..., 1.0, the ECF taken as
-    running powers of exp(0.1j z). This is the stack of one of the fit that
-    ``ks_test_stable`` runs over its bootstrap replicates, with the same bits.
+    regressing the log modulus and the phase of the empirical characteristic
+    function at u = 0.1, 0.2, ..., 1.0 (beta is 0 where the phase's sampling
+    noise hides it, as alpha nears 2), the ECF taken as running powers of
+    exp(0.1j z). This is the stack of one of the fit that ``ks_test_stable``
+    runs over its bootstrap replicates, with the same bits.
     """
     x = np.asarray(sample, dtype=float).ravel()
     return StableParams(*(float(v[0]) for v in _fit_stack(x[None])))

@@ -35,6 +35,7 @@ __all__ = [
 
 DEFAULT_BURN_IN = 500
 DEFAULT_CAUSALITY_MARGIN = 1e-8
+_PSI_TOL, _PSI_CAP = 1e-12, 100_000  # psi_count_for_tolerance's level and longest search
 
 
 @dataclass(frozen=True)
@@ -134,21 +135,20 @@ def psi_matrices(model: VarModel, count: int) -> list:
     return list(_psi(model, count))
 
 
-def psi_count_for_tolerance(model: VarModel, tol: float = 1e-12, max_count: int = 100_000) -> int:
-    """Smallest j >= 1 with max-abs entry of Psi_j below ``tol``, searched up to ``max_count``.
+def psi_count_for_tolerance(model: VarModel) -> int:
+    """Smallest j >= 1 with max-abs entry of Psi_j below 1e-12, searched up to j = 100,000.
 
     Psi comes in passes of 2,000 terms and then four times as many, so a
     fast-decaying model costs one short pass.
     """
-    _check_int(max_count, "max_count", 1)
     _require_causal(model)
     count = 0
-    while count < max_count:
-        count = min(max(4 * count, 2000), max_count)
-        below = np.max(np.abs(_psi(model, count)[1:]), axis=(1, 2)) < tol
+    while count < _PSI_CAP:
+        count = min(max(4 * count, 2000), _PSI_CAP)
+        below = np.max(np.abs(_psi(model, count)[1:]), axis=(1, 2)) < _PSI_TOL
         if below.any():
             return int(np.argmax(below)) + 1
-    raise ValidationError(f"Psi entries did not fall below {tol} within {max_count} terms")
+    raise ValidationError(f"Psi entries did not fall below {_PSI_TOL} within {_PSI_CAP} terms")
 
 
 def _resolve_burn_in(model: VarModel, burn_in) -> int:

@@ -136,7 +136,8 @@ def quad_cdf(x, params: sv.StableParams) -> np.ndarray:
 def brute_fit_stable_params(sample) -> sv.StableParams:
     """Oracle of ``fit_stable_params``, one sample at a time: the ECF by one
     complex exponential per frequency, the alpha line by ``np.polyfit`` and
-    the phase by ``np.linalg.lstsq`` (default rank cutoff)."""
+    the phase by ``np.linalg.lstsq`` (default rank cutoff), on u alone where
+    the skew column lies below the phase's sampling noise at every u."""
     x = np.asarray(sample, dtype=float).ravel()
     q = np.quantile(x, [0.25, 0.28, 0.50, 0.72, 0.75])
     sigma0, delta0 = (q[3] - q[1]) / 1.654, q[2]
@@ -152,8 +153,14 @@ def brute_fit_stable_params(sample) -> sv.StableParams:
         skew = -(2.0 / math.pi) * sigma_rel * u * np.log(u)
     else:
         skew = math.tan(0.5 * math.pi * alpha) * sigma_rel**alpha * u**alpha
-    coef, *_ = np.linalg.lstsq(np.column_stack([u, skew]), np.unwrap(np.angle(ecf)), rcond=None)
-    delta_rel, beta = float(coef[0]), float(np.clip(coef[1], -1.0, 1.0))
+    phase = np.unwrap(np.angle(ecf))
+    # the delta method's sd of the angle of a mean of n unit phasors, E cos(2 u z) from the fit
+    noise = np.sqrt((1.0 - mod ** (2.0**alpha)) / (2 * x.size)) / mod
+    if np.all(np.abs(skew) < noise):  # beta lost in the phase's noise: regress on u alone
+        delta_rel, beta = float(np.linalg.lstsq(u[:, None], phase, rcond=None)[0][0]), 0.0
+    else:
+        coef, *_ = np.linalg.lstsq(np.column_stack([u, skew]), phase, rcond=None)
+        delta_rel, beta = float(coef[0]), float(np.clip(coef[1], -1.0, 1.0))
     sigma = sigma_rel * sigma0
     delta = delta0 + sigma0 * delta_rel
     if near_one:

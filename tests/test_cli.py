@@ -327,6 +327,21 @@ class TestDiagnose:
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
+    def test_near_gaussian_residuals_fit_no_full_skew(self, tmp_path):
+        # the packaging smoke series at alpha 2 (n 2000, seed 1): its x2 residuals fit
+        # alpha 1.986, where tan(pi alpha / 2) all but cancels the skew column and the
+        # phase's noise alone once drove beta to 1
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(MODEL_CFG.split("alpha")[0] + "alpha = 2\n")
+        data, report, out = tmp_path / "series.csv", tmp_path / "floc.csv", tmp_path / "diag"
+        main(["simulate", "--config", str(cfg), "--out", str(data), "--n", "2000", "--seed", "1"])
+        main(["estimate", "--data", str(data), "--order", "2", "--out", str(report)])
+        main(["diagnose", "--data", str(data), "--report", str(report), "--out-dir", str(out),
+              "--seed", "1", "--max-lag", "4", "--band-replicates", "10", "--qq-grid", "5"])
+        fitted = re.findall(r"fitted alpha=(\S+) beta=(\S+)", (out / "ks.txt").read_text())
+        assert len(fitted) == 2 and 1.95 < float(fitted[1][0]) < 2.0
+        assert all(abs(float(beta)) < 0.25 for _, beta in fitted)
+
     def test_dimension_mismatch(self, model_cfg, tmp_path, capsys):
         data = tmp_path / "series.csv"
         main(["simulate", "--config", str(model_cfg), "--out", str(data)])

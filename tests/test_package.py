@@ -36,7 +36,6 @@ SIZED_CALLS = {
     "ks_test_stable": (lambda v: sv.ks_test_stable(COLUMN, v), "repetitions", 100),
     "qq_data": (lambda v: sv.qq_data(COLUMN, FITTED, v), "grid", 5),
     "psi_matrices": (lambda v: sv.psi_matrices(MODEL, v), "count", 1),
-    "psi_count": (lambda v: sv.psi_count_for_tolerance(MODEL, max_count=v), "max_count", 100),
 }
 
 

@@ -208,7 +208,7 @@ class TestGridEngine:
         # worst measured 9.1e-15
         poly = np.polynomial.polynomial
         for beta in ENGINE_BETAS:
-            zeta, h, m, size = stable_dist._grid_shape(alpha, beta)
+            zeta, _, _, h, m, size = stable_dist._law(alpha, beta)
             law = np.array([alpha]), np.array([zeta]), np.array([h])
             f = stable_dist._cdf_grid(*law, m, size)[0]
             z = stable_dist._GRID_DZ * np.arange(-m, m + 1)
@@ -226,7 +226,7 @@ class TestGridEngine:
         # worst measured 1.6e-10 (alpha 1.01, beta 0, zmax 0.5), most of it the
         # quintic Hermite interpolation between the grid's nodes
         for beta in (-1.0, -0.5, 0.0, 0.3, 1.0):
-            reach = stable_dist._skew(alpha, beta)[2]
+            reach = stable_dist._law(alpha, beta)[2]
             if reach == 0.0:
                 continue
             for zmax in (0.5, 2.0, 4.0, 10.0, 36.0, min(90.0, reach)):
@@ -244,7 +244,7 @@ class TestGridEngine:
         # all three rows, on the spacing of _cdf_grid and on an arbitrary one, at ~150
         # grid points, with nodes spaced at most 1 / zmax; worst measured 9.3e-14
         for alpha, beta in ((1.05, 1.0), (1.5, 0.3), (1.9, -1.0)):
-            zeta, h, _, _ = stable_dist._grid_shape(alpha, beta)
+            zeta, _, _, h, _, _ = stable_dist._law(alpha, beta)
             h = min(h, 1.0 / zmax)
             t, amp, ph, w0 = (v[0] for v in stable_dist._bulk_grid(
                 np.array([alpha]), np.array([zeta]), np.array([h]),
@@ -258,8 +258,34 @@ class TestGridEngine:
                 assert np.max(np.abs(got - want)) <= 2e-13
 
     def test_fast_len_is_scipys_real_fast_length(self):
-        got = [_kernels._fast_len(n) for n in range(1, 20001)]
+        got = [stable_dist._fast_len(n) for n in range(1, 20001)]
         assert got == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+
+    def test_node_count_fills_the_kernels_fft_length(self, monkeypatch):
+        # gil_pelaez_cdf takes nodes + 2m + 1 as its FFT length, so _law must pick a node
+        # count that makes it fast and that still reaches _LOG_CUTOFF^(1/alpha)
+        fft, lengths = np.fft.fft, []
+
+        def record(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return fft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", record)
+        gridded = 0
+        for alpha in ENGINE_ALPHAS:
+            for beta in ENGINE_BETAS:
+                zeta, _, reach, h, m, size = stable_dist._law(alpha, beta)
+                if reach == 0.0:
+                    continue
+                gridded += 1
+                law = np.array([alpha]), np.array([zeta]), np.array([h])
+                nodes = stable_dist._bulk_grid(*law, size - 2 * m - 1)[0].shape[-1]
+                assert nodes + 2 * m + 1 == size == stable_dist._fast_len(size)
+                assert nodes * h >= stable_dist._LOG_CUTOFF ** (1.0 / alpha)
+                lengths.clear()
+                stable_dist._cdf_grid(*law, m, size)
+                assert lengths == [size, size]
+        assert gridded == len(ENGINE_ALPHAS) * len(ENGINE_BETAS)
 
     @pytest.mark.parametrize("alpha", ENGINE_ALPHAS)
     def test_matches_quad(self, alpha):
@@ -303,9 +329,9 @@ class TestStack:
             (1.95, 0.0), (1.05, 1.0), (0.9, 0.2), (1.0, 0.5), (1.01, 1.0))
 
     def test_rows_keep_their_one_law_bits(self, monkeypatch):
-        gridded = [law for law in self.LAWS if stable_dist._skew(*law)[2] > 0.0]
-        shapes = [stable_dist._grid_shape(*law)[2:] for law in gridded]
-        assert len(set(shapes)) >= 4 and shapes.count(stable_dist._grid_shape(2.0, 0.0)[2:]) == 3
+        gridded = [law for law in self.LAWS if stable_dist._law(*law)[2] > 0.0]
+        shapes = [stable_dist._law(*law)[4:] for law in gridded]
+        assert len(set(shapes)) >= 4 and shapes.count(stable_dist._law(2.0, 0.0)[4:]) == 3
         rng = np.random.default_rng(7)
         far = [-1e4, -150.0, -100.0, -20.0, 20.0, 100.0, 150.0, 1e4]
         z = np.sort(np.column_stack([4.0 * rng.standard_cauchy((len(self.LAWS), 30)),
@@ -342,7 +368,7 @@ class TestVectorizedQuantile:
         # 2.8e-10 (alpha 1.6, beta +-1)
         levels = np.array([1e-4, 0.005, 0.05, 0.25, 0.5, 0.75, 0.95, 0.995, 1.0 - 1e-4])
         for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            reach = stable_dist._skew(alpha, beta)[2]
+            reach = stable_dist._law(alpha, beta)[2]
             qs = stable_quantile(levels, sv.StableParams(alpha, beta, 1.0, 0.0))
             for level, q in zip(levels, qs):
                 if abs(q) > reach:

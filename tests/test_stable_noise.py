@@ -170,12 +170,14 @@ class TestFitStableParams:
                     assert abs(fit.delta - want.delta) <= 1e-9 * want.sigma
 
     def test_gaussian_fit_drops_the_vanishing_skew_column(self):
-        # alpha clips to 2, where tan(pi alpha / 2) ~ -1.2e-16 leaves the skew column
-        # numerically zero; without the rank cutoff beta came out as +-1
-        x = np.random.default_rng(0).standard_normal(100)
-        fit = sv.fit_stable_params(x)
-        assert fit.alpha == 2.0
-        assert abs(fit.beta) <= 1e-12
+        # tan(pi alpha / 2), -1.2e-16 where alpha clips to 2 and under 0.035 past 1.98, leaves
+        # the skew column below the phase's sampling noise; that noise alone drove beta to
+        # +-1 in the first sample without a rank cutoff, and in 8 of the 20 others with one
+        samples = [np.random.default_rng(0).standard_normal(100)]
+        samples += [np.random.default_rng(seed).standard_normal(2000) for seed in range(20)]
+        fits = [sv.fit_stable_params(x) for x in samples]
+        assert fits[0].alpha == 2.0
+        assert all(fit.alpha > 1.98 and abs(fit.beta) <= 1e-12 for fit in fits)
 
     def test_each_row_of_the_stack_fits_alone(self):
         # the batch rule: a row gets the same bits alone or in any stack

@@ -116,7 +116,7 @@ class TestPsi:
 
     def test_geometric_decay_and_count_helper(self):
         model = var2_model(1.6)
-        count = psi_count_for_tolerance(model, tol=1e-12)
+        count = psi_count_for_tolerance(model)
         psi = sv.psi_matrices(model, count)
         assert np.max(np.abs(psi[count])) < 1e-12
         assert np.max(np.abs(psi[count // 2])) > np.max(np.abs(psi[count]))
@@ -194,7 +194,7 @@ class TestSimulate:
         # radius 0.999: a fixed 500-row burn-in left 0.999^500 ~ 0.61 of the zero start
         model = sv.VarModel(coeffs=(NEAR_UNIT_ROOT,), noise=sv.SymmetricStableNoiseSpec.iid(2, 2.0))
         tol, n = 1e-12, 200
-        burn_in = psi_count_for_tolerance(model, tol)
+        burn_in = psi_count_for_tolerance(model)
         assert burn_in > DEFAULT_BURN_IN
         path = sv.simulate(model, n, rng_seed=3).values
         noise = sv.sample_noise_matrix(model.noise, burn_in + n, 3).values
@@ -219,7 +219,7 @@ class TestSimulate:
     def test_moving_average_reconstruction(self):
         model = var2_model(1.6)
         n = 300
-        count = psi_count_for_tolerance(model, tol=1e-10)
+        count = psi_count_for_tolerance(model)
         psi = sv.psi_matrices(model, count)
         noise = sv.sample_noise_matrix(model.noise, n, 77).values
         rebuilt = np.zeros_like(noise)
