@@ -31,12 +31,7 @@ from .experiments import (
     run_monte_carlo,
     run_pipeline,
 )
-from .floc import (
-    FlocConfig,
-    cross_floc,
-    lag_matrix_set,
-    signed_power,
-)
+from .floc import cross_floc, lag_matrix_set, signed_power
 from .series import SeriesMatrix
 from .stable_dist import stable_cdf, stable_quantile
 from .stable_noise import (
@@ -75,7 +70,6 @@ __all__ = [
     "psi_count_for_tolerance",
     "simulate",
     "mean_correct",
-    "FlocConfig",
     "signed_power",
     "cross_floc",
     "lag_matrix_set",

@@ -101,8 +101,8 @@ def var_recursion(coeffs: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def cross_floc_sum(u: np.ndarray, v: np.ndarray, lags) -> np.ndarray:
     """Window sums of u[n, i] v[n-k, j] for each lag k in ``lags``, unnormalized.
 
-    ``u`` (..., N, r) and ``v`` (..., N, s) hold the signed powers x^<A> and
-    y^<B>, one series per leading index; returns (..., len(lags), r, s).
+    ``u`` (..., N, r) holds the series x and ``v`` (..., N, s) the signed
+    powers y^<B>, one series per leading index; returns (..., len(lags), r, s).
     Entry [l, i, j] sums over the valid window n in [max(0, k), min(N, N+k))
     of k = lags[l]; the caller divides by the window length N - |k|.
     """

@@ -9,9 +9,9 @@ do not match it. Floats are written as shortest round-trip text, so files
 read back to the same numbers.
 
 The subcommands only read inputs and write outputs; the numbers come from
-the library. estimate picks FLOC's exponents with ``experiments.floc_config``,
+the library. estimate picks FLOC's exponent B with ``experiments.floc_config``,
 as ``run_pipeline`` does: the same default B and the same warning when
-A + B reaches a column alpha estimate;
+A + B = 1 + B reaches a column alpha estimate;
 diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
 writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
 same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
@@ -122,8 +122,8 @@ def _cmd_estimate(args) -> int:
         raise ValidationError("--b-exp applies only to FLOC")
     series = SeriesMatrix.from_csv(args.data)
     if args.method == "floc":
-        cfg, _ = floc_config(series, args.b_exp)
-        report = estimate_floc(series, args.order, cfg)
+        b, _ = floc_config(series, args.b_exp)
+        report = estimate_floc(series, args.order, b)
     elif args.method == "yw":
         report = estimate_yw(series, args.order)
     else:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import ValidationError, _check_finite, _check_int
-from .floc import FlocConfig, _as_column, _floc_moments, cross_floc
+from .floc import _as_column, _check_b, _floc_moments, cross_floc
 from .seeding import substream_blocks
 from .series import _write_csv
 from .stable_dist import _cdf_stack, stable_cdf_bulk, stable_quantile
@@ -39,10 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AutoFlocSeries:
-    """Auto-FLOC values of one column at lags 0..L."""
+    """Auto-FLOC values of one column at lags 0..L, at FLOC exponent ``b``."""
 
     values: np.ndarray
-    cfg: FlocConfig
+    b: float
 
     @property
     def lags(self) -> np.ndarray:
@@ -63,14 +63,15 @@ class QqData(NamedTuple):
     fitted: np.ndarray
 
 
-def auto_floc(residual_column, max_lag: int, cfg: FlocConfig) -> AutoFlocSeries:
-    """Auto-FLOC value cross_floc(column, column, k) for k = 0..max_lag."""
+def auto_floc(residual_column, max_lag: int, b: float) -> AutoFlocSeries:
+    """Auto-FLOC value cross_floc(column, column, k, b) for k = 0..max_lag."""
+    b = _check_b(b)
     col = _check_finite(_as_column(residual_column, "column"), "column")
     if _check_int(max_lag, "max_lag", 0) >= col.shape[0]:
         raise ValidationError(f"max_lag must be in [0, {col.shape[0] - 1}], got {max_lag}")
     if not np.any(col != 0.0):
         raise ValidationError("degenerate all-zero column")
-    return AutoFlocSeries(values=cross_floc(col, col, np.arange(max_lag + 1), cfg), cfg=cfg)
+    return AutoFlocSeries(values=cross_floc(col, col, np.arange(max_lag + 1), b), b=b)
 
 
 # percentile of each side of the null band, the central 95% of the replicates
@@ -88,7 +89,7 @@ def auto_floc_null_band(
     fitted: StableParams,
     n: int,
     max_lag: int,
-    cfg: FlocConfig,
+    b: float,
     replicates: int = 200,
     rng_seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,15 +97,17 @@ def auto_floc_null_band(
 
     Simulates ``replicates`` independent samples of length ``n`` from the
     fitted law, one substream each, and takes the 2.5th and 97.5th per-lag
-    percentiles of their auto-FLOC, so an observed auto-FLOC can be judged
-    against pure noise.
+    percentiles of their auto-FLOC at exponent ``b``, so an observed auto-FLOC
+    can be judged against pure noise.
     """
+    b = _check_b(b)
+    _check_int(n, "n", 1)
     if _check_int(max_lag, "max_lag", 0) >= n:
         raise ValidationError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
     _check_int(replicates, "replicates", 2)
     # the batch rule gives each replicate its own cross_floc bits, whatever the block
     sims = np.concatenate([
-        _floc_moments(block[..., None], block[..., None], range(max_lag + 1), cfg)[..., 0, 0]
+        _floc_moments(block[..., None], block[..., None], range(max_lag + 1), b)[..., 0, 0]
         for block in _replicate_blocks(fitted, n, replicates, rng_seed)
     ])
     return tuple(np.percentile(sims, [_BAND_TAIL, 100.0 - _BAND_TAIL], axis=0))

@@ -10,7 +10,7 @@ The FLOC and Yule-Walker estimators share one block solve
 differing only in the lag-moment matrices plugged in: cross-FLOC matrices
 for FLOC, plain cross-moments for Yule-Walker. Each method has one
 normalizer, its literature-standard one: FLOC divides lag k by n - |k|,
-Yule-Walker by n, so Yule-Walker's moments are FLOC's at A = B = 1 scaled
+Yule-Walker by n, so Yule-Walker's moments are FLOC's at B = 1 scaled
 by (n - |k|) / n; ``_fit`` branches on the method once for both facts.
 
 All three run through one core on a stack of R series: ``_prepare``
@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError, _check_int
-from .floc import FlocConfig, lag_matrix_set
+from .floc import _check_b, lag_matrix_set
 from .series import SeriesMatrix, _csv_rows, _open_text, _write_csv
 
 __all__ = [
@@ -49,14 +49,14 @@ _REPORT_DECLARATION = re.compile(r"# order=([1-9][0-9]*) dim=([1-9][0-9]*)")
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Estimated coefficient matrices plus solve diagnostics."""
+    """Estimated coefficient matrices plus solve diagnostics; ``b`` is FLOC's exponent B."""
 
     method: str
     coeffs: tuple
     condition: float
     residuals: SeriesMatrix
     column_means: np.ndarray
-    cfg: Optional[FlocConfig] = None
+    b: Optional[float] = None
 
     @property
     def order(self) -> int:
@@ -146,9 +146,8 @@ class EstimationReport:
             f"condition: {self.condition:.6g}",
             "column_means: " + ",".join(map(repr, self.column_means.tolist())),
         ]
-        if self.cfg is not None:
-            lines.append(f"exp_a: {float(self.cfg.exp_a)!r}")
-            lines.append(f"exp_b: {float(self.cfg.exp_b)!r}")
+        if self.b is not None:
+            lines.append(f"exp_b: {self.b!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -233,7 +232,7 @@ _BLOCK_LABELS = {"floc": "cross-FLOC", "yw": "autocovariance"}
 def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[float] = None):
     """Coefficients of ``method`` for each mean-corrected series in a stack (R, n, r).
 
-    ``method`` is "floc" (exponents (1, ``b``)), "yw" or "ls"; ``failed`` maps
+    ``method`` is "floc" (exponent ``b``), "yw" or "ls"; ``failed`` maps
     the series that failed the checks of ``_prepare`` to their errors.
     Returns the coefficients (R, p, r, r), the condition numbers (R,) of
     each block matrix (FLOC, Yule-Walker) or regressor matrix (``_ls_fit``),
@@ -245,12 +244,12 @@ def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[f
     size = p * corrected.shape[-1]
     if corrected.shape[-2] <= 2 * size:
         return _too_short(corrected, p, 2 * size)
-    if method == "yw":  # FLOC's moments at A = B = 1, lag k divided by n, not n - |k|
+    if method == "yw":  # FLOC's moments at B = 1, lag k divided by n, not n - |k|
         n = corrected.shape[-2]
-        gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, 1.0))
+        gammas = lag_matrix_set(corrected, p, 1.0)
         gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
     else:
-        gammas = lag_matrix_set(corrected, p, FlocConfig(1.0, b))
+        gammas = lag_matrix_set(corrected, p, b)
     coeffs, condition, bad = _solve_block(gammas)
     condition[list(failed)] = np.nan
     errors = dict(failed)
@@ -291,7 +290,7 @@ def _ls_fit(corrected: np.ndarray, failed: dict, p: int):
 def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
     """FLOC, least-squares and Yule-Walker coefficients of each series in a stack (R, n, r).
 
-    ``keys`` holds ("floc", B) for exponents (1, B), ("ls", None) and
+    ``keys`` holds ("floc", B) for FLOC at exponent B, ("ls", None) and
     ("yw", None), each giving the coefficients of its ``estimate_*``, without
     residuals or reports. Returns {key: fit}, each fit as ``_fit`` returns
     it, from one mean correction.
@@ -300,27 +299,23 @@ def _estimate_stack(values: np.ndarray, p: int, keys) -> dict:
     return {key: _fit(corrected, failed, p, *key) for key in keys}
 
 
-def _estimate_one(method: str, series: SeriesMatrix, p: int, cfg: Optional[FlocConfig] = None):
-    """Report of ``method`` (exponents ``cfg`` for FLOC) on one series: the stack of one."""
+def _estimate_one(method: str, series: SeriesMatrix, p: int, b: Optional[float] = None):
+    """Report of ``method`` (exponent ``b`` for FLOC) on one series: the stack of one."""
     corrected, means, failed = _prepare(series.values[None], p)
-    b = None if cfg is None else cfg.exp_b
     coeffs, condition, errors = _fit(corrected, failed, p, method, b)
     if errors:
         raise errors[0]
     coeffs = tuple(np.ascontiguousarray(a) for a in coeffs[0])
     res = residuals(SeriesMatrix(corrected[0]), coeffs)
-    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], cfg)
+    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], b)
 
 
-def estimate_floc(series: SeriesMatrix, p: int, cfg: FlocConfig) -> EstimationReport:
-    """FLOC coefficient estimates from the lag cross-FLOC block system.
+def estimate_floc(series: SeriesMatrix, p: int, b: float) -> EstimationReport:
+    """FLOC coefficient estimates from the lag cross-FLOC block system at exponent ``b``.
 
-    The first exponent is pinned to A = 1; choose B below alpha - 1 (the
-    usual working default is B = alpha_hat - 1.05).
+    Choose B below alpha - 1 (the usual working default is B = alpha_hat - 1.05).
     """
-    if cfg.exp_a != 1.0:
-        raise ValidationError(f"FLOC estimation fixes A = 1, got A = {cfg.exp_a}")
-    return _estimate_one("floc", series, p, cfg)
+    return _estimate_one("floc", series, p, _check_b(b))
 
 
 def estimate_yw(series: SeriesMatrix, p: int) -> EstimationReport:

@@ -9,7 +9,7 @@ changing the block size never perturbs the simulated paths, and reports
 are reproducible byte for byte.
 
 ``run_pipeline`` is the real-data path: mean-correct, pick the FLOC
-exponents from per-column stability estimates (``floc_config``), estimate
+exponent B from per-column stability estimates (``floc_config``), estimate
 the coefficients, and diagnose each residual column (``diagnose_residuals``).
 ``stablevar estimate`` and ``stablevar diagnose`` call the same functions,
 so either entry point picks the same B, and a fixed seed gives the same
@@ -18,7 +18,8 @@ diagnostics.
 
 from __future__ import annotations
 
-import math
+import warnings
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -36,7 +37,7 @@ from .diagnostics import (
 )
 from .errors import NumericalError, ValidationError, _check_int
 from .estimators import EstimationReport, _estimate_stack, estimate_floc
-from .floc import FlocConfig
+from .floc import _check_b
 from .seeding import _check_seed, _child_seed, substream_blocks
 from .series import SeriesMatrix, _open_text, _write_csv
 from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
@@ -90,9 +91,11 @@ class ExperimentConfig:
             _check_int(getattr(self, name), name, minimum)
         object.__setattr__(self, "burn_in", _resolve_burn_in(self.model, self.burn_in))
         _check_seed(self.seed)
-        if isinstance(self.methods, str):
-            raise ValidationError(f"methods must be a sequence of method names, got {self.methods!r}")
-        methods = tuple(m.lower() for m in self.methods)
+        for name, what in (("methods", "method names"), ("b_values", "B values")):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise ValidationError(f"{name} must be a sequence of {what}, got {value!r}")
+        methods = tuple(m.lower() if isinstance(m, str) else m for m in self.methods)
         if not methods:
             raise ValidationError("at least one method is required")
         for m in methods:
@@ -100,10 +103,7 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown method {m!r}; choose from {_METHODS}")
         if len(set(methods)) != len(methods):
             raise ValidationError(f"methods must not repeat, got {methods}")
-        b_values = tuple(float(b) for b in self.b_values)
-        for b in b_values:
-            if not 0.0 <= b < math.inf:
-                raise ValidationError(f"B values must be finite and >= 0, got {b}")
+        b_values = tuple(map(_check_b, self.b_values))
         if len(set(b_values)) != len(b_values):
             raise ValidationError(f"B values must not repeat, got {b_values}")
         if "floc" in methods and not b_values:
@@ -300,8 +300,12 @@ class ColumnDiagnostics:
 class PipelineReport:
     estimation: EstimationReport
     alpha_estimates: np.ndarray
-    b_used: float
     columns: tuple
+
+    @property
+    def b_used(self) -> float:
+        """The FLOC exponent B of the estimation."""
+        return self.estimation.b
 
 
 def default_b(alphas) -> float:
@@ -309,16 +313,21 @@ def default_b(alphas) -> float:
     return max(float(np.max(alphas)) - DEFAULT_B_OFFSET, 0.0)
 
 
-def floc_config(series: SeriesMatrix, b: Optional[float] = None):
-    """FLOC exponents (1, B) and the stability index estimate of each mean-corrected column.
+def floc_config(series: SeriesMatrix, b: Optional[float] = None) -> Tuple[float, np.ndarray]:
+    """FLOC exponent B and the stability index estimate of each mean-corrected column.
 
-    B defaults to ``default_b`` of the estimates; warns when A + B reaches the smallest.
+    B defaults to ``default_b`` of the estimates. Warns (not fails) when
+    A + B = 1 + B reaches the smallest estimate: the fractional moment may not exist.
     """
+    b = None if b is None else _check_b(b)
     corrected = mean_correct(series).values
     alphas = np.array([fit_stable_params(corrected[:, j]).alpha for j in range(series.dim)])
-    cfg = FlocConfig(1.0, default_b(alphas) if b is None else float(b))
-    cfg.warn_if_invalid_for(float(np.min(alphas)))
-    return cfg, alphas
+    b = default_b(alphas) if b is None else b
+    alpha = float(np.min(alphas))
+    if 1.0 + b >= alpha:
+        warnings.warn(f"A + B = {1.0 + b:.3f} >= estimated alpha {alpha:.3f}; "
+                      "the fractional moment may not exist", stacklevel=2)
+    return b, alphas
 
 
 def diagnose_residuals(
@@ -341,13 +350,13 @@ def diagnose_residuals(
         col = res.values[:, j]
         ks = ks_test_stable(col, ks_repetitions, rng_seed=_child_seed(rng_seed, 1, j))
         fitted = ks.fitted
-        cfg_col = FlocConfig(1.0, default_b(fitted.alpha))
-        af = auto_floc(col, max_lag, cfg_col)
+        b = default_b(fitted.alpha)
+        af = auto_floc(col, max_lag, b)
         lo, hi = auto_floc_null_band(
             fitted,
             col.shape[0],
             max_lag,
-            cfg_col,
+            b,
             replicates=band_replicates,
             rng_seed=_child_seed(rng_seed, 2, j),
         )
@@ -372,21 +381,16 @@ def run_pipeline(
 ) -> PipelineReport:
     """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
 
-    The exponents come from ``floc_config``, so B defaults to ``default_b``
+    The exponent B comes from ``floc_config``, so it defaults to ``default_b``
     of the per-column stability estimates. The residuals are diagnosed by
     ``diagnose_residuals``.
     """
-    cfg, alphas = floc_config(series, b)
-    estimation = estimate_floc(series, p, cfg)
+    b, alphas = floc_config(series, b)
+    estimation = estimate_floc(series, p, b)
     columns = diagnose_residuals(
         estimation.residuals, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
     )
-    return PipelineReport(
-        estimation=estimation,
-        alpha_estimates=alphas,
-        b_used=float(cfg.exp_b),
-        columns=columns,
-    )
+    return PipelineReport(estimation=estimation, alpha_estimates=alphas, columns=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,20 @@
 covariance when second moments do not exist.
 
 The cross-FLOC of two trajectories at lag k averages
-|x_i[n]|^A |x_j[n-k]|^B sign(x_i[n] x_j[n-k]) over the n for which both
-indices are in range; the normalizer is the window length N - |k|. With
-A = B = 1 this is the plain lagged cross-moment.
+x_i[n] |x_j[n-k]|^B sign(x_j[n-k]) over the n for which both indices are
+in range; the normalizer is the window length N - |k|. The first exponent
+is 1, as the FLOC moment equations are linear in the VAR coefficients only
+then; with B = 1 this is the plain lagged cross-moment.
 
-Every lag moment goes through ``_floc_moments``: with U = X^<A> and V = X^<B>
-formed once, lag k >= 0 is the matrix product U[k:]^T V[:N-k] / (N - k)
+Every lag moment goes through ``_floc_moments``: with V = X^<B> formed
+once, lag k >= 0 is the matrix product X[k:]^T V[:N-k] / (N - k)
 (``_kernels.cross_floc_sum``), for one series or a stack of them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+import numbers
 from typing import Iterable
 
 import numpy as np
@@ -25,35 +25,17 @@ from .errors import ValidationError, _check_int
 from .series import SeriesMatrix
 
 __all__ = [
-    "FlocConfig",
     "signed_power",
     "cross_floc",
     "lag_matrix_set",
 ]
 
 
-@dataclass(frozen=True)
-class FlocConfig:
-    """Exponent pair (A, B); ``warn_if_invalid_for`` checks A + B < alpha."""
-
-    exp_a: float = 1.0
-    exp_b: float = 0.0
-
-    def __post_init__(self) -> None:
-        # written so that NaN fails too: NaN < 0 is False
-        if not (0.0 <= self.exp_a < math.inf and 0.0 <= self.exp_b < math.inf):
-            raise ValidationError(
-                f"exponents must be finite and >= 0, got A={self.exp_a}, B={self.exp_b}"
-            )
-
-    def warn_if_invalid_for(self, alpha: float) -> None:
-        """Warn (not fail) when A + B >= an after-the-fact alpha estimate."""
-        if self.exp_a + self.exp_b >= alpha:
-            warnings.warn(
-                f"A + B = {self.exp_a + self.exp_b:.3f} >= estimated alpha "
-                f"{alpha:.3f}; the fractional moment may not exist",
-                stacklevel=2,
-            )
+def _check_b(b) -> float:
+    """The FLOC exponent B as a float; ValidationError unless a finite real >= 0 (no bool)."""
+    if isinstance(b, bool) or not isinstance(b, numbers.Real) or not 0.0 <= b < math.inf:
+        raise ValidationError(f"B must be finite and >= 0, got {b!r}")
+    return float(b)
 
 
 def signed_power(x, a: float):
@@ -72,25 +54,26 @@ def _as_column(x, name: str) -> np.ndarray:
     return arr
 
 
-def _floc_moments(x, y, lags: Iterable[int], cfg: FlocConfig) -> np.ndarray:
+def _floc_moments(x, y, lags: Iterable[int], b: float) -> np.ndarray:
     """Entry [..., l, i, j]: cross-FLOC of x[..., :, i] against y[..., :, j] at lag lags[l].
 
-    ``x`` and ``y`` are (..., N, r) and (..., N, s), one series per leading
-    index; callers check every |k| < N.
+    ``x`` and ``y`` are float arrays (..., N, r) and (..., N, s), one series per
+    leading index; callers check ``b`` and every |k| < N.
     """
     lags = np.asarray(lags, dtype=int)
-    sums = _kernels.cross_floc_sum(signed_power(x, cfg.exp_a), signed_power(y, cfg.exp_b), lags)
+    sums = _kernels.cross_floc_sum(x, signed_power(y, b), lags)
     return sums / (x.shape[-2] - np.abs(lags))[:, None, None]
 
 
-def cross_floc(xi, xj, k, cfg: FlocConfig):
-    """Sample cross-FLOC of ``xi`` against ``xj`` lagged by ``k``.
+def cross_floc(xi, xj, k, b: float):
+    """Sample cross-FLOC of ``xi`` against ``xj`` lagged by ``k``, exponent ``b``.
 
-    Averages signed_power(xi[n], A) * signed_power(xj[n-k], B) over the
-    valid window, which has exactly N - |k| terms. An int ``k`` gives a
-    float; an array of ints gives an array of its shape, one value per lag.
-    Float and bool lags are refused.
+    Averages xi[n] * signed_power(xj[n-k], b) over the valid window, which
+    has exactly N - |k| terms. An int ``k`` gives a float; an array of ints
+    gives an array of its shape, one value per lag. Float and bool lags are
+    refused.
     """
+    b = _check_b(b)
     xi = _as_column(xi, "xi")
     xj = _as_column(xj, "xj")
     if xi.shape[0] != xj.shape[0]:
@@ -106,19 +89,20 @@ def cross_floc(xi, xj, k, cfg: FlocConfig):
     bad = lags[np.abs(lags) >= n]
     if bad.size:
         raise ValidationError(f"lag {bad[0]} out of range for length {n}: empty window")
-    values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), cfg)[:, 0, 0].reshape(lags.shape)
+    values = _floc_moments(xi[:, None], xj[:, None], lags.ravel(), b)[:, 0, 0].reshape(lags.shape)
     return float(values) if lags.ndim == 0 else values
 
 
-def lag_matrix_set(series, p: int, cfg: FlocConfig) -> np.ndarray:
+def lag_matrix_set(series, p: int, b: float) -> np.ndarray:
     """Cross-FLOC matrices (..., 2p, r, r) of the order-p block system: entry [p - 1 + k]
-    holds (i, j) = cross_floc(column i, column j, k), k = -(p-1)..p.
+    holds (i, j) = cross_floc(column i, column j, k, b), k = -(p-1)..p.
 
     ``series`` is a SeriesMatrix or a stack (..., n, r) of series, one per
     leading index; each series gets the bits it gets alone.
     """
+    b = _check_b(b)
     _check_int(p, "order", 1)
     values = series.values if isinstance(series, SeriesMatrix) else np.asarray(series, dtype=float)
     if values.ndim < 2 or values.shape[-2] <= 2 * p:
         raise ValidationError(f"series of shape {values.shape} too short for order {p}")
-    return _floc_moments(values, values, np.arange(1 - p, p + 1), cfg)
+    return _floc_moments(values, values, np.arange(1 - p, p + 1), b)

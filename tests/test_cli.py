@@ -178,7 +178,7 @@ class TestEstimate:
         code = main(["estimate", "--data", str(data), "--order", "2", "--b-exp", "nan",
                      "--out", str(tmp_path / "r.csv")])
         assert code == 1
-        assert "exponents must be finite" in capsys.readouterr().err
+        assert "B must be finite and >= 0, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["ls", "yw"])
     def test_b_exp_rejected_off_floc(self, model_cfg, tmp_path, capsys, method):

@@ -5,7 +5,6 @@ import stablevar as sv
 from stablevar import diagnostics, seeding
 from stablevar.diagnostics import ks_statistic, write_auto_floc_csv, write_qq_csv
 from stablevar.errors import ValidationError
-from stablevar.floc import FlocConfig
 from stablevar.seeding import substream
 from stablevar.stable_dist import stable_cdf
 
@@ -14,37 +13,38 @@ class TestAutoFloc:
     def test_lag0_equals_cross_floc(self):
         rng = np.random.default_rng(0)
         col = rng.standard_normal(300)
-        cfg = FlocConfig(1.0, 0.8)
-        af = sv.auto_floc(col, 10, cfg)
-        assert af.values[0] == sv.cross_floc(col, col, 0, cfg)
+        b = 0.8
+        af = sv.auto_floc(col, 10, b)
+        assert af.values[0] == sv.cross_floc(col, col, 0, b)
+        assert af.b == b
         assert af.values[0] > 0
         assert list(af.lags) == list(range(11))
 
     def test_alternating_series_strong_lag1(self):
         col = np.tile([1.0, -1.0], 50)
-        af = sv.auto_floc(col, 2, FlocConfig(1.0, 0.5))
+        af = sv.auto_floc(col, 2, 0.5)
         assert af.values[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_iid_sample_is_flat(self):
         # null behaviour: away from lag 0 the values sit within ~3/sqrt(n)
         n = 600
         col = sv.sample_stable(sv.StableParams.symmetric(1.85, 1.0), n, 42)
-        af = sv.auto_floc(col, 20, FlocConfig(1.0, 0.8))
+        af = sv.auto_floc(col, 20, 0.8)
         ratios = np.abs(af.values[1:]) / af.values[0]
         assert np.mean(ratios < 3.0 / np.sqrt(n)) >= 0.9
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
-            sv.auto_floc(np.zeros(100), 5, FlocConfig(1.0, 0.5))
+            sv.auto_floc(np.zeros(100), 5, 0.5)
         with pytest.raises(ValidationError):
-            sv.auto_floc(np.ones(10), 10, FlocConfig(1.0, 0.5))
+            sv.auto_floc(np.ones(10), 10, 0.5)
 
     def test_null_band_contains_iid_values(self):
         fitted = sv.StableParams.symmetric(1.85, 1.0)
         col = sv.sample_stable(fitted, 500, 7)
-        cfg = FlocConfig(1.0, 0.8)
-        af = sv.auto_floc(col, 10, cfg)
-        lo, hi = sv.auto_floc_null_band(fitted, 500, 10, cfg, replicates=100, rng_seed=3)
+        b = 0.8
+        af = sv.auto_floc(col, 10, b)
+        lo, hi = sv.auto_floc_null_band(fitted, 500, 10, b, replicates=100, rng_seed=3)
         inside = (af.values[1:] >= lo[1:]) & (af.values[1:] <= hi[1:])
         assert inside.mean() >= 0.8
         assert np.all(lo <= hi)
@@ -54,17 +54,23 @@ class TestAutoFloc:
         col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 300, 8)
         col[17] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            sv.auto_floc(col, 5, FlocConfig(1.0, 0.5))
+            sv.auto_floc(col, 5, 0.5)
 
     def test_rejects_empty_column(self):
         with pytest.raises(ValidationError, match="column is empty"):
-            sv.auto_floc([], 0, FlocConfig(1.0, 0.5))
+            sv.auto_floc([], 0, 0.5)
 
     def test_null_band_rejects_lags_past_the_series(self):
         fitted = sv.StableParams(1.7, 0.0, 1.0, 0.0)
         for max_lag in (-1, 150, 151):
             with pytest.raises(ValidationError, match="max_lag"):
-                sv.auto_floc_null_band(fitted, 150, max_lag, FlocConfig(1.0, 0.5), replicates=2)
+                sv.auto_floc_null_band(fitted, 150, max_lag, 0.5, replicates=2)
+
+    @pytest.mark.parametrize("n", [50.0, True, 0])
+    def test_null_band_checks_n_before_drawing(self, n, monkeypatch):
+        monkeypatch.setattr(diagnostics, "sample_stable", None)  # any draw would fail
+        with pytest.raises(ValidationError, match=f"n must be an integer >= 1, got {n!r}"):
+            sv.auto_floc_null_band(sv.StableParams(1.5), n, 0, 0.5, replicates=2)
 
     @pytest.mark.parametrize("fitted", [sv.StableParams(1.7, 0.2, 1.3, 0.1),
                                         sv.StableParams(1.3, -0.9, 0.6, -2.0)])
@@ -73,18 +79,18 @@ class TestAutoFloc:
         self, fitted, max_lag, replicates, monkeypatch
     ):
         # the stacked lag moments give each replicate the bits of its own cross_floc call
-        cfg = FlocConfig(1.0, 0.6)
-        lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, rng_seed=5)
+        b = 0.6
+        lo, hi = sv.auto_floc_null_band(fitted, 150, max_lag, b, replicates, rng_seed=5)
         lags = np.arange(max_lag + 1)
         samples = [sv.sample_stable(fitted, 150, substream(5, rep)) for rep in range(replicates)]
-        sims = [sv.cross_floc(x, x, lags, cfg) for x in samples]
+        sims = [sv.cross_floc(x, x, lags, b) for x in samples]
         # the fixed 95% band: the 2.5th and 97.5th percentiles, as 0.95 gives them
         tail = 100.0 * (1.0 - 0.95) / 2.0
         assert np.array_equal(lo, np.percentile(sims, tail, axis=0))
         assert np.array_equal(hi, np.percentile(sims, 100.0 - tail, axis=0))
         # replicate blocks of 3 (and a last short one) leave the band's bits as they are
         monkeypatch.setattr(seeding, "_BLOCK_VALUES", 3 * 150)
-        blocked = sv.auto_floc_null_band(fitted, 150, max_lag, cfg, replicates, rng_seed=5)
+        blocked = sv.auto_floc_null_band(fitted, 150, max_lag, b, replicates, rng_seed=5)
         assert np.array_equal(blocked[0], lo) and np.array_equal(blocked[1], hi)
 
 
@@ -214,10 +220,10 @@ class TestQqData:
 class TestCsvEmitters:
     def test_auto_floc_csv(self, tmp_path):
         col = sv.sample_stable(sv.StableParams.symmetric(1.8, 1.0), 300, 16)
-        cfg = FlocConfig(1.0, 0.75)
-        af = sv.auto_floc(col, 5, cfg)
+        b = 0.75
+        af = sv.auto_floc(col, 5, b)
         band = sv.auto_floc_null_band(
-            sv.StableParams.symmetric(1.8, 1.0), 300, 5, cfg, replicates=20, rng_seed=5
+            sv.StableParams.symmetric(1.8, 1.0), 300, 5, b, replicates=20, rng_seed=5
         )
         path = tmp_path / "af.csv"
         write_auto_floc_csv(path, af, band)

@@ -7,7 +7,7 @@ import stablevar as sv
 from helpers import var2_model
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.estimators import _solve_block
-from stablevar.floc import FlocConfig, _floc_moments
+from stablevar.floc import _floc_moments
 from stablevar.seeding import substream
 
 
@@ -23,9 +23,9 @@ class TestScalarCase:
         for t in range(1, 400):
             x[t] = 0.6 * x[t - 1] + rng.standard_normal()
         series = sv.SeriesMatrix(x[:, None])
-        report = sv.estimate_floc(series, 1, FlocConfig(1.0, 1.0))
+        report = sv.estimate_floc(series, 1, 1.0)
         corrected = sv.mean_correct(series).values
-        g = _floc_moments(corrected, corrected, [0, 1], FlocConfig(1.0, 1.0))
+        g = _floc_moments(corrected, corrected, [0, 1], 1.0)
         assert report.coeffs[0][0, 0] == pytest.approx(g[1][0, 0] / g[0][0, 0], rel=1e-12)
 
     def test_ls_is_ols_slope(self):
@@ -73,7 +73,7 @@ class TestResiduals:
 
     def test_report_residuals_recomputable(self):
         series = sv.simulate(var2_model(1.6), 300, 200, 5)
-        report = sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
+        report = sv.estimate_floc(series, 2, 0.55)
         again = sv.residuals(sv.mean_correct(series), report.coeffs)
         assert np.array_equal(report.residuals.values, again.values)
 
@@ -93,15 +93,15 @@ class TestFlocEstimator:
         acc = np.zeros((2, 2, 2))
         for seed in range(100):
             series = sv.simulate(model, 700, 100, substream(900, seed))
-            acc += sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55)).coeff_array()
+            acc += sv.estimate_floc(series, 2, 0.55).coeff_array()
         assert np.max(np.abs(acc / 100)) < 0.1
 
     def test_block_solve_residual_small(self):
         series = sv.simulate(var2_model(1.6), 700, 500, 10)
-        cfg = FlocConfig(1.0, 0.55)
-        report = sv.estimate_floc(series, 2, cfg)
+        b = 0.55
+        report = sv.estimate_floc(series, 2, b)
         corrected = sv.mean_correct(series).values
-        g = dict(zip(range(-1, 3), _floc_moments(corrected, corrected, range(-1, 3), cfg)))
+        g = dict(zip(range(-1, 3), _floc_moments(corrected, corrected, range(-1, 3), b)))
         block = np.block([[g[0], g[1]], [g[-1], g[0]]])
         rhs = np.hstack([g[1], g[2]])
         stacked = np.hstack(report.coeffs)
@@ -110,25 +110,20 @@ class TestFlocEstimator:
     def test_shift_invariance(self):
         series = sv.simulate(var2_model(1.6), 400, 200, 11)
         shifted = sv.SeriesMatrix(series.values + np.array([13.0, -41.0]))
-        a = sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
-        b = sv.estimate_floc(shifted, 2, FlocConfig(1.0, 0.55))
+        a = sv.estimate_floc(series, 2, 0.55)
+        b = sv.estimate_floc(shifted, 2, 0.55)
         assert np.max(np.abs(a.coeff_array() - b.coeff_array())) < 1e-10
         assert np.allclose(b.column_means, series.values.mean(axis=0) + [13.0, -41.0])
-
-    def test_requires_unit_first_exponent(self):
-        series = sv.simulate(var2_model(1.6), 100, 0, 12)
-        with pytest.raises(ValidationError):
-            sv.estimate_floc(series, 2, FlocConfig(0.8, 0.5))
 
     def test_too_short(self):
         series = sv.simulate(var2_model(1.6), 8, 0, 13)
         with pytest.raises(ValidationError):
-            sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
+            sv.estimate_floc(series, 2, 0.55)
 
     def test_constant_column_rejected(self):
         vals = np.column_stack([np.ones(50), np.arange(50, dtype=float)])
         with pytest.raises(ValidationError, match="constant"):
-            sv.estimate_floc(sv.SeriesMatrix(vals), 1, FlocConfig(1.0, 0.5))
+            sv.estimate_floc(sv.SeriesMatrix(vals), 1, 0.5)
 
     def test_singular_block_rejected(self):
         # duplicated component makes the lag-0 matrix rank deficient
@@ -136,11 +131,11 @@ class TestFlocEstimator:
         col = rng.standard_normal(200)
         series = sv.SeriesMatrix(np.column_stack([col, col]))
         with pytest.raises(NumericalError, match="condition"):
-            sv.estimate_floc(series, 1, FlocConfig(1.0, 1.0))
+            sv.estimate_floc(series, 1, 1.0)
 
     def test_condition_reported(self):
         series = sv.simulate(var2_model(1.6), 300, 100, 15)
-        report = sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
+        report = sv.estimate_floc(series, 2, 0.55)
         assert report.condition > 0
 
 
@@ -149,9 +144,9 @@ class TestMethodAgreement:
         # one block solve: FLOC at A = B = 1 on the moments divided by n - |k|,
         # Yule-Walker on the same moments divided by n
         series = sv.simulate(var2_model(2.0), 2000, 500, 16)
-        gammas = sv.lag_matrix_set(sv.mean_correct(series), 2, FlocConfig(1.0, 1.0))
+        gammas = sv.lag_matrix_set(sv.mean_correct(series), 2, 1.0)
         by_n = gammas * ((2000 - np.abs(np.arange(-1, 3))) / 2000)[:, None, None]
-        f = sv.estimate_floc(series, 2, FlocConfig(1.0, 1.0))
+        f = sv.estimate_floc(series, 2, 1.0)
         y = sv.estimate_yw(series, 2)
         assert np.array_equal(f.coeff_array(), _solve_block(gammas[None])[0][0])
         assert np.array_equal(y.coeff_array(), _solve_block(by_n[None])[0][0])
@@ -182,7 +177,7 @@ class TestMethodAgreement:
 class TestReportCsv:
     def test_roundtrip(self, tmp_path):
         series = sv.simulate(var2_model(1.6), 300, 100, 20)
-        report = sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
+        report = sv.estimate_floc(series, 2, 0.55)
         path = tmp_path / "report.csv"
         report.to_csv(path)
         method, coeffs = sv.EstimationReport.read_coeffs_csv(path)
@@ -193,9 +188,11 @@ class TestReportCsv:
 
     def test_summary_contains_condition(self):
         series = sv.simulate(var2_model(1.6), 300, 100, 21)
-        report = sv.estimate_floc(series, 2, FlocConfig(1.0, 0.55))
+        report = sv.estimate_floc(series, 2, 0.55)
         text = report.summary_text()
         assert "condition:" in text and "exp_b: 0.55" in text
+        assert report.b == 0.55 and "exp_a" not in text
+        assert "exp_b" not in sv.estimate_ls(series, 2).summary_text()
 
     def test_malformed_report(self, tmp_path):
         p = tmp_path / "bad.csv"

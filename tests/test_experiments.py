@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import stablevar as sv
 from helpers import A1, A2, var2_model
 from stablevar import estimators, experiments, seeding
 from stablevar.errors import NumericalError, ValidationError
-from stablevar.experiments import ExperimentConfig, coefficient_label
+from stablevar.experiments import ExperimentConfig, coefficient_label, floc_config
 from stablevar.seeding import substream
 from stablevar.var_core import psi_count_for_tolerance
 
@@ -55,7 +56,7 @@ def assert_cells_match_per_replication(report, cfg, skip):
     ]
     p = cfg.model.order
     fits = {
-        ("floc", b): lambda s, b=b: sv.estimate_floc(s, p, sv.FlocConfig(1.0, b))
+        ("floc", b): lambda s, b=b: sv.estimate_floc(s, p, b)
         for b in cfg.b_values
     }
     fits[("ls", None)] = lambda s: sv.estimate_ls(s, p)
@@ -216,8 +217,23 @@ class TestExperimentConfigValidation:
         "b_values", [(float("nan"),), (float("inf"),), (0.5, float("nan"), float("nan"))]
     )
     def test_non_finite_b_rejected(self, b_values):
-        with pytest.raises(ValidationError, match="B values must be finite"):
+        with pytest.raises(ValidationError, match="B must be finite and >= 0"):
             small_config(b_values=b_values)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(b_values="0.5"), "b_values must be a sequence of B values, got '0.5'"),
+            (dict(b_values=0.5), "b_values must be a sequence of B values, got 0.5"),
+            (dict(b_values=("0.5",)), "B must be finite and >= 0, got '0.5'"),
+            (dict(b_values=(0.5, True)), "B must be finite and >= 0, got True"),
+            (dict(methods=("floc", 1)), "unknown method 1"),
+            (dict(methods=None), "methods must be a sequence of method names, got None"),
+        ],
+    )
+    def test_malformed_grid_is_validation_error(self, overrides, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            small_config(**overrides)
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
@@ -449,6 +465,21 @@ class TestRunMonteCarlo:
         assert rows[0] == "method,b,coefficient,k,i,j,true,mean,rmse,used"
         assert len(rows) == 1 + 8 * 3  # 8 coefficients x (floc@B + ls + yw)
         assert "ls,," in rows[9]
+
+
+class TestFlocConfig:
+    def test_warns_once_one_plus_b_reaches_smallest_column_alpha(self):
+        series = sv.simulate(var2_model(1.6), 400, 200, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, alphas = floc_config(series, 0.0)
+            alpha = float(alphas.min())
+            assert 1.0 < alpha < 2.0  # so alpha - 1 is exact and 1 + (alpha - 1) == alpha
+            assert floc_config(series, alpha - 1.0 - 1e-9)[0] == alpha - 1.0 - 1e-9
+        message = f"A + B = {alpha:.3f} >= estimated alpha {alpha:.3f}"
+        with pytest.warns(UserWarning, match=re.escape(message)):
+            b, again = floc_config(series, alpha - 1.0)
+        assert b == alpha - 1.0 and np.array_equal(again, alphas)
 
 
 class TestRunPipeline:

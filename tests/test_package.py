@@ -22,17 +22,17 @@ def test_all_entries_resolve(name):
 SERIES = sv.simulate(var2_model(1.6), 200, 0, 1)
 COLUMN = SERIES.values[:, 0]
 FITTED = sv.StableParams(1.6, 0.0, 1.0, 0.0)
-CFG = sv.FlocConfig(1.0, 0.5)
+B = 0.5
 MODEL = var2_model(1.6)
 # entry point -> (its call given the size, the size's name, a size within its bounds)
 SIZED_CALLS = {
-    "estimate_floc": (lambda v: sv.estimate_floc(SERIES, v, CFG), "order", 2),
+    "estimate_floc": (lambda v: sv.estimate_floc(SERIES, v, B), "order", 2),
     "estimate_ls": (lambda v: sv.estimate_ls(SERIES, v), "order", 2),
     "estimate_yw": (lambda v: sv.estimate_yw(SERIES, v), "order", 2),
-    "lag_matrix_set": (lambda v: sv.lag_matrix_set(SERIES, v, CFG), "order", 2),
-    "auto_floc": (lambda v: sv.auto_floc(COLUMN, v, CFG), "max_lag", 2),
-    "null_band_lag": (lambda v: sv.auto_floc_null_band(FITTED, 50, v, CFG, 2), "max_lag", 2),
-    "null_band_reps": (lambda v: sv.auto_floc_null_band(FITTED, 50, 2, CFG, v), "replicates", 2),
+    "lag_matrix_set": (lambda v: sv.lag_matrix_set(SERIES, v, B), "order", 2),
+    "auto_floc": (lambda v: sv.auto_floc(COLUMN, v, B), "max_lag", 2),
+    "null_band_lag": (lambda v: sv.auto_floc_null_band(FITTED, 50, v, B, 2), "max_lag", 2),
+    "null_band_reps": (lambda v: sv.auto_floc_null_band(FITTED, 50, 2, B, v), "replicates", 2),
     "ks_test_stable": (lambda v: sv.ks_test_stable(COLUMN, v), "repetitions", 100),
     "qq_data": (lambda v: sv.qq_data(COLUMN, FITTED, v), "grid", 5),
     "psi_matrices": (lambda v: sv.psi_matrices(MODEL, v), "count", 1),

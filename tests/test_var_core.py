@@ -10,7 +10,7 @@ import stablevar as sv
 from helpers import A1, A2, brute_psi, brute_var_recursion, var2_model
 from stablevar import _kernels
 from stablevar.errors import ValidationError
-from stablevar.floc import FlocConfig, _floc_moments
+from stablevar.floc import _floc_moments
 from stablevar.seeding import substream
 from stablevar.series import _write_csv
 from stablevar.var_core import (
@@ -243,8 +243,8 @@ class TestSimulate:
         # Gamma_1 = A_1 Gamma_0 + A_2 Gamma_-1 up to sampling error
         model = var2_model(2.0)
         series = sv.mean_correct(sv.simulate(model, 10**4, 500, 8))
-        cfg = FlocConfig(1.0, 1.0)
-        g = dict(zip((-1, 0, 1), _floc_moments(series.values, series.values, (-1, 0, 1), cfg)))
+        b = 1.0
+        g = dict(zip((-1, 0, 1), _floc_moments(series.values, series.values, (-1, 0, 1), b)))
         gap = g[1] - (A1 @ g[0] + A2 @ g[-1])
         assert np.max(np.abs(gap)) < 0.05
 
