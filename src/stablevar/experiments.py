@@ -14,6 +14,9 @@ the coefficients, and diagnose each residual column (``diagnose_residuals``).
 ``stablevar estimate`` and ``stablevar diagnose`` call the same functions,
 so either entry point picks the same B, and a fixed seed gives the same
 diagnostics.
+
+``load_model_config`` and ``load_experiment_config`` read ``key = value`` files through
+one reader and one table of the keys and the kind of each value, ``_KEYS``.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class ExperimentConfig:
         _check_seed(self.seed)
         for name, what in (("methods", "method names"), ("b_values", "B values")):
             value = getattr(self, name)
-            if isinstance(value, str) or not isinstance(value, Iterable):
+            if (isinstance(value, str) or not isinstance(value, Iterable)
+                    or getattr(value, "ndim", 1) == 0):  # a 0-d array has __iter__ but no items
                 raise ValidationError(f"{name} must be a sequence of {what}, got {value!r}")
         methods = tuple(m.lower() if isinstance(m, str) else m for m in self.methods)
         if not methods:
@@ -425,33 +429,27 @@ def _fields(text: str, key: str) -> list:
     return fields
 
 
-def _parse_floats(text: str, key: str) -> list:
-    try:
-        return [float(v) for v in _fields(text, key)]
-    except ValueError as exc:
-        raise ValidationError(f"bad {key}: {exc}") from exc
+# Each config key but a1..a<order> (lists of floats) and the kind of its value: int, or
+# float or str for a comma-separated list. A model file takes the keys through burn_in.
+# Past the model's faults and the unknown keys, faults are reported in this order.
+_MODEL_FILE_KEYS = dict(dim=int, order=int, alpha=float, sigma=float, n=int, seed=int, burn_in=int)
+_KEYS = dict(_MODEL_FILE_KEYS, b_values=float, replications=int, methods=str)
 
 
-def _parse_int(kv: Dict[str, str], key: str) -> int:
+def _parse(kv: Dict[str, str], key: str):
+    """Take ``key`` out of ``kv`` and parse its value as the kind ``_KEYS`` gives it."""
     if key not in kv:
         raise ValidationError(f"missing required key {key!r}")
+    kind, text = _KEYS.get(key, float), kv.pop(key)
     try:
-        return int(kv[key])
+        return int(text) if kind is int else [kind(v) for v in _fields(text, key)]
     except ValueError as exc:
         raise ValidationError(f"bad {key}: {exc}") from exc
-
-
-def _per_component(text: str, key: str, dim: int) -> list:
-    """The values of a per-component key: one shared by all ``dim`` components, or ``dim``."""
-    vals = _parse_floats(text, key)
-    if len(vals) not in (1, dim):
-        raise ValidationError(f"{key} needs 1 or {dim} values, got {len(vals)}")
-    return vals * (dim // len(vals))
 
 
 def _build_model(kv: Dict[str, str]) -> VarModel:
-    dim = _parse_int(kv, "dim")
-    order = _parse_int(kv, "order")
+    dim = _parse(kv, "dim")
+    order = _parse(kv, "order")
     if dim < 1 or order < 1:
         raise ValidationError("dim and order must be >= 1")
     coeffs = []
@@ -459,24 +457,20 @@ def _build_model(kv: Dict[str, str]) -> VarModel:
         key = f"a{k}"
         if key not in kv:
             raise ValidationError(f"missing coefficient matrix {key!r}")
-        vals = _parse_floats(kv[key], key)
+        vals = _parse(kv, key)
         if len(vals) != dim * dim:
             raise ValidationError(
                 f"{key} needs {dim * dim} row-major entries, got {len(vals)}"
             )
         coeffs.append(np.array(vals).reshape(dim, dim))
-    if "alpha" not in kv:
-        raise ValidationError("missing required key 'alpha'")
-    alphas = _per_component(kv["alpha"], "alpha", dim)
-    sigmas = _per_component(kv.get("sigma", "1.0"), "sigma", dim)
-    noise = SymmetricStableNoiseSpec(
-        tuple(StableParams.symmetric(a, s) for a, s in zip(alphas, sigmas))
-    )
+    alphas_sigmas = []
+    for key in ("alpha", "sigma"):  # one value shared by all dim components, or dim
+        vals = [1.0] if key == "sigma" and key not in kv else _parse(kv, key)
+        if len(vals) not in (1, dim):
+            raise ValidationError(f"{key} needs 1 or {dim} values, got {len(vals)}")
+        alphas_sigmas.append(vals * (dim // len(vals)))
+    noise = SymmetricStableNoiseSpec(tuple(map(StableParams.symmetric, *alphas_sigmas)))
     return VarModel(coeffs=tuple(coeffs), noise=noise)
-
-
-_MODEL_KEYS = {"dim", "order", "alpha", "sigma", "n", "burn_in", "seed"}
-_EXPERIMENT_KEYS = _MODEL_KEYS | {"b_values", "replications", "methods"}
 
 
 @contextmanager
@@ -488,37 +482,29 @@ def _naming(path):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _read_config(path, allowed: set):
-    """The keys of a config file, its model and its integers n, seed and burn_in (None if
-    absent); a key outside ``allowed`` and the model's a1..a<p> is refused. Every
+def _read_config(path, allowed: dict, required: tuple = ()):
+    """The model of a config file and its other keys, each parsed when present or
+    ``required``; a key outside ``allowed`` and the model's a1..a<p> is refused. Every
     ValidationError names ``path``."""
     kv = _parse_kv(path)
     with _naming(path):
-        model = _build_model(kv)
-        unknown = set(kv) - allowed - {f"a{k}" for k in range(1, model.order + 1)}
+        model = _build_model(kv)  # takes the model's keys out of kv
+        unknown = set(kv) - set(allowed)
         if unknown:
             raise ValidationError(f"unknown key(s) {sorted(unknown)}")
-        ints = {key: _parse_int(kv, key) if key in kv else None for key in ("n", "seed", "burn_in")}
-    return kv, model, ints
+        return model, {key: _parse(kv, key) for key in allowed if key in kv or key in required}
 
 
 def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
     """Read a model description; returns the model and its integers n, seed and
     burn_in, each None when the file leaves it out."""
-    _, model, ints = _read_config(path, _MODEL_KEYS)
-    return model, ints
+    model, values = _read_config(path, _MODEL_FILE_KEYS)
+    return model, {key: values.get(key) for key in ("n", "seed", "burn_in")}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    kv, model, ints = _read_config(path, _EXPERIMENT_KEYS)
+    """Read a Monte Carlo study: the model keys, with n and seed required, and
+    replications (required), b_values (default none) and methods (default all)."""
+    model, values = _read_config(path, _KEYS, required=("n", "seed", "replications"))
     with _naming(path):
-        n, seed = _parse_int(kv, "n"), _parse_int(kv, "seed")  # checked before replications
-        return ExperimentConfig(
-            model=model,
-            n=n,
-            b_values=tuple(_parse_floats(kv["b_values"], "b_values")) if "b_values" in kv else (),
-            replications=_parse_int(kv, "replications"),
-            seed=seed,
-            methods=tuple(_fields(kv["methods"], "methods")) if "methods" in kv else _METHODS,
-            burn_in=ints["burn_in"],
-        )
+        return ExperimentConfig(model, b_values=values.pop("b_values", ()), **values)

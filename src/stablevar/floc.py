@@ -31,17 +31,16 @@ __all__ = [
 ]
 
 
-def _check_b(b) -> float:
-    """The FLOC exponent B as a float; ValidationError unless a finite real >= 0 (no bool)."""
+def _check_b(b, name: str = "B") -> float:
+    """Exponent ``name`` as a float; ValidationError unless a finite real >= 0 (no bool)."""
     if isinstance(b, bool) or not isinstance(b, numbers.Real) or not 0.0 <= b < math.inf:
-        raise ValidationError(f"B must be finite and >= 0, got {b!r}")
+        raise ValidationError(f"{name} must be finite and >= 0, got {b!r}")
     return float(b)
 
 
 def signed_power(x, a: float):
     """|x|^a sign(x), with 0^<0> = 0 so exact zeros never contribute."""
-    if a < 0.0:
-        raise ValidationError(f"exponent must be >= 0, got {a}")
+    a = _check_b(a, "exponent")
     x = np.asarray(x, dtype=float)
     out = np.abs(x) ** a * np.sign(x)
     return float(out) if out.ndim == 0 else out

@@ -94,11 +94,24 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="finite"):
             sv.load_experiment_config(path)
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize(
+        "load, text, key",
+        [
+            (sv.load_experiment_config, MC_CONFIG_TEXT, "bogus = 1"),
+            (sv.load_experiment_config, MC_CONFIG_TEXT, "workers = 1"),
+            # a model file refuses each experiment-only key
+            (sv.load_model_config, MODEL_TEXT, "replications = 2"),
+            (sv.load_model_config, MODEL_TEXT, "b_values = 0.5"),
+            (sv.load_model_config, MODEL_TEXT, "methods = ls"),
+        ],
+        ids=["bogus", "workers", "model-replications", "model-b_values", "model-methods"],
+    )
+    def test_unknown_key(self, tmp_path, load, text, key):
         path = tmp_path / "mc.cfg"
-        path.write_text(MC_CONFIG_TEXT + "bogus = 1\n")
-        with pytest.raises(ValidationError, match="bogus"):
-            sv.load_experiment_config(path)
+        path.write_text(text + key + "\n")
+        message = f"{path}: unknown key(s) ['{key.split(' ')[0]}']"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load(path)
 
     def test_missing_matrix(self, tmp_path):
         path = tmp_path / "mc.cfg"
@@ -126,12 +139,6 @@ class TestConfigFile:
         assert ints == {"n": 30, "seed": 3, "burn_in": None}
         path.write_text(MODEL_TEXT)
         assert sv.load_model_config(path)[1] == {"n": None, "seed": None, "burn_in": None}
-
-    def test_workers_is_an_unknown_key(self, tmp_path):
-        path = tmp_path / "mc.cfg"
-        path.write_text(MC_CONFIG_TEXT + "workers = 1\n")
-        with pytest.raises(ValidationError, match=r"unknown key\(s\) \['workers'\]"):
-            sv.load_experiment_config(path)
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -229,6 +236,10 @@ class TestExperimentConfigValidation:
             (dict(b_values=(0.5, True)), "B must be finite and >= 0, got True"),
             (dict(methods=("floc", 1)), "unknown method 1"),
             (dict(methods=None), "methods must be a sequence of method names, got None"),
+            (dict(b_values=np.array(0.5)),
+             "b_values must be a sequence of B values, got array(0.5)"),
+            (dict(methods=np.array("ls")),
+             "methods must be a sequence of method names, got array('ls'"),
         ],
     )
     def test_malformed_grid_is_validation_error(self, overrides, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,11 @@ class TestSignedPower:
         out = sv.signed_power(np.array([-1.0, 0.0, 4.0]), 0.5)
         assert np.allclose(out, [-1.0, 0.0, 2.0], atol=1e-15)
 
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValidationError):
-            sv.signed_power(1.0, -0.5)
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), True])
+    def test_negative_exponent_rejected(self, bad):
+        message = f"exponent must be finite and >= 0, got {bad!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sv.signed_power(np.array([1.0, -2.0, 0.5]), bad)
 
 
 class TestCrossFloc:
