@@ -3,7 +3,7 @@ least squares, classical Yule-Walker.
 
 All three estimators mean-correct the series first and attach the
 residuals x[t] - sum_k A_k x[t-k] of the corrected series to the report.
-The FLOC and Yule-Walker estimators share one block solve
+The FLOC and Yule-Walker estimators solve the block system
 
     [A_1 ... A_p] [Gamma_{l-k}]_{k,l} = [Gamma_1 ... Gamma_p]
 
@@ -12,10 +12,12 @@ for FLOC, plain cross-moments for Yule-Walker. Each method has one
 normalizer, its literature-standard one: FLOC divides lag k by n - |k|,
 Yule-Walker by n, so Yule-Walker's moments are FLOC's at B = 1 scaled
 by (n - |k|) / n; ``_fit`` branches on the method once for both facts.
+Least squares solves its normal equations [A_1 ... A_p] X^T X = Y^T X
+on the lagged design X = (x[t-1], ..., x[t-p]) and the rows Y = x[t].
 
 All three run through one core on a stack of R series: ``_prepare``
-checks and mean-corrects once, then ``_fit`` fits each series by the
-block system or by ``_ls_fit``. ``estimate_*`` are the stack of one; the
+checks and mean-corrects once, then ``_fit`` solves the stack's systems
+through one ``_solve_block``. ``estimate_*`` are the stack of one; the
 Monte Carlo harness passes a block of replications to ``_estimate_stack``.
 """
 
@@ -201,32 +203,34 @@ def _too_short(corrected: np.ndarray, p: int, min_n: int):
     return np.full((reps, p, r, r), np.nan), np.full(reps, np.nan), dict.fromkeys(range(reps), exc)
 
 
-def _solve_block(gammas: np.ndarray):
-    """Solve [A_1..A_p] Block = [Gamma_1..Gamma_p] with Block_{k,l} = Gamma_{l-k}.
-
-    ``gammas`` (R, 2p, r, r) holds each replication's lag moments at lags
-    -(p-1)..p. Returns the coefficients (R, p, r, r), the block condition
-    number of each replication and the mask of replications whose
-    condition is non-finite or above CONDITION_LIMIT; their coefficients
-    are NaN and the condition of a block with a non-finite entry is NaN.
-    """
+def _toeplitz_system(gammas: np.ndarray):
+    """Block [Gamma_{l-k}]_{k,l} (R, pr, pr) and rhs [Gamma_1..Gamma_p] (R, r, pr) of
+    each replication's lag moments ``gammas`` (R, 2p, r, r) at lags -(p-1)..p."""
     reps, lags, r, _ = gammas.shape
     p = lags // 2
     k = np.arange(p)
     block = gammas[:, k[None, :] - k[:, None] + p - 1]  # [R, k, l] = Gamma_{l-k}
     block = block.transpose(0, 1, 3, 2, 4).reshape(reps, p * r, p * r)
-    rhs = gammas[:, p:].transpose(0, 2, 1, 3).reshape(reps, r, p * r)
+    return block, gammas[:, p:].transpose(0, 2, 1, 3).reshape(reps, r, p * r)
+
+
+def _solve_block(block: np.ndarray, rhs: np.ndarray):
+    """Solve [A_1..A_p] block = rhs for each replication of a stack.
+
+    ``block`` is (R, pr, pr) and ``rhs`` (R, r, pr). Returns the coefficients
+    (R, p, r, r), the condition number of each block and the mask of
+    replications whose condition is non-finite or above CONDITION_LIMIT;
+    their coefficients are NaN and the condition of a block with a
+    non-finite entry is NaN.
+    """
+    reps, r, size = rhs.shape
     condition = np.full(reps, np.nan)
     finite = np.isfinite(block).all(axis=(1, 2))
     condition[finite] = np.linalg.cond(block[finite])
     bad = ~(condition <= CONDITION_LIMIT)
-    stacked = np.full((reps, p * r, r), np.nan)
+    stacked = np.full((reps, size, r), np.nan)
     stacked[~bad] = np.linalg.solve(block[~bad].transpose(0, 2, 1), rhs[~bad].transpose(0, 2, 1))
-    return stacked.reshape(reps, p, r, r).transpose(0, 1, 3, 2), condition, bad
-
-
-# name of each block method's lag matrices, for its singular-system message
-_BLOCK_LABELS = {"floc": "cross-FLOC", "yw": "autocovariance"}
+    return stacked.reshape(reps, size // r, r, r).transpose(0, 1, 3, 2), condition, bad
 
 
 def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[float] = None):
@@ -235,55 +239,38 @@ def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[f
     ``method`` is "floc" (exponent ``b``), "yw" or "ls"; ``failed`` maps
     the series that failed the checks of ``_prepare`` to their errors.
     Returns the coefficients (R, p, r, r), the condition numbers (R,) of
-    each block matrix (FLOC, Yule-Walker) or regressor matrix (``_ls_fit``),
-    NaN for those series, and {index: exception} with the exception that
-    estimating each failing series alone raises.
+    each block matrix (FLOC, Yule-Walker) or lagged design X, sqrt(cond(X^T X))
+    (least squares), NaN for those series, and {index: exception} with the
+    exception that estimating each failing series alone raises.
     """
-    if method == "ls":
-        return _ls_fit(corrected, failed, p)
-    size = p * corrected.shape[-1]
-    if corrected.shape[-2] <= 2 * size:
-        return _too_short(corrected, p, 2 * size)
-    if method == "yw":  # FLOC's moments at B = 1, lag k divided by n, not n - |k|
-        n = corrected.shape[-2]
-        gammas = lag_matrix_set(corrected, p, 1.0)
-        gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
+    n, r = corrected.shape[-2:]
+    size = p * r
+    min_n = size + p if method == "ls" else 2 * size
+    if n <= min_n:
+        return _too_short(corrected, p, min_n)
+    if method == "ls":  # normal equations [A_1..A_p] X^T X = Y^T X, X = (x[t-1]..x[t-p])
+        design = np.concatenate([corrected[:, p - k : n - k] for k in range(1, p + 1)], axis=-1)
+        design_t = design.transpose(0, 2, 1)
+        block, rhs = design_t @ design, corrected[:, p:].transpose(0, 2, 1) @ design
+        fault = (f"least-squares design matrix ({n - p}x{size}, lags 1..{p}) "
+                 "is numerically rank deficient")
     else:
-        gammas = lag_matrix_set(corrected, p, b)
-    coeffs, condition, bad = _solve_block(gammas)
+        if method == "yw":  # FLOC's moments at B = 1, lag k divided by n, not n - |k|
+            gammas = lag_matrix_set(corrected, p, 1.0)
+            gammas = gammas * ((n - np.abs(np.arange(1 - p, p + 1))) / n)[:, None, None]
+            name = "autocovariance"
+        else:
+            gammas, name = lag_matrix_set(corrected, p, b), "cross-FLOC"
+        block, rhs = _toeplitz_system(gammas)
+        lags = "lag matrix Gamma_0" if p == 1 else f"lag matrices Gamma_-{p - 1}..Gamma_{p - 1}"
+        fault = f"{name} block matrix ({size}x{size} of {lags}) is numerically singular"
+    coeffs, condition, bad = _solve_block(block, rhs)
+    if method == "ls":  # the design's condition: the square root of its Gram's
+        condition = np.sqrt(condition)
     condition[list(failed)] = np.nan
     errors = dict(failed)
     for i in np.flatnonzero(bad):
-        errors.setdefault(int(i), NumericalError(
-            f"{_BLOCK_LABELS[method]} block matrix ({size}x{size} of lag matrices "
-            f"Gamma_-{p - 1}..Gamma_{p - 1}) is numerically singular: "
-            f"condition {condition[i]:.3g}"
-        ))
-    return coeffs, condition, errors
-
-
-def _ls_fit(corrected: np.ndarray, failed: dict, p: int):
-    """Least-squares coefficients of each mean-corrected series in a stack (R, n, r).
-
-    Returns as ``_fit`` does, with the condition number of each series'
-    regressor matrix from the singular values ``lstsq`` returns.
-    """
-    reps, n, r = corrected.shape
-    if n <= p * r + p:
-        return _too_short(corrected, p, p * r + p)
-    coeffs = np.full((reps, p, r, r), np.nan)
-    condition = np.full(reps, np.nan)
-    errors = dict(failed)
-    for i, x in enumerate(corrected):
-        if i in failed:
-            continue
-        design = np.hstack([x[p - k : n - k] for k in range(1, p + 1)])
-        theta, _, rank, s = np.linalg.lstsq(design, x[p:], rcond=None)
-        condition[i] = s[0] / s[-1] if s[-1] else np.inf
-        if rank < p * r:
-            errors[i] = NumericalError(f"rank-deficient regressor matrix: rank {rank} < {p * r}")
-        else:
-            coeffs[i] = theta.reshape(p, r, r).transpose(0, 2, 1)
+        errors.setdefault(int(i), NumericalError(f"{fault}: condition {condition[i]:.3g}"))
     return coeffs, condition, errors
 
 

@@ -140,8 +140,8 @@ class FailureRecord:
     """Why one estimator failed on one replication.
 
     ``error`` is the exception class name; ``condition`` is the condition
-    number of the block matrix (FLOC, Yule-Walker) or of the regressor
-    matrix (least squares), NaN when the estimate failed before any solve.
+    number of the block matrix (FLOC, Yule-Walker) or of the lagged design X,
+    sqrt(cond(X^T X)) (least squares), NaN when the estimate failed before any solve.
     """
 
     replication: int
@@ -496,10 +496,12 @@ def _read_config(path, allowed: dict, required: tuple = ()):
 
 
 def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
-    """Read a model description; returns the model and its integers n, seed and
-    burn_in, each None when the file leaves it out."""
+    """Read a model description; returns the model and its integers n (>= 1), seed
+    and burn_in (>= 0), each None when the file leaves it out."""
     model, values = _read_config(path, _MODEL_FILE_KEYS)
-    return model, {key: values.get(key) for key in ("n", "seed", "burn_in")}
+    with _naming(path):
+        return model, {key: _check_int(values[key], key, minimum) if key in values else None
+                       for key, minimum in (("n", 1), ("seed", 0), ("burn_in", 0))}
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -79,6 +79,16 @@ def brute_lag_moment_matrix(values: np.ndarray, lag: int):
     return out
 
 
+def brute_ls(x: np.ndarray, p: int):
+    """Per-series least-squares oracle: ``np.linalg.lstsq`` of x[t] on the ``np.hstack``
+    design (x[t-1], ..., x[t-p]) of one mean-corrected series (n, r). Returns A_1..A_p
+    (p, r, r) and the design's condition s_max / s_min from lstsq's singular values."""
+    n, r = x.shape
+    design = np.hstack([x[p - k : n - k] for k in range(1, p + 1)])
+    theta, _, _, s = np.linalg.lstsq(design, x[p:], rcond=None)
+    return theta.reshape(p, r, r).transpose(0, 2, 1), s[0] / s[-1]
+
+
 def brute_gil_pelaez_cdf(z, t, amp, ph, w0):
     """Dense node sum of the Gil-Pelaez inversion: one sin and one cos per
     (point, node). Rows: the CDF and its first and second z-derivatives.

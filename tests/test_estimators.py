@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from helpers import var2_model
+from helpers import brute_ls, var2_model
 from stablevar.errors import NumericalError, ValidationError
-from stablevar.estimators import _solve_block
+from stablevar.estimators import _estimate_stack, _solve_block, _toeplitz_system
 from stablevar.floc import _floc_moments
 from stablevar.seeding import substream
+from stablevar.var_core import _simulate_paths
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -130,8 +131,11 @@ class TestFlocEstimator:
         rng = np.random.default_rng(14)
         col = rng.standard_normal(200)
         series = sv.SeriesMatrix(np.column_stack([col, col]))
-        with pytest.raises(NumericalError, match="condition"):
+        message = r"block matrix \(2x2 of lag matrix Gamma_0\) is numerically singular: condition "
+        with pytest.raises(NumericalError, match="^cross-FLOC " + message):
             sv.estimate_floc(series, 1, 1.0)
+        with pytest.raises(NumericalError, match="^autocovariance " + message):
+            sv.estimate_yw(series, 1)
 
     def test_condition_reported(self):
         series = sv.simulate(var2_model(1.6), 300, 100, 15)
@@ -148,8 +152,8 @@ class TestMethodAgreement:
         by_n = gammas * ((2000 - np.abs(np.arange(-1, 3))) / 2000)[:, None, None]
         f = sv.estimate_floc(series, 2, 1.0)
         y = sv.estimate_yw(series, 2)
-        assert np.array_equal(f.coeff_array(), _solve_block(gammas[None])[0][0])
-        assert np.array_equal(y.coeff_array(), _solve_block(by_n[None])[0][0])
+        assert np.array_equal(f.coeff_array(), _solve_block(*_toeplitz_system(gammas[None]))[0][0])
+        assert np.array_equal(y.coeff_array(), _solve_block(*_toeplitz_system(by_n[None]))[0][0])
         assert not np.array_equal(f.coeff_array(), y.coeff_array())
 
     def test_yw_white_noise_near_zero(self):
@@ -165,12 +169,46 @@ class TestMethodAgreement:
         report = sv.estimate_ls(series, 2)
         assert report.condition == pytest.approx(np.linalg.cond(design), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.9])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_stacked_ls_matches_brute_ls(self, r, p, alpha):
+        # the stacked normal equations against one lstsq per series on its own design
+        rng = np.random.default_rng(100 * r + 10 * p + int(alpha * 10))
+        coeffs = []
+        for _ in range(p):  # each A_k of spectral norm 0.8 / p: a causal model
+            a = rng.uniform(-1.0, 1.0, (r, r))
+            coeffs.append(a * (0.8 / p) / np.linalg.norm(a, 2))
+        model = sv.VarModel(tuple(coeffs), sv.SymmetricStableNoiseSpec.iid(r, alpha))
+        paths = _simulate_paths(model, 400, 100, [substream(27, i) for i in range(6)])
+        got, condition, errors = _estimate_stack(paths, p, [("ls", None)])[("ls", None)]
+        assert errors == {}
+        for i, x in enumerate(paths):
+            want, want_condition = brute_ls(x - x.mean(axis=0), p)
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert condition[i] == pytest.approx(want_condition, rel=1e-12)
+
+    @pytest.mark.parametrize("eps, fails", [(1e-7, True), (1e-5, False)])
+    def test_near_collinear_ls_and_yw_fail_together(self, eps, fails):
+        # LS solves X^T X, whose condition is cond(X)^2, under the limit YW's block has
+        rng = np.random.default_rng(22)
+        col = rng.standard_normal(500)
+        series = sv.SeriesMatrix(np.column_stack([col, col + eps * rng.standard_normal(500)]))
+        message = r"is numerically (singular|rank deficient): condition "
+        for estimate in (sv.estimate_ls, sv.estimate_yw):
+            if fails:
+                with pytest.raises(NumericalError, match=message):
+                    estimate(series, 1)
+            else:
+                assert estimate(series, 1).condition > 1e4
+
     def test_ls_rank_deficient(self):
         # two identical columns leave the regressor matrix rank deficient
         rng = np.random.default_rng(19)
         col = rng.standard_normal(100)
         series = sv.SeriesMatrix(np.column_stack([col, col]))
-        with pytest.raises(NumericalError):
+        message = r"^least-squares design matrix \(99x2, lags 1..1\) is numerically rank deficient"
+        with pytest.raises(NumericalError, match=message):
             sv.estimate_ls(series, 1)
 
 

@@ -7,6 +7,7 @@ import pytest
 import stablevar as sv
 from helpers import A1, A2, var2_model
 from stablevar import estimators, experiments, seeding
+from stablevar.cli import main
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.experiments import ExperimentConfig, coefficient_label, floc_config
 from stablevar.seeding import substream
@@ -139,6 +140,25 @@ class TestConfigFile:
         assert ints == {"n": 30, "seed": 3, "burn_in": None}
         path.write_text(MODEL_TEXT)
         assert sv.load_model_config(path)[1] == {"n": None, "seed": None, "burn_in": None}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n = 0", "n must be an integer >= 1, got 0"),
+            ("seed = -1", "seed must be a non-negative integer, got -1"),
+            ("burn_in = -3", "burn_in must be a non-negative integer, got -3"),
+        ],
+        ids=["n", "seed", "burn_in"],
+    )
+    def test_model_config_out_of_range(self, tmp_path, capsys, line, message):
+        # refused under the file's name, even when a flag would override the key
+        path = tmp_path / "model.cfg"
+        path.write_text(f"dim = 1\norder = 1\na1 = 0.5\nalpha = 2.0\n{line}\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            sv.load_model_config(path)
+        flags = ["--out", str(tmp_path / "o.csv"), "--n", "30", "--seed", "3", "--burn-in", "10"]
+        assert main(["simulate", "--config", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -361,8 +381,8 @@ class TestRunMonteCarlo:
         real = estimators._solve_block
         calls = {"i": -1}
 
-        def flaky(gammas):
-            coeffs, condition, bad = real(gammas)
+        def flaky(block, rhs):
+            coeffs, condition, bad = real(block, rhs)
             calls["i"] += 1
             if calls["i"] == 0:  # the FLOC solve of the one block of 150
                 condition[2], bad[2] = np.inf, True
@@ -388,8 +408,8 @@ class TestRunMonteCarlo:
     def test_failure_rate_above_threshold_aborts(self, monkeypatch):
         real = estimators._solve_block
 
-        def broken(gammas):
-            coeffs, condition, bad = real(gammas)
+        def broken(block, rhs):
+            coeffs, condition, bad = real(block, rhs)
             bad[:] = True
             return coeffs, condition, bad
 
