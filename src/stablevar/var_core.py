@@ -1,11 +1,13 @@
 """VAR(p) models: causality, moving-average weights, simulation.
 
 The process is x[t] = A_1 x[t-1] + ... + A_p x[t-p] + z[t] with z[t] an
-independent-component symmetric stable vector. Causality is checked on the
-companion matrix; simulation starts from zero states and discards a burn-in
-prefix so the retained path is effectively stationary. The default prefix
-is at least DEFAULT_BURN_IN rows and long enough for the moving-average
-weights Psi_j to fall below 1e-12, however close the model is to a unit root.
+independent-component symmetric stable vector. A ``VarModel`` is causal by
+construction: it refuses coefficients whose companion spectral radius is not
+below 1, so nothing downstream checks again. Simulation starts from zero
+states and discards a burn-in prefix so the retained path is effectively
+stationary. The default prefix is at least DEFAULT_BURN_IN rows and long
+enough for the moving-average weights Psi_j to fall below 1e-12, however
+close the model is to a unit root.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ _PSI_TOL, _PSI_CAP = 1e-12, 100_000  # psi_count_for_tolerance's level and longe
 
 @dataclass(frozen=True)
 class VarModel:
-    """Order-p vector autoregression with stable noise.
+    """Causal order-p vector autoregression with stable noise.
 
-    ``coeffs`` holds the p coefficient matrices A_1 ... A_p, each r x r.
+    ``coeffs`` holds the p coefficient matrices A_1 ... A_p, each r x r, and
+    ``is_causal(coeffs)`` must hold: other coefficients are refused here.
     """
 
     coeffs: tuple
@@ -55,15 +58,16 @@ class VarModel:
         r = mats[0].shape[0] if mats[0].ndim == 2 else -1
         for k, a in enumerate(mats, start=1):
             if a.ndim != 2 or a.shape != (r, r):
-                raise ValidationError(
-                    f"A_{k} must be {r}x{r}, got shape {a.shape}"
-                )
+                raise ValidationError(f"A_{k} must be {r}x{r}, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValidationError(f"A_{k} contains non-finite entries")
             a.flags.writeable = False
         if self.noise.dim != r:
+            raise ValidationError(f"noise dimension {self.noise.dim} != model dimension {r}")
+        check = is_causal(mats)
+        if not check.causal:
             raise ValidationError(
-                f"noise dimension {self.noise.dim} != model dimension {r}"
+                f"model is not causal: companion spectral radius {check.spectral_radius:.6f} >= 1"
             )
         object.__setattr__(self, "coeffs", mats)
 
@@ -96,59 +100,48 @@ def companion_matrix(coeffs: Sequence[np.ndarray]) -> np.ndarray:
     return comp
 
 
-def is_causal(model: VarModel) -> CausalityResult:
-    """Whether the companion spectral radius is below 1 - DEFAULT_CAUSALITY_MARGIN.
+def is_causal(coeffs: Sequence[np.ndarray]) -> CausalityResult:
+    """Whether the companion spectral radius of A_1 ... A_p is below 1 - DEFAULT_CAUSALITY_MARGIN.
 
     Radius < 1 is equivalent to det(I - A_1 z - ... - A_p z^p) != 0 on the
-    closed unit disk, the usual causality condition.
+    closed unit disk, the usual causality condition. ``VarModel`` refuses
+    coefficients that fail it; check a model's as ``is_causal(model.coeffs)``.
     """
-    radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model.coeffs)))))
+    radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(coeffs)))))
     return CausalityResult(radius < 1.0 - DEFAULT_CAUSALITY_MARGIN, radius)
 
 
-def _require_causal(model: VarModel) -> None:
-    check = is_causal(model)
-    if not check.causal:
-        raise ValidationError(
-            f"model is not causal: companion spectral radius {check.spectral_radius:.6f} >= 1"
-        )
+def psi_matrices(model: VarModel, count: int) -> np.ndarray:
+    """Moving-average weights Psi_0 ... Psi_count as a (count + 1, r, r) array.
 
-
-def _psi(model: VarModel, count: int) -> np.ndarray:
-    """Psi_0 .. Psi_count as a (count + 1, r, r) array: the response of
-    ``_kernels.var_recursion`` to a unit impulse in each component at time 0,
-    whose path in component i is column i of Psi_0, Psi_1, ..."""
+    Psi_0 = I and Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}, which decay
+    geometrically as the model is causal: the response of ``var_recursion`` to
+    a unit impulse in each component i at time 0 is column i of each Psi_j.
+    """
+    _check_int(count, "count", 0)
     r = model.dim
     impulse = np.zeros((r, count + 1, r))
     impulse[:, 0] = np.eye(r)
     return _kernels.var_recursion(model.coeff_array(), impulse).transpose(1, 2, 0)
 
 
-def psi_matrices(model: VarModel, count: int) -> list:
-    """Moving-average weights Psi_0 ... Psi_count of the causal representation.
-
-    Psi_0 = I and Psi_j = sum_{k=1}^{min(j,p)} A_k Psi_{j-k}; entries decay
-    geometrically for causal models.
-    """
-    _check_int(count, "count", 0)
-    _require_causal(model)
-    return list(_psi(model, count))
-
-
 def psi_count_for_tolerance(model: VarModel) -> int:
     """Smallest j >= 1 with max-abs entry of Psi_j below 1e-12, searched up to j = 100,000.
 
     Psi comes in passes of 2,000 terms and then four times as many, so a
-    fast-decaying model costs one short pass.
+    fast-decaying model costs one short pass. Past the cap it raises the
+    ValidationError that ``simulate`` gives for no default burn-in.
     """
-    _require_causal(model)
     count = 0
     while count < _PSI_CAP:
         count = min(max(4 * count, 2000), _PSI_CAP)
-        below = np.max(np.abs(_psi(model, count)[1:]), axis=(1, 2)) < _PSI_TOL
+        below = np.max(np.abs(psi_matrices(model, count)[1:]), axis=(1, 2)) < _PSI_TOL
         if below.any():
             return int(np.argmax(below)) + 1
-    raise ValidationError(f"Psi entries did not fall below {_PSI_TOL} within {_PSI_CAP} terms")
+    raise ValidationError(
+        f"no default burn-in: Psi entries did not fall below {_PSI_TOL} within {_PSI_CAP} "
+        "terms; pass burn_in explicitly"
+    )
 
 
 def _resolve_burn_in(model: VarModel, burn_in) -> int:
@@ -159,10 +152,7 @@ def _resolve_burn_in(model: VarModel, burn_in) -> int:
     if burn_in is not None:
         _check_int(burn_in, "burn_in", 0)
         return burn_in
-    try:
-        return max(DEFAULT_BURN_IN, psi_count_for_tolerance(model))
-    except ValidationError as exc:
-        raise ValidationError(f"no default burn-in: {exc}; pass burn_in explicitly") from exc
+    return max(DEFAULT_BURN_IN, psi_count_for_tolerance(model))
 
 
 def _simulate_paths(model: VarModel, n: int, burn_in, generators) -> np.ndarray:
@@ -173,7 +163,6 @@ def _simulate_paths(model: VarModel, n: int, burn_in, generators) -> np.ndarray:
     ``burn_in`` None takes the default of ``_resolve_burn_in``.
     """
     _check_int(n, "n", 1)
-    _require_causal(model)
     burn_in = _resolve_burn_in(model, burn_in)
     noise = np.stack(
         [sample_noise_matrix(model.noise, n + burn_in, g).values for g in generators]

@@ -54,6 +54,13 @@ def brute_psi(model: sv.VarModel, count: int) -> list:
     return psi
 
 
+def worst_abs_error(coeffs: np.ndarray, truth: np.ndarray):
+    """Each replication's worst |error| over the coefficients of a stack of estimates
+    (R, p, r, r) against ``truth`` (p, r, r), and the median of those R values."""
+    worst = np.max(np.abs(coeffs - truth), axis=(1, 2, 3))
+    return worst, float(np.median(worst))
+
+
 def brute_cross_floc(xi, xj, k, a, b):
     """Independent double-loop oracle. Returns (value, term count, terms)."""
     n = len(xi)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import stablevar as sv
 from stablevar import diagnostics, seeding
@@ -169,6 +170,48 @@ class TestKsTest:
         col = sv.sample_stable(sv.StableParams.symmetric(1.7, 1.0), 200, 12)
         with pytest.raises(ValidationError):
             sv.ks_test_stable(col, repetitions=50, rng_seed=0)
+
+
+class TestNullCalibration:
+    def test_ks_level_and_null_band_coverage_on_iid_draws(self):
+        """Under the null the KS test rejects at its level and the band covers 95%.
+
+        KS: p = k / 100 with k the bootstrap statistics at least the observed one. Were the
+        observed statistic exchangeable with them, k would be uniform on 0..100, so p <= c
+        with probability (100c + 1) / 101: 6/101 at c = 0.05 and 11/101 at 0.10. Refitting
+        the law makes this hold only approximately, so the rejection rate q lies in
+        [c, (100c + 1) / 101] and the rejections of 150 independent samples are
+        Binomial(150, q); each count must lie between the 0.05% quantile at q = c and the
+        99.95% quantile at the top of the range.
+
+        Band: np.percentile puts its lower end at order statistic 0.025(R - 1) + 1 of R
+        replicates (1-based, interpolated), and a fresh draw falls below order statistic j
+        with probability j / (R + 1), so it leaves the band with probability
+        qbar = 2(0.025(R - 1) + 1) / (R + 1), 5.05% at R = 4000. Each of 1000 fresh
+        samples is judged at one lag, 1 + i % 10, so the exceedances are independent given
+        the band and their count is Binomial(1000, ~qbar). The band's own sampling error
+        moves qbar by about 0.1% over ten lags, which the 0.05% quantiles absorb.
+        """
+        law, n, b, max_lag = sv.StableParams.symmetric(1.6), 200, 0.55, 10
+        p = np.array([
+            sv.ks_test_stable(sv.sample_stable(law, n, substream(0, i)), 100,
+                              seeding._child_seed(0, 1, i)).p_value
+            for i in range(150)
+        ])
+        for c in (0.05, 0.10):
+            lo, hi = binom.ppf(5e-4, 150, c), binom.isf(5e-4, 150, (100 * c + 1) / 101)
+            assert lo <= np.sum(p <= c) <= hi  # at these seeds 7 in [1, 20] and 15 in [4, 30]
+
+        replicates, checks = 4000, 1000
+        lo, hi = sv.auto_floc_null_band(law, n, max_lag, b, replicates, seeding._child_seed(0, 2))
+        outside = 0
+        for i in range(checks):
+            lag = 1 + i % max_lag
+            value = sv.auto_floc(sv.sample_stable(law, n, substream(1, i)), max_lag, b).values[lag]
+            outside += not lo[lag] <= value <= hi[lag]
+        qbar = 2 * (0.025 * (replicates - 1) + 1) / (replicates + 1)
+        # at these seeds 54 of 1000, in [29, 75]
+        assert binom.ppf(5e-4, checks, qbar) <= outside <= binom.isf(5e-4, checks, qbar)
 
 
 class TestQqData:

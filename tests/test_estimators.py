@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from helpers import brute_ls, var2_model
+from helpers import brute_ls, var2_model, worst_abs_error
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.estimators import _estimate_stack, _solve_block, _toeplitz_system
 from stablevar.floc import _floc_moments
@@ -210,6 +210,29 @@ class TestMethodAgreement:
         message = r"^least-squares design matrix \(99x2, lags 1..1\) is numerically rank deficient"
         with pytest.raises(NumericalError, match=message):
             sv.estimate_ls(series, 1)
+
+
+class TestConsistencyAlongN:
+    def test_median_worst_error_falls_from_n_500_to_4000(self):
+        """FLOC's error falls like n^-(1 - 1/alpha) and LS's like n^(-1/alpha), up to logs
+        (Hannan & Kanter 1977; Davis & Resnick 1986). FLOC at B = 1 is Yule-Walker with
+        the window divisor and falls at LS's rate. From n = 500 to 4000 at alpha 1.6 the
+        rates give factors 8^0.375 = 2.18 and 8^0.625 = 3.67; the bound divides each by 1.5
+        for the log factors and the spread of two medians of 100 replications. Over seeds
+        0-11 the factors were 1.99-2.99 for B <= 0.55 and 2.59-3.65 for B = 1 and LS.
+        """
+        alpha = 1.6
+        model = var2_model(alpha)
+        keys = [("floc", b) for b in (0.0, 0.25, 0.55, 1.0)] + [("ls", None)]
+        median = {}
+        for n in (500, 4000):
+            paths = _simulate_paths(model, n, 500, [substream(0, r) for r in range(100)])
+            for key, (coeffs, _, errors) in _estimate_stack(paths, 2, keys).items():
+                assert not errors
+                median[key, n] = worst_abs_error(coeffs, model.coeff_array())[1]
+        for key in keys:
+            rate = 1 / alpha if key in (("floc", 1.0), ("ls", None)) else 1 - 1 / alpha
+            assert median[key, 500] / median[key, 4000] >= 8**rate / 1.5, key
 
 
 class TestReportCsv:

@@ -161,6 +161,30 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("simulate", MODEL_TEXT),
+            ("montecarlo", MC_CONFIG_TEXT),  # burn_in = 50
+            ("montecarlo", MC_CONFIG_TEXT.replace("burn_in = 50\n", "")),
+        ],
+        ids=["model", "experiment", "experiment-default-burn_in"],
+    )
+    def test_noncausal_model_is_refused_when_read(self, tmp_path, capsys, command, text):
+        # refused by the reader, under the file's name, whatever burn_in says: a burn-in
+        # cannot make the coefficients causal, so no message may advise passing one
+        path = tmp_path / "mc.cfg"
+        path.write_text(text.replace("a1 = 0.1, 0.3, 0.2, 0.1", "a1 = 1.2, 0, 0, 0.5"))
+        load = sv.load_model_config if command == "simulate" else sv.load_experiment_config
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        message = f"{path}: model is not causal: companion spectral radius "
+        assert re.fullmatch(re.escape(message) + r"1\.\d{6} >= 1", str(exc.value))
+        flags = ["--out", str(tmp_path / "o.csv"), "--n", "30", "--seed", "3"]
+        flags = flags if command == "simulate" else ["--out-dir", str(tmp_path / "mc")]
+        assert main([command, "--config", str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize(
         "old, new, key",
         [
             ("a1 = 0.1, 0.3, 0.2, 0.1", "a1 = 0.1,,0.3,0.2,0.1", "a1"),

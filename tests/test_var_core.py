@@ -68,17 +68,18 @@ class TestValidation:
 class TestCausality:
     def test_diagonal_var1(self):
         model = sv.VarModel(coeffs=(0.5 * np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
-        res = sv.is_causal(model)
+        res = sv.is_causal(model.coeffs)
         assert res.causal and res.spectral_radius == pytest.approx(0.5, abs=1e-12)
 
     def test_unit_root(self):
-        model = sv.VarModel(coeffs=(np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
-        res = sv.is_causal(model)
+        res = sv.is_causal((np.eye(2),))
         assert not res.causal and res.spectral_radius == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValidationError, match="model is not causal"):
+            sv.VarModel(coeffs=(np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
 
     def test_var2_model_against_det_roots(self):
         model = var2_model(1.6)
-        res = sv.is_causal(model)
+        res = sv.is_causal(model.coeffs)
         roots = det_polynomial_roots(model.coeffs)
         assert res.causal
         assert np.min(np.abs(roots)) > 1.0
@@ -99,6 +100,11 @@ class TestPsi:
     def test_psi0_identity(self):
         psi = sv.psi_matrices(var2_model(1.6), 0)
         assert np.array_equal(psi[0], np.eye(2))
+
+    def test_one_array_of_count_plus_one_matrices(self):
+        model = random_causal_model(3, 0.5)
+        psi = sv.psi_matrices(model, 7)
+        assert type(psi) is np.ndarray and psi.shape == (8, model.dim, model.dim)
 
     def test_var1_powers(self):
         a = np.array([[0.5, 0.2], [0.1, 0.4]])
@@ -122,9 +128,10 @@ class TestPsi:
         assert np.max(np.abs(psi[count // 2])) > np.max(np.abs(psi[count]))
 
     def test_rejects_noncausal(self):
-        model = sv.VarModel(coeffs=(np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
-        with pytest.raises(ValidationError):
-            sv.psi_matrices(model, 3)
+        # a unit root has no decaying Psi; the model that would carry it is never made
+        message = "model is not causal: companion spectral radius 1.000000 >= 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sv.VarModel(coeffs=(np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_convolution_oracle(self, seed):
@@ -158,10 +165,12 @@ class TestSimulate:
         b = sv.simulate(model, 200, 500, 3)
         assert np.array_equal(a.values, b.values)
 
-    def test_rejects_noncausal(self):
-        model = sv.VarModel(coeffs=(np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
-        with pytest.raises(ValidationError):
-            sv.simulate(model, 10, 0, 0)
+    @pytest.mark.parametrize("a", [1.2, 1.0 - 1e-9])  # past 1, and inside the causality margin
+    def test_rejects_noncausal(self, a):
+        # refused where the model is made, so simulate never sees it, with or without burn_in
+        message = f"model is not causal: companion spectral radius {a:.6f} >= 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sv.VarModel(coeffs=(np.array([[a]]),), noise=sv.SymmetricStableNoiseSpec.iid(1, 1.6))
 
     # a seed is an int or a Generator; a SeedSequence is refused like any other object
     @pytest.mark.parametrize("seed", [1.5, -1, True, np.random.SeedSequence(3)])
