@@ -12,14 +12,14 @@ The subcommands only read inputs and write outputs; the numbers come from
 the library. estimate picks FLOC's exponent B with ``experiments.floc_config``,
 as ``run_pipeline`` does: the same default B and the same warning when
 A + B = 1 + B reaches a column alpha estimate;
-diagnose runs ``experiments.diagnose_residuals``, so ``diagnose --seed s``
-writes the same diagnostics as ``run_pipeline(..., rng_seed=s)`` for the
-same series and coefficients. ``--qq-grid 0`` skips the QQ files; a grid
-of 1 is rejected, as in the library. estimate rejects ``--b-exp`` for LS
-and YW instead of ignoring it; FLOC divides lag k by n - |k| and YW by n,
-as the library does. A seed must be a non-negative integer. Exit codes:
-0 success, 1 validation error, 2 numerical failure. Outputs carry no
-timestamps, so a fixed seed reproduces files byte for byte.
+diagnose makes ``run_pipeline``'s two calls, ``residuals(mean_correct(series), coeffs)``
+and ``experiments.diagnose_residuals``, so ``diagnose --seed s`` writes the residuals and
+diagnostics of ``run_pipeline(..., rng_seed=s)`` for the same series and coefficients.
+``--qq-grid 0`` skips the QQ files; a grid of 1 is rejected, as in the library. estimate
+rejects ``--b-exp`` for LS and YW instead of ignoring it; FLOC divides lag k by n - |k|
+and YW by n, as the library does. A seed must be a non-negative integer. Exit codes:
+0 success, 1 validation error, 2 numerical failure. Outputs carry no timestamps, so a
+fixed seed reproduces files byte for byte.
 """
 
 from __future__ import annotations

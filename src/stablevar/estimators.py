@@ -1,8 +1,8 @@
 """Coefficient estimation for VAR(p): FLOC moment equations, classical
 least squares, classical Yule-Walker.
 
-All three estimators mean-correct the series first and attach the
-residuals x[t] - sum_k A_k x[t-k] of the corrected series to the report.
+All three estimators mean-correct the series first. A report holds no
+residuals: ``residuals(mean_correct(series), coeffs)`` computes them.
 The FLOC and Yule-Walker estimators solve the block system
 
     [A_1 ... A_p] [Gamma_{l-k}]_{k,l} = [Gamma_1 ... Gamma_p]
@@ -56,7 +56,6 @@ class EstimationReport:
     method: str
     coeffs: tuple
     condition: float
-    residuals: SeriesMatrix
     column_means: np.ndarray
     b: Optional[float] = None
 
@@ -293,8 +292,7 @@ def _estimate_one(method: str, series: SeriesMatrix, p: int, b: Optional[float] 
     if errors:
         raise errors[0]
     coeffs = tuple(np.ascontiguousarray(a) for a in coeffs[0])
-    res = residuals(SeriesMatrix(corrected[0]), coeffs)
-    return EstimationReport(method, coeffs, float(condition[0]), res, means[0], b)
+    return EstimationReport(method, coeffs, float(condition[0]), means[0], b)
 
 
 def estimate_floc(series: SeriesMatrix, p: int, b: float) -> EstimationReport:

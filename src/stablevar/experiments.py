@@ -39,7 +39,7 @@ from .diagnostics import (
     qq_data,
 )
 from .errors import NumericalError, ValidationError, _check_int
-from .estimators import EstimationReport, _estimate_stack, estimate_floc
+from .estimators import EstimationReport, _estimate_stack, estimate_floc, residuals
 from .floc import _check_b
 from .seeding import _check_seed, _child_seed, substream_blocks
 from .series import SeriesMatrix, _open_text, _write_csv
@@ -304,6 +304,7 @@ class ColumnDiagnostics:
 class PipelineReport:
     estimation: EstimationReport
     alpha_estimates: np.ndarray
+    residuals: SeriesMatrix
     columns: tuple
 
     @property
@@ -386,15 +387,14 @@ def run_pipeline(
     """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
 
     The exponent B comes from ``floc_config``, so it defaults to ``default_b``
-    of the per-column stability estimates. The residuals are diagnosed by
-    ``diagnose_residuals``.
+    of the per-column stability estimates. As in ``stablevar diagnose``, the
+    residuals are ``residuals(mean_correct(series), coeffs)``, diagnosed by ``diagnose_residuals``.
     """
     b, alphas = floc_config(series, b)
     estimation = estimate_floc(series, p, b)
-    columns = diagnose_residuals(
-        estimation.residuals, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
-    )
-    return PipelineReport(estimation=estimation, alpha_estimates=alphas, columns=columns)
+    res = residuals(mean_correct(series), estimation.coeffs)
+    columns = diagnose_residuals(res, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid)
+    return PipelineReport(estimation, alphas, res, columns)
 
 
 # ---------------------------------------------------------------------------

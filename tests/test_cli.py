@@ -72,6 +72,15 @@ def test_readme_synopsis_lists_every_flag_of_the_parser():
     assert _readme_synopsis() == parser_flags
 
 
+def test_module_entry_point_prints_help():
+    # README's entry point from a checkout: PYTHONPATH=src python -m stablevar.cli
+    env = dict(os.environ, PYTHONPATH=str(Path(sv.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "stablevar.cli", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.startswith("usage: stablevar [-h] {simulate,estimate,montecarlo,diagnose}")
+
+
 class TestSimulate:
     def test_writes_series(self, model_cfg, tmp_path, capsys):
         out = tmp_path / "series.csv"
@@ -317,13 +326,15 @@ class TestDiagnose:
         assert f"exp_b: {lib.b_used!r}" in summary.read_text().splitlines()
         ref = tmp_path / "ref"
         ref.mkdir()
+        lib.residuals.to_csv(ref / "residuals.csv")
         ks_lines = []
         for j, col in enumerate(lib.columns, start=1):
             write_auto_floc_csv(ref / f"autofloc_x{j}.csv", col.auto_floc, (col.band_lo, col.band_hi))
             write_qq_csv(ref / f"qq_x{j}.csv", col.qq)
             ks_lines.append(f"x{j}: {ks_summary_line(col.ks)}")
         (ref / "ks.txt").write_text("\n".join(ks_lines) + "\n")
-        names = ["ks.txt"] + [f"{kind}_x{j}.csv" for kind in ("autofloc", "qq") for j in (1, 2)]
+        names = ["residuals.csv", "ks.txt"]
+        names += [f"{kind}_x{j}.csv" for kind in ("autofloc", "qq") for j in (1, 2)]
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 

@@ -279,6 +279,7 @@ class TestExperimentConfigValidation:
             (dict(b_values=("0.5",)), "B must be finite and >= 0, got '0.5'"),
             (dict(b_values=(0.5, True)), "B must be finite and >= 0, got True"),
             (dict(methods=("floc", 1)), "unknown method 1"),
+            (dict(methods=()), "at least one method is required"),
             (dict(methods=None), "methods must be a sequence of method names, got None"),
             (dict(b_values=np.array(0.5)),
              "b_values must be a sequence of B values, got array(0.5)"),
@@ -520,6 +521,15 @@ class TestRunMonteCarlo:
         assert rows[0] == "method,b,coefficient,k,i,j,true,mean,rmse,used"
         assert len(rows) == 1 + 8 * 3  # 8 coefficients x (floc@B + ls + yw)
         assert "ls,," in rows[9]
+
+    def test_absent_cell_and_method_raise_key_error(self, tmp_path):
+        report = sv.run_monte_carlo(small_config(methods=("ls",), b_values=(), replications=2))
+        assert report.cell("ls", None, 1, 1, 1).used == 2
+        with pytest.raises(KeyError, match=re.escape("('floc', 0.55, 1, 1, 1)")):
+            report.cell("floc", 0.55, 1, 1, 1)
+        with pytest.raises(KeyError, match="'yw'"):
+            report.to_wide_csv(tmp_path / "yw.csv", "yw")
+        assert not (tmp_path / "yw.csv").exists()
 
 
 class TestFlocConfig:

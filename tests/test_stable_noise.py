@@ -37,6 +37,8 @@ class TestStableParams:
             sv.SymmetricStableNoiseSpec((sv.StableParams(1.5, beta=0.5),))
         with pytest.raises(ValidationError):
             sv.SymmetricStableNoiseSpec(())
+        with pytest.raises(ValidationError, match="component 1 is not StableParams"):
+            sv.SymmetricStableNoiseSpec((sv.StableParams(1.5), 1.5))
         spec = sv.SymmetricStableNoiseSpec.iid(3, 1.7)
         assert spec.dim == 3
 

@@ -64,6 +64,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             sv.VarModel(coeffs=(np.eye(2) * 0.5,), noise=sv.SymmetricStableNoiseSpec.iid(3, 1.6))
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((), "model needs at least one coefficient matrix"),
+            ((np.eye(2) * 0.5, np.array([[0.1, np.nan], [0.0, 0.1]])),
+             "A_2 contains non-finite entries"),
+        ],
+    )
+    def test_missing_or_non_finite_coeffs(self, coeffs, message):
+        with pytest.raises(ValidationError, match=message):
+            sv.VarModel(coeffs=coeffs, noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
+
 
 class TestCausality:
     def test_diagonal_var1(self):
@@ -390,6 +402,7 @@ class TestSeriesCsv:
             ("t,x1\n1,\n", ":2: could not convert string to float: ''"),
             ("t,x1\n1,1.5,\n", ":2: expected 2 fields, got 3"),
             ("t,x1\n1,1e999\n", "series contains non-finite entries"),
+            ("", ": empty file"),
         ],
     )
     def test_fast_path_gives_the_line_readers_answer(self, tmp_path, text, expected):
@@ -432,6 +445,17 @@ class TestSeriesCsv:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             sv.SeriesMatrix(np.array([[1.0], [np.inf]]))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones(3), "series must be 2-D, got shape (3,)"),
+            (np.ones((0, 2)), "series must be non-empty, got shape (0, 2)"),
+        ],
+    )
+    def test_shape_rejected(self, values, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sv.SeriesMatrix(values)
 
     def test_write_csv_value_text(self, tmp_path):
         # every writer's value rule: str, the shortest round-trip text of a float
