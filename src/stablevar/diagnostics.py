@@ -133,10 +133,11 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
     Fits the stable parameters, computes the KS statistic against the
     fitted CDF, then simulates ``repetitions`` same-length samples from the
     fitted law (replicate r from substream r of ``rng_seed``), re-fitting
-    and recomputing the statistic each time. The p-value is the fraction of
-    simulated statistics at least as large as the observed one. Each block
-    of ``seeding.substream_blocks`` is fitted, sorted and standardized as a
-    stack and its CDF values come from one ``_cdf_stack`` pass, each
+    and recomputing the statistic each time. The p-value is the Monte Carlo
+    p-value (k + 1) / (repetitions + 1), k the simulated statistics at least as
+    large as the observed one: it holds the test's level and is never 0. Each
+    block of ``seeding.substream_blocks`` is fitted, sorted and standardized as
+    a stack and its CDF values come from one ``_cdf_stack`` pass, each
     replicate with the bits of its own ``ks_statistic(sim, fit_stable_params(sim))``.
     """
     col = np.asarray(residual_column, dtype=float).ravel()
@@ -151,7 +152,7 @@ def ks_test_stable(residual_column, repetitions: int = 100, rng_seed: int = 0) -
         exceed += int(np.sum(_ks_distance(_cdf_stack(z, *fits[:2])) >= d_obs))
     return KsTestResult(
         statistic=d_obs,
-        p_value=exceed / repetitions,
+        p_value=(exceed + 1) / (repetitions + 1),
         repetitions=repetitions,
         fitted=fitted,
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, _check_int
 from .floc import _check_b, lag_matrix_set
-from .series import SeriesMatrix, _csv_rows, _open_text, _write_csv
+from .series import SeriesMatrix, _csv_rows, _float_field, _open_text, _write_csv
 
 __all__ = [
     "EstimationReport",
@@ -86,11 +86,11 @@ class EstimationReport:
         """Read back (method, [A_1 ... A_p]) from a report written by `to_csv`.
 
         The report must start with its `# order=P dim=R` declaration and the
-        `method,k,i,j,value` header, then hold exactly P*R*R rows: each
-        (k, i, j) once, with 1 <= k <= P and 1 <= i, j <= R, a finite value
-        and one method throughout. Anything else (an undeclared or truncated
-        report, a duplicate or out-of-range row, a non-finite value, mixed
-        methods) raises ValidationError naming the offending line.
+        `method,k,i,j,value` header, then hold exactly P*R*R rows in the order
+        `to_csv` writes them (k, then i, then j, each from 1, as that exact text),
+        with finite values and one method. Anything else (an undeclared or
+        truncated report, a row out of place or past the last, a non-finite
+        value, mixed methods) raises ValidationError naming the offending line.
         """
         with _open_text(path) as fh:
             declaration = fh.readline().strip()
@@ -103,9 +103,10 @@ class EstimationReport:
             header = fh.readline().strip()
             if header != _REPORT_HEADER:
                 raise ValidationError(f"{path}:2: expected report header, got {header!r}")
-            values = {}  # (k, i, j) -> value: no array is sized before the rows are complete
-            method = None
-            lineno = 2
+            # lazily, as a declared shape may be too big to allocate
+            places = (f"{k},{i},{j}" for k in range(1, p + 1)
+                      for i in range(1, r + 1) for j in range(1, r + 1))
+            values, method, lineno = [], None, 2
             for lineno, parts in _csv_rows(path, fh, 5, 3):
                 if not parts[0]:
                     raise ValidationError(f"{path}:{lineno}: empty method")
@@ -115,29 +116,22 @@ class EstimationReport:
                     raise ValidationError(
                         f"{path}:{lineno}: method {parts[0]!r} differs from {method!r}"
                     )
-                try:
-                    k, i, j = int(parts[1]), int(parts[2]), int(parts[3])
-                    value = float(parts[4])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-                if not (1 <= k <= p and 1 <= i <= r and 1 <= j <= r):
-                    raise ValidationError(
-                        f"{path}:{lineno}: index k={k}, i={i}, j={j} outside "
-                        f"declared order={p} dim={r}"
-                    )
-                if (k, i, j) in values:
-                    raise ValidationError(f"{path}:{lineno}: duplicate row k={k}, i={i}, j={j}")
-                if not math.isfinite(value):
+                kij, place = ",".join(parts[1:4]), next(places, None)
+                if place is None:
+                    raise ValidationError(f"{path}:{lineno}: row past the last of "
+                                          f"declared order={p} dim={r}")
+                if kij != place:
+                    raise ValidationError(f"{path}:{lineno}: expected k,i,j = {place}, got {kij!r}")
+                values.append(_float_field(path, lineno, parts[4]))
+                if not math.isfinite(values[-1]):
                     raise ValidationError(f"{path}:{lineno}: non-finite value {parts[4]!r}")
-                values[k, i, j] = value
-        indices = ((k + 1, i + 1, j + 1) for k in range(p) for i in range(r) for j in range(r))
         if len(values) < p * r * r:
-            k, i, j = next(index for index in indices if index not in values)
+            k, i, j = next(places).split(",")
             raise ValidationError(
                 f"{path}:{lineno}: report ends without row k={k}, i={i}, j={j} "
                 f"(declared order={p} dim={r} needs {p * r * r} rows, got {len(values)})"
             )
-        return method, list(np.array([values[index] for index in indices]).reshape(p, r, r))
+        return method, list(np.array(values).reshape(p, r, r))
 
     def summary_text(self) -> str:
         lines = [

@@ -429,20 +429,23 @@ def _fields(text: str, key: str) -> list:
     return fields
 
 
-# Each config key but a1..a<order> (lists of floats) and the kind of its value: int, or
-# float or str for a comma-separated list. A model file takes the keys through burn_in.
-# Past the model's faults and the unknown keys, faults are reported in this order.
-_MODEL_FILE_KEYS = dict(dim=int, order=int, alpha=float, sigma=float, n=int, seed=int, burn_in=int)
-_KEYS = dict(_MODEL_FILE_KEYS, b_values=float, replications=int, methods=str)
+# Each config key but a1..a<order> (lists of floats) and the kind of its value: (int, least
+# value), or float or str for a comma-separated list. A model file takes the keys through
+# burn_in. Past the model's faults and the unknown keys, faults are reported in this order.
+_MODEL_FILE_KEYS = dict(dim=(int, 1), order=(int, 1), alpha=float, sigma=float,
+                        n=(int, 1), seed=(int, 0), burn_in=(int, 0))
+_KEYS = dict(_MODEL_FILE_KEYS, b_values=float, replications=(int, 1), methods=str)
 
 
 def _parse(kv: Dict[str, str], key: str):
-    """Take ``key`` out of ``kv`` and parse its value as the kind ``_KEYS`` gives it."""
+    """Take ``key`` out of ``kv`` and parse its value as ``_KEYS`` gives its kind and range."""
     if key not in kv:
         raise ValidationError(f"missing required key {key!r}")
     kind, text = _KEYS.get(key, float), kv.pop(key)
     try:
-        return int(text) if kind is int else [kind(v) for v in _fields(text, key)]
+        if kind in (float, str):
+            return [kind(v) for v in _fields(text, key)]
+        return _check_int(int(text), key, kind[1])
     except ValueError as exc:
         raise ValidationError(f"bad {key}: {exc}") from exc
 
@@ -450,8 +453,6 @@ def _parse(kv: Dict[str, str], key: str):
 def _build_model(kv: Dict[str, str]) -> VarModel:
     dim = _parse(kv, "dim")
     order = _parse(kv, "order")
-    if dim < 1 or order < 1:
-        raise ValidationError("dim and order must be >= 1")
     coeffs = []
     for k in range(1, order + 1):
         key = f"a{k}"
@@ -499,9 +500,7 @@ def load_model_config(path) -> Tuple[VarModel, Dict[str, Optional[int]]]:
     """Read a model description; returns the model and its integers n (>= 1), seed
     and burn_in (>= 0), each None when the file leaves it out."""
     model, values = _read_config(path, _MODEL_FILE_KEYS)
-    with _naming(path):
-        return model, {key: _check_int(values[key], key, minimum) if key in values else None
-                       for key, minimum in (("n", 1), ("seed", 0), ("burn_in", 0))}
+    return model, {key: values.get(key) for key in ("n", "seed", "burn_in")}
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -6,12 +6,13 @@ fields read exactly "1" .. "n" as ``to_csv`` writes them; every other file
 falls through to the line-by-line rows of ``_csv_rows``. That slow path is
 the only authority on which files are accepted and what the error says
 (``path:line``), so the fast path changes no answer, only the time.
-The coefficient-report reader takes its rows from ``_csv_rows`` as well.
+The coefficient-report reader takes its rows from ``_csv_rows`` and its values
+from ``_float_field`` as well.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,15 @@ def _csv_rows(path, fh, width: int, start: int):
         if len(parts) != width:
             raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
         yield lineno, parts
+
+
+def _float_field(path, lineno: int, text: str) -> float:
+    """The value field ``text`` as ``np.loadtxt`` reads it, which unlike ``float`` refuses
+    underscores and non-ASCII digits; a refusal is a ValidationError naming ``path:line``."""
+    if text.strip().isascii() and "_" not in text:
+        with suppress(ValueError):
+            return float(text)
+    raise ValidationError(f"{path}:{lineno}: could not convert string to float: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,7 @@ def _checked_values(path, fh, width: int) -> np.ndarray:
     for t, (lineno, parts) in enumerate(_csv_rows(path, fh, width, 2), start=1):
         if parts[0].strip() != str(t):
             raise ValidationError(f"{path}:{lineno}: expected t = {t}, got {parts[0]!r}")
-        try:
-            rows.append(list(map(float, parts[1:])))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        rows.append([_float_field(path, lineno, text) for text in parts[1:]])
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)

@@ -95,7 +95,7 @@ class SymmetricStableNoiseSpec:
         components = tuple(self.components)
         if len(components) < 1:
             raise ValidationError("noise spec needs at least one component")
-        for j, comp in enumerate(components):
+        for j, comp in enumerate(components, start=1):
             if not isinstance(comp, StableParams):
                 raise ValidationError(f"component {j} is not StableParams")
             if not comp.is_symmetric:

@@ -39,6 +39,10 @@ seed = 9
 methods = floc, ls
 """
 
+# what floc_config warns on the series of MODEL_CFG, given A + B: its smallest column
+# alpha estimate is 1.488, below A + B at B = 0.55 and at the default B
+MOMENT_WARNING = r"^A \+ B = {} >= estimated alpha 1\.488; "
+
 
 @pytest.fixture()
 def model_cfg(tmp_path):
@@ -162,10 +166,11 @@ class TestEstimate:
         main(["simulate", "--config", str(model_cfg), "--out", str(data)])
         report = tmp_path / "report.csv"
         summary = tmp_path / "summary.txt"
-        code = main([
-            "estimate", "--data", str(data), "--order", "2", "--method", "floc",
-            "--b-exp", "0.55", "--out", str(report), "--summary", str(summary),
-        ])
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.550")):
+            code = main([
+                "estimate", "--data", str(data), "--order", "2", "--method", "floc",
+                "--b-exp", "0.55", "--out", str(report), "--summary", str(summary),
+            ])
         assert code == 0
         method, coeffs = sv.EstimationReport.read_coeffs_csv(report)
         assert method == "floc" and len(coeffs) == 2
@@ -285,8 +290,9 @@ class TestDiagnose:
         data = tmp_path / "series.csv"
         main(["simulate", "--config", str(model_cfg), "--out", str(data)])
         report = tmp_path / "report.csv"
-        main(["estimate", "--data", str(data), "--order", "2", "--method", "floc",
-              "--b-exp", "0.55", "--out", str(report)])
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.550")):
+            main(["estimate", "--data", str(data), "--order", "2", "--method", "floc",
+                  "--b-exp", "0.55", "--out", str(report)])
         out = tmp_path / "diag"
         code = main([
             "diagnose", "--data", str(data), "--report", str(report),
@@ -312,8 +318,9 @@ class TestDiagnose:
         data = tmp_path / "series.csv"
         main(["simulate", "--config", str(model_cfg), "--out", str(data)])
         report, summary = tmp_path / "report.csv", tmp_path / "summary.txt"
-        assert main(["estimate", "--data", str(data), "--order", "2",
-                     "--out", str(report), "--summary", str(summary)]) == 0
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.618")):
+            assert main(["estimate", "--data", str(data), "--order", "2",
+                         "--out", str(report), "--summary", str(summary)]) == 0
         out = tmp_path / "diag"
         assert main([
             "diagnose", "--data", str(data), "--report", str(report),
@@ -321,8 +328,9 @@ class TestDiagnose:
             "--ks-repetitions", "100", "--max-lag", "8",
             "--band-replicates", "20", "--qq-grid", "9",
         ]) == 0
-        lib = sv.run_pipeline(sv.SeriesMatrix.from_csv(data), 2, rng_seed=3,
-                              ks_repetitions=100, max_lag=8, band_replicates=20, qq_grid=9)
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.618")):
+            lib = sv.run_pipeline(sv.SeriesMatrix.from_csv(data), 2, rng_seed=3, ks_repetitions=100,
+                                  max_lag=8, band_replicates=20, qq_grid=9)
         assert f"exp_b: {lib.b_used!r}" in summary.read_text().splitlines()
         ref = tmp_path / "ref"
         ref.mkdir()

@@ -108,11 +108,12 @@ class TestKsTest:
         assert d == pytest.approx(want, abs=3e-5)
 
     def test_pvalue_is_exceedance_proportion(self):
+        # the Monte Carlo p-value (k + 1) / (R + 1), k exceedances of R replicates
         col = sv.sample_stable(sv.StableParams.symmetric(1.8, 1.0), 300, 5)
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=2)
-        assert 0.0 <= res.p_value <= 1.0
-        assert res.p_value * res.repetitions == pytest.approx(
-            round(res.p_value * res.repetitions), abs=1e-9
+        assert 0.0 < res.p_value <= 1.0
+        assert res.p_value * (res.repetitions + 1) == pytest.approx(
+            round(res.p_value * (res.repetitions + 1)), abs=1e-9
         )
         assert res.statistic > 0
         assert 0 < res.fitted.alpha <= 2.0
@@ -148,7 +149,7 @@ class TestKsTest:
         res = sv.ks_test_stable(col, repetitions=100, rng_seed=seed)
         assert res.fitted == fitted and res.statistic == d_obs
         assert seen[0] == d_obs and np.concatenate(seen[1:]).tolist() == want
-        assert res.p_value == sum(d >= d_obs for d in want) / 100
+        assert res.p_value == (sum(d >= d_obs for d in want) + 1) / 101
         # replicate blocks of 3 (and a last short one) leave the statistic, p-value and fit
         monkeypatch.setattr(seeding, "_BLOCK_VALUES", 3 * n)
         assert sv.ks_test_stable(col, repetitions=100, rng_seed=seed) == res
@@ -176,13 +177,13 @@ class TestNullCalibration:
     def test_ks_level_and_null_band_coverage_on_iid_draws(self):
         """Under the null the KS test rejects at its level and the band covers 95%.
 
-        KS: p = k / 100 with k the bootstrap statistics at least the observed one. Were the
-        observed statistic exchangeable with them, k would be uniform on 0..100, so p <= c
-        with probability (100c + 1) / 101: 6/101 at c = 0.05 and 11/101 at 0.10. Refitting
-        the law makes this hold only approximately, so the rejection rate q lies in
-        [c, (100c + 1) / 101] and the rejections of 150 independent samples are
-        Binomial(150, q); each count must lie between the 0.05% quantile at q = c and the
-        99.95% quantile at the top of the range.
+        KS: p = (k + 1) / 101 with k the bootstrap statistics at least the observed one.
+        Were the observed statistic exchangeable with them, k would be uniform on 0..100, so
+        p <= c with probability floor(101c) / 101: 5/101 at c = 0.05 and 10/101 at 0.10.
+        Refitting the law makes this hold only approximately, so the rejection rate q lies
+        in [floor(101c) / 101, c] and the rejections of 150 independent samples are
+        Binomial(150, q); each count must lie between the 0.05% quantile at the bottom of
+        the range and the 99.95% quantile at q = c.
 
         Band: np.percentile puts its lower end at order statistic 0.025(R - 1) + 1 of R
         replicates (1-based, interpolated), and a fresh draw falls below order statistic j
@@ -199,8 +200,8 @@ class TestNullCalibration:
             for i in range(150)
         ])
         for c in (0.05, 0.10):
-            lo, hi = binom.ppf(5e-4, 150, c), binom.isf(5e-4, 150, (100 * c + 1) / 101)
-            assert lo <= np.sum(p <= c) <= hi  # at these seeds 7 in [1, 20] and 15 in [4, 30]
+            lo, hi = binom.ppf(5e-4, 150, np.floor(101 * c) / 101), binom.isf(5e-4, 150, c)
+            assert lo <= np.sum(p <= c) <= hi  # at these seeds 6 in [1, 18] and 10 in [4, 28]
 
         replicates, checks = 4000, 1000
         lo, hi = sv.auto_floc_null_band(law, n, max_lag, b, replicates, seeding._child_seed(0, 2))

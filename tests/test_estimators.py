@@ -285,23 +285,46 @@ class TestReportCsv:
             ("# order=2 dim=2", FULL_2X2_VAR2[:4], r":6: report ends without row k=2, i=1, j=1"),
             # one row missing
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1], r":9: report ends without row k=2, i=2, j=2"),
-            ("# order=2 dim=2", FULL_2X2_VAR2 + ["floc,2,2,2,0.9"], r":11: duplicate row"),
+            # a repeated last row, and a row past the declared order: rows past the last
+            ("# order=2 dim=2", FULL_2X2_VAR2 + ["floc,2,2,2,0.9"],
+             r":11: row past the last of declared order=2 dim=2$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2 + ["floc,3,1,1,0.5"],
+             r":11: row past the last of declared order=2 dim=2$"),
+            # rows must come in the order to_csv writes them: two rows swapped
+            ("# order=2 dim=2", FULL_2X2_VAR2[:2] + FULL_2X2_VAR2[3:1:-1] + FULL_2X2_VAR2[4:],
+             r":5: expected k,i,j = 1,2,1, got '1,2,2'$"),
             # k = 0, a negative index, past the declared order, past the dim
-            ("# order=2 dim=2", FULL_2X2_VAR2 + ["floc,0,1,1,0.5"], r":11: index k=0, .* outside"),
-            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,-2,0.5"], r":10: index .*j=-2 outside"),
-            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,3,2,2,0.5"], r":10: index k=3, .* outside"),
-            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,3,2,0.5"], r":10: index .*i=3, .* outside"),
+            ("# order=2 dim=2", ["floc,0,1,1,0.5"], r":3: expected k,i,j = 1,1,1, got '0,1,1'$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,-2,0.5"],
+             r":10: expected k,i,j = 2,2,2, got '2,2,-2'$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,3,2,2,0.5"],
+             r":10: expected k,i,j = 2,2,2, got '3,2,2'$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,3,2,0.5"],
+             r":10: expected k,i,j = 2,2,2, got '2,3,2'$"),
+            # an index must read exactly the text to_csv writes
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,02,0.5"],
+             r":10: expected k,i,j = 2,2,2, got '2,2,02'$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2, 2,2,0.5"],
+             r":10: expected k,i,j = 2,2,2, got '2, 2,2'$"),
+            ("# order=1 dim=10",
+             [f"floc,1,1,{j},0.5" for j in range(1, 10)] + ["floc,1,1,1_0,0.5"],
+             r":12: expected k,i,j = 1,1,10, got '1,1,1_0'$"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,2,nan"], r":10: non-finite"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,2,inf"], r":10: non-finite"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["ls,2,2,2,0.5"], r":10: method 'ls' differs"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + [",2,2,2,0.5"], r":10: empty method"),
             # a non-integer index or a non-numeric value
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2.0,2,2,0.5"],
-             r":10: invalid literal for int\(\) with base 10: '2\.0'"),
+             r":10: expected k,i,j = 2,2,2, got '2\.0,2,2'$"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,x,0.5"],
-             r":10: invalid literal for int\(\) with base 10: 'x'"),
+             r":10: expected k,i,j = 2,2,2, got '2,2,x'$"),
             ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,2,half"],
              r":10: could not convert string to float: 'half'"),
+            # value text that Python's float takes but np.loadtxt, and so the series reader, refuses
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,2,1_0"],
+             r":10: could not convert string to float: '1_0'$"),
+            ("# order=2 dim=2", FULL_2X2_VAR2[:-1] + ["floc,2,2,2,\u0661"],
+             ":10: could not convert string to float: '\u0661'$"),
             # a wrong header on line 2, before the right one
             ("# order=2 dim=2\nmethod,k,i,value", FULL_2X2_VAR2,
              r":2: expected report header, got 'method,k,i,value'"),
@@ -317,7 +340,7 @@ class TestReportCsv:
     def test_strict_reader_rejects(self, tmp_path, declaration, rows, reason):
         lines = ([] if declaration is None else [declaration]) + ["method,k,i,j,value"] + rows
         p = tmp_path / "bad.csv"
-        p.write_text("\n".join(lines) + "\n")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=r"bad\.csv" + reason):
             sv.EstimationReport.read_coeffs_csv(p)
 

@@ -211,8 +211,15 @@ class TestConfigFile:
             ("dim 2\n", r"mc.cfg:1: expected key = value"),
             ("# only a comment\n\n", r"mc.cfg: empty config"),
             (MODEL_TEXT.replace("0.3", "x"), r"bad a1: could not convert string to float: 'x'"),
-            (MODEL_TEXT.replace("order = 1", "order = 0"), r"dim and order must be >= 1"),
-            (MODEL_TEXT.replace("dim = 2", "dim = 0"), r"dim and order must be >= 1"),
+            (MODEL_TEXT.replace("order = 1", "order = 0"),
+             r"cfg: order must be an integer >= 1, got 0$"),
+            (MODEL_TEXT.replace("dim = 2", "dim = 0"), r"cfg: dim must be an integer >= 1, got 0$"),
+            (MC_CONFIG_TEXT.replace("replications = 4", "replications = 0"),
+             r"cfg: replications must be an integer >= 1, got 0$"),
+            # faults in the order of the key table: seed before replications
+            (MC_CONFIG_TEXT.replace("replications = 4", "replications = 0")
+             .replace("seed = 7", "seed = -1"),
+             r"cfg: seed must be a non-negative integer, got -1$"),
             (MODEL_TEXT.replace("alpha = 1.6\n", ""), r"missing required key 'alpha'"),
             (MODEL_TEXT.replace("1.6", "1.6, 1.7, 1.8"), r"alpha needs 1 or 2 values, got 3"),
             (MODEL_TEXT.replace("1.0", "1, 2, 3"), r"sigma needs 1 or 2 values, got 3"),

@@ -33,11 +33,12 @@ class TestStableParams:
         assert p.beta == 0.0 and p.delta == 0.0 and p.is_symmetric
 
     def test_noise_spec_requires_symmetric(self):
-        with pytest.raises(ValidationError):
+        # components are numbered from 1, as A_1 and x1 are
+        with pytest.raises(ValidationError, match=r"^component 1 must be symmetric "):
             sv.SymmetricStableNoiseSpec((sv.StableParams(1.5, beta=0.5),))
         with pytest.raises(ValidationError):
             sv.SymmetricStableNoiseSpec(())
-        with pytest.raises(ValidationError, match="component 1 is not StableParams"):
+        with pytest.raises(ValidationError, match="^component 2 is not StableParams$"):
             sv.SymmetricStableNoiseSpec((sv.StableParams(1.5), 1.5))
         spec = sv.SymmetricStableNoiseSpec.iid(3, 1.7)
         assert spec.dim == 3

@@ -392,7 +392,14 @@ class TestSeriesCsv:
             ("t,x1\n1,1.5\n+2,2.5\n", ":3: expected t = 2, got '+2'"),
             ("t,x1\n1,1.5\n02,2.5\n", ":3: expected t = 2, got '02'"),
             ("t,x1\n+1,1.5\n", ":2: expected t = 1, got '+1'"),
-            ("t,x1\n1,1_0\n2,2.5\n", [10.0, 2.5]),
+            # value text: np.loadtxt's reading, which Python's float widens
+            ("t,x1\n1,1_0\n2,2.5\n", ":2: could not convert string to float: '1_0'"),
+            ("t,x1\n1,2\xa0\n", [2.0]),
+            ("t,x1\n1, 2\n", [2.0]),
+            ("t,x1\n1,\u0661\n", ":2: could not convert string to float: '\u0661'"),
+            ("t,x1\n1,\uff11\n", ":2: could not convert string to float: '\uff11'"),
+            ("t,x1\n1,2\u200b\n", ":2: could not convert string to float: '2\\u200b'"),
+            ("t,x1\n1,\u00bd\n", ":2: could not convert string to float: '\u00bd'"),
             ("t,x1\r\n1,1.5\r\n2,2.5\r\n", [1.5, 2.5]),
             ("t,x1\n1,1.5\n\n2,2.5\n\n", [1.5, 2.5]),
             ("t,x1\n1,1.5\n \t \n2,2.5\n", [1.5, 2.5]),
@@ -405,7 +412,12 @@ class TestSeriesCsv:
             ("", ": empty file"),
         ],
     )
-    def test_fast_path_gives_the_line_readers_answer(self, tmp_path, text, expected):
+    @pytest.mark.parametrize("line_reader_only", [False, True])
+    def test_fast_path_gives_the_line_readers_answer(
+        self, tmp_path, monkeypatch, text, expected, line_reader_only
+    ):
+        if line_reader_only:
+            monkeypatch.setattr("stablevar.series._canonical_values", lambda fh, dim: None)
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode())
         if isinstance(expected, str):
