@@ -12,8 +12,8 @@ The subcommands only read inputs and write outputs; the numbers come from
 the library. estimate picks FLOC's exponent B with ``experiments.floc_config``,
 as ``run_pipeline`` does: the same default B and the same warning when
 A + B = 1 + B reaches a column alpha estimate;
-diagnose makes ``run_pipeline``'s two calls, ``residuals(mean_correct(series), coeffs)``
-and ``experiments.diagnose_residuals``, so ``diagnose --seed s`` writes the residuals and
+diagnose makes ``run_pipeline``'s one call, ``experiments.diagnose_residuals``, which also
+refuses a report of another dimension, so ``diagnose --seed s`` writes the residuals and
 diagnostics of ``run_pipeline(..., rng_seed=s)`` for the same series and coefficients.
 ``--qq-grid 0`` skips the QQ files; a grid of 1 is rejected, as in the library. estimate
 rejects ``--b-exp`` for LS and YW instead of ignoring it; FLOC divides lag k by n - |k|
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .diagnostics import ks_summary_line, write_auto_floc_csv, write_qq_csv
 from .errors import NumericalError, ValidationError
-from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_yw, residuals
+from .estimators import EstimationReport, estimate_floc, estimate_ls, estimate_yw
 from .experiments import (
     diagnose_residuals,
     floc_config,
@@ -40,7 +40,7 @@ from .experiments import (
     run_monte_carlo,
 )
 from .series import SeriesMatrix
-from .var_core import mean_correct, simulate
+from .var_core import simulate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,14 +154,8 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_diagnose(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     _, coeffs = EstimationReport.read_coeffs_csv(args.report)
-    if coeffs[0].shape[0] != series.dim:
-        raise ValidationError(
-            f"report dimension {coeffs[0].shape[0]} does not match series dimension {series.dim}"
-        )
-    res = residuals(mean_correct(series), coeffs)
-    columns = diagnose_residuals(
-        res, args.seed, args.ks_repetitions, args.max_lag, args.band_replicates, args.qq_grid
-    )
+    res, columns = diagnose_residuals(series, coeffs, args.seed, args.ks_repetitions,
+                                      args.max_lag, args.band_replicates, args.qq_grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     res.to_csv(out / "residuals.csv")

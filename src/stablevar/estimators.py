@@ -2,8 +2,9 @@
 least squares, classical Yule-Walker.
 
 All three estimators mean-correct the series first. A report holds no
-residuals: ``residuals(mean_correct(series), coeffs)`` computes them.
-The FLOC and Yule-Walker estimators solve the block system
+residuals: ``experiments.diagnose_residuals`` computes them as
+``residuals(mean_correct(series), coeffs)``. The FLOC and Yule-Walker
+estimators solve the block system
 
     [A_1 ... A_p] [Gamma_{l-k}]_{k,l} = [Gamma_1 ... Gamma_p]
 
@@ -13,7 +14,8 @@ normalizer, its literature-standard one: FLOC divides lag k by n - |k|,
 Yule-Walker by n, so Yule-Walker's moments are FLOC's at B = 1 scaled
 by (n - |k|) / n; ``_fit`` branches on the method once for both facts.
 Least squares solves its normal equations [A_1 ... A_p] X^T X = Y^T X
-on the lagged design X = (x[t-1], ..., x[t-p]) and the rows Y = x[t].
+on the lagged design X = (x[t-1], ..., x[t-p]) and the rows Y = x[t];
+``residuals`` is Y - X [A_1 ... A_p]^T on the same design, ``_lagged``.
 
 All three run through one core on a stack of R series: ``_prepare``
 checks and mean-corrects once, then ``_fit`` solves the stack's systems
@@ -146,21 +148,20 @@ class EstimationReport:
         return "\n".join(lines) + "\n"
 
 
+def _lagged(x: np.ndarray, p: int) -> np.ndarray:
+    """(x[t-1], ..., x[t-p]) side by side for rows t = p..n-1 of ``x`` (..., n, r)."""
+    return np.concatenate([x[..., p - k : x.shape[-2] - k, :] for k in range(1, p + 1)], axis=-1)
+
+
 def residuals(series: SeriesMatrix, coeffs: Sequence[np.ndarray]) -> SeriesMatrix:
     """z[t] = x[t] - sum_k A_k x[t-k] for t > p; length n - p."""
-    p = len(coeffs)
-    r = series.dim
+    p, r = _check_int(len(coeffs), "order", 1), series.dim
     for k, mat in enumerate(coeffs, start=1):
-        mat = np.asarray(mat)
-        if mat.shape != (r, r):
-            raise ValidationError(f"A_{k} has shape {mat.shape}, expected ({r}, {r})")
+        if np.shape(mat) != (r, r):
+            raise ValidationError(f"A_{k} has shape {np.shape(mat)}; the series has dimension {r}")
     if series.n <= p:
         raise ValidationError(f"series of length {series.n} too short for order {p}")
-    x = series.values
-    res = x[p:].copy()
-    for k, mat in enumerate(coeffs, start=1):
-        res -= x[p - k : series.n - k] @ np.asarray(mat).T
-    return SeriesMatrix(res)
+    return SeriesMatrix(series.values[p:] - _lagged(series.values, p) @ np.hstack(coeffs).T)
 
 
 def _prepare(values: np.ndarray, p: int):
@@ -242,7 +243,7 @@ def _fit(corrected: np.ndarray, failed: dict, p: int, method: str, b: Optional[f
     if n <= min_n:
         return _too_short(corrected, p, min_n)
     if method == "ls":  # normal equations [A_1..A_p] X^T X = Y^T X, X = (x[t-1]..x[t-p])
-        design = np.concatenate([corrected[:, p - k : n - k] for k in range(1, p + 1)], axis=-1)
+        design = _lagged(corrected, p)
         design_t = design.transpose(0, 2, 1)
         block, rhs = design_t @ design, corrected[:, p:].transpose(0, 2, 1) @ design
         fault = (f"least-squares design matrix ({n - p}x{size}, lags 1..{p}) "

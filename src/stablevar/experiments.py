@@ -191,7 +191,8 @@ class MonteCarloReport:
         if method not in self.config.methods:
             raise KeyError(method)
         bs = [b for m, b in _estimate_keys(self.config) if m == method]
-        cols = ["mean,rmse" if b is None else f"B={b:g} mean,B={b:g} rmse" for b in bs]
+        cols = ["mean,rmse" if b is None else "B={0} mean,B={0} rmse".format(_b_text(b))
+                for b in bs]
         # the cells of each (method, B) run k, j, i: the table's row order
         per_b = [[c for c in self.cells if (c.method, c.b) == (method, b)] for b in bs]
         rows = (
@@ -209,15 +210,12 @@ class MonteCarloReport:
             f"burn_in: {cfg.burn_in}",
             f"seed: {cfg.seed}",
             f"methods: {','.join(cfg.methods)}",
-            "b_values: " + ",".join(f"{b:g}" for b in cfg.b_values),
+            "b_values: " + ",".join(map(_b_text, cfg.b_values)),
             f"failed_replications: {self.failed_replications}",
         ]
         lines += [f"failures[{_key_name(*key)}]: {n}" for key, n in self.failures.items()]
-        for rec in self.failure_records:
-            lines.append(
-                f"failure[{_key_name(rec.method, rec.b)}]: replication {rec.replication}, "
-                f"{rec.error}, condition {rec.condition:.6g}: {rec.message}"
-            )
+        lines += [f"failure[{_key_name(rec.method, rec.b)}]: {_record_text(rec)}"
+                  for rec in self.failure_records]
         return "\n".join(lines) + "\n"
 
 
@@ -226,8 +224,17 @@ def _estimate_keys(cfg: ExperimentConfig):
     return [(m, b) for m in cfg.methods for b in (cfg.b_values if m == "floc" else (None,))]
 
 
+def _b_text(b: float) -> str:  # the one label of a B value: the shortest text read back as b
+    return np.format_float_positional(b, trim="-")
+
+
 def _key_name(method: str, b: Optional[float]) -> str:
-    return method if b is None else f"{method} B={b:g}"
+    return method if b is None else f"{method} B={_b_text(b)}"
+
+
+def _record_text(rec: FailureRecord) -> str:
+    return (f"replication {rec.replication}, {rec.error}, condition {rec.condition:.6g}: "
+            f"{rec.message}")
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
@@ -238,35 +245,32 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
     Failed estimates (non-finite paths, constant columns, too few rows,
     singular systems) are recorded per replication and estimator and
     excluded from the statistics; the run aborts if any estimator fails in
-    more than 1% of replications.
+    more than 1% of replications, naming that estimator's first failure.
     """
     keys = _estimate_keys(cfg)
     r, p = cfg.model.dim, cfg.model.order
     estimates = {key: np.empty((cfg.replications, p, r, r)) for key in keys}
-    failed = {key: np.zeros(cfg.replications, dtype=bool) for key in keys}
     records = []
     path_values = (cfg.n + cfg.burn_in) * r
     for start, generators in substream_blocks(cfg.seed, cfg.replications, path_values):
         paths = _simulate_paths(cfg.model, cfg.n, cfg.burn_in, generators)
         for key, (coeffs, condition, errors) in _estimate_stack(paths, p, keys).items():
             estimates[key][start : start + len(paths)] = coeffs
-            failed[key][[start + i for i in errors]] = True
             records += [
                 FailureRecord(start + i, *key, type(exc).__name__, str(exc), float(condition[i]))
                 for i, exc in errors.items()
             ]
 
-    for key in keys:
-        count = int(failed[key].sum())
-        if count > 0.01 * cfg.replications:
-            raise NumericalError(
-                f"{_key_name(*key)} failed in {count} of {cfg.replications} replications (> 1%)"
-            )
-
+    records.sort(key=lambda rec: (rec.replication, keys.index((rec.method, rec.b))))
     truth = cfg.model.coeff_array()
     cells = []
     for method, b in keys:
-        stack = estimates[(method, b)][~failed[(method, b)]]
+        failing = [rec for rec in records if (rec.method, rec.b) == (method, b)]
+        if len(failing) > 0.01 * cfg.replications:
+            raise NumericalError(f"{_key_name(method, b)} failed in {len(failing)} of "
+                                 f"{cfg.replications} replications (> 1%); first: "
+                                 f"{_record_text(failing[0])}")
+        stack = np.delete(estimates[(method, b)], [rec.replication for rec in failing], axis=0)
         mean = stack.mean(axis=0)
         rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
         for k, j, i in np.ndindex(p, r, r):  # lag, column, row: the table's row order
@@ -276,13 +280,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
                 true_value=float(truth[k, i, j]), mean=float(mean[k, i, j]),
                 rmse=float(rmse[k, i, j]), used=stack.shape[0],
             ))
-    return MonteCarloReport(
-        config=cfg,
-        cells=tuple(cells),
-        failure_records=tuple(
-            sorted(records, key=lambda rec: (rec.replication, keys.index((rec.method, rec.b))))
-        ),
-    )
+    return MonteCarloReport(cfg, tuple(cells), tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -336,42 +334,32 @@ def floc_config(series: SeriesMatrix, b: Optional[float] = None) -> Tuple[float,
 
 
 def diagnose_residuals(
-    res: SeriesMatrix,
+    series: SeriesMatrix,
+    coeffs: Sequence[np.ndarray],
     rng_seed: int = 0,
     ks_repetitions: int = 100,
     max_lag: int = 20,
     band_replicates: int = 200,
     qq_grid: int = 99,
-) -> Tuple[ColumnDiagnostics, ...]:
-    """Diagnostics of each residual column, one ``ColumnDiagnostics`` each.
+) -> Tuple[SeriesMatrix, Tuple[ColumnDiagnostics, ...]]:
+    """Residuals ``residuals(mean_correct(series), coeffs)`` and a ``ColumnDiagnostics`` each.
 
     Per column: bootstrap KS test, whose stable fit is the ``fitted`` law
     of the rest; auto-FLOC at B = default_b(alpha fit) with a simulated
     null band; QQ data (``qq_grid = 0`` skips it). Column j's band and KS
     draws come from ``rng_seed`` through seed paths (2, j) and (1, j).
     """
+    res = residuals(mean_correct(series), coeffs)
     columns = []
-    for j in range(res.dim):
-        col = res.values[:, j]
+    for j, col in enumerate(res.values.T):
         ks = ks_test_stable(col, ks_repetitions, rng_seed=_child_seed(rng_seed, 1, j))
-        fitted = ks.fitted
-        b = default_b(fitted.alpha)
+        fitted, b = ks.fitted, default_b(ks.fitted.alpha)
         af = auto_floc(col, max_lag, b)
-        lo, hi = auto_floc_null_band(
-            fitted,
-            col.shape[0],
-            max_lag,
-            b,
-            replicates=band_replicates,
-            rng_seed=_child_seed(rng_seed, 2, j),
-        )
+        lo, hi = auto_floc_null_band(fitted, res.n, max_lag, b, replicates=band_replicates,
+                                     rng_seed=_child_seed(rng_seed, 2, j))
         qq = qq_data(col, fitted, qq_grid) if qq_grid else None
-        columns.append(
-            ColumnDiagnostics(
-                fitted=fitted, auto_floc=af, band_lo=lo, band_hi=hi, ks=ks, qq=qq
-            )
-        )
-    return tuple(columns)
+        columns.append(ColumnDiagnostics(fitted, af, lo, hi, ks, qq))
+    return res, tuple(columns)
 
 
 def run_pipeline(
@@ -387,14 +375,14 @@ def run_pipeline(
     """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
 
     The exponent B comes from ``floc_config``, so it defaults to ``default_b``
-    of the per-column stability estimates. As in ``stablevar diagnose``, the
-    residuals are ``residuals(mean_correct(series), coeffs)``, diagnosed by ``diagnose_residuals``.
+    of the per-column stability estimates. The residuals and their diagnostics
+    come from one ``diagnose_residuals`` call, the one ``stablevar diagnose`` makes.
     """
     b, alphas = floc_config(series, b)
     estimation = estimate_floc(series, p, b)
-    res = residuals(mean_correct(series), estimation.coeffs)
-    columns = diagnose_residuals(res, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid)
-    return PipelineReport(estimation, alphas, res, columns)
+    return PipelineReport(estimation, alphas, *diagnose_residuals(
+        series, estimation.coeffs, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,10 @@ class TestDiagnose:
         code = main(["diagnose", "--data", str(data), "--report", str(bad),
                      "--out-dir", str(tmp_path / "d")])
         assert code == 1
-        assert "report dimension 1 does not match series dimension 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: A_1 has shape (1, 1); the series has dimension 2\n"
+        )
+        assert not (tmp_path / "d").exists()
 
     def test_negative_seed_is_validation_error(self, model_cfg, tmp_path, capsys):
         data, report = tmp_path / "series.csv", tmp_path / "report.csv"

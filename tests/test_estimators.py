@@ -75,10 +75,22 @@ class TestResiduals:
         assert np.array_equal(res.values, x[2:])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), [np.ones((3, 3))])
-        with pytest.raises(ValidationError):
+        message = "A_2 has shape (3, 3); the series has dimension 2"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), [np.eye(2), np.ones((3, 3))])
+        with pytest.raises(ValidationError, match="series of length 2 too short for order 2"):
             sv.residuals(sv.SeriesMatrix(np.ones((2, 2))), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValidationError, match="order must be an integer >= 1, got 0"):
+            sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), [])
+
+    def test_ls_residuals_meet_the_normal_equations(self):
+        # LS residuals are orthogonal to its lagged design: X^T z = X^T Y - X^T X [A]^T = 0
+        series = sv.simulate(var2_model(1.6), 1000, 500, 4)
+        report = sv.estimate_ls(series, 2)
+        x = sv.mean_correct(series).values
+        design = np.hstack([x[1:-1], x[:-2]])  # (x[t-1], x[t-2]) for t = 2..n-1
+        res = sv.residuals(sv.mean_correct(series), report.coeffs).values
+        assert np.abs(design.T @ res).max() <= 1e-10 * np.abs(design.T @ x[2:]).max()
 
 
 class TestFlocEstimator:

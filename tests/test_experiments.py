@@ -446,8 +446,15 @@ class TestRunMonteCarlo:
             return coeffs, condition, bad
 
         monkeypatch.setattr(estimators, "_solve_block", broken)
-        with pytest.raises(NumericalError, match="> 1%"):
+        with pytest.raises(NumericalError, match="> 1%") as info:
             sv.run_monte_carlo(small_config(replications=10))
+        # the message says why: the first failing replication's record, as summary_text gives it
+        assert re.fullmatch(
+            r"floc B=0\.55 failed in 10 of 10 replications \(> 1%\); first: replication 0, "
+            r"NumericalError, condition [0-9.e+-]+: cross-FLOC block matrix \(4x4 of lag "
+            r"matrices Gamma_-1\.\.Gamma_1\) is numerically singular: condition [0-9.e+-]+",
+            str(info.value),
+        )
 
     # replication 9 lies in the third block of four, or in the only block
     @pytest.mark.parametrize("block_values", [4 * 250 * 2, 10**9])
@@ -513,6 +520,25 @@ class TestRunMonteCarlo:
             "b_values: 0.55\nfailed_replications: 0\n"
             "failures[floc B=0.55]: 0\nfailures[ls]: 0\nfailures[yw]: 0\n"
         )
+
+    def test_distinct_b_values_get_distinct_labels(self, tmp_path):
+        # 6 significant digits once labelled both B values 0.123457
+        b_values = (0.0, 0.25, 0.1234567, 0.1234568)
+        model = sv.VarModel(coeffs=(np.array([[0.5]]),), noise=sv.SymmetricStableNoiseSpec.iid(1, 1.8))
+        cfg = ExperimentConfig(model=model, n=100, b_values=b_values, replications=2, seed=3,
+                               methods=("floc",), burn_in=50)
+        report = sv.run_monte_carlo(cfg)
+        labels = ["0", "0.25", "0.1234567", "0.1234568"]
+        report.to_wide_csv(tmp_path / "floc.csv", "floc")
+        header = (tmp_path / "floc.csv").read_text().splitlines()[0]
+        assert header == "coefficient,true," + ",".join(
+            f"B={b} mean,B={b} rmse" for b in labels
+        )
+        lines = report.summary_text().splitlines()
+        assert "b_values: " + ",".join(labels) in lines
+        assert [line for line in lines if line.startswith("failures[")] == [
+            f"failures[floc B={b}]: 0" for b in labels
+        ]
 
     def test_csv_outputs(self, tmp_path):
         report = sv.run_monte_carlo(small_config())

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -453,6 +455,28 @@ class TestSeriesCsv:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=re.escape(f"{path}: no data rows")):
                 sv.SeriesMatrix.from_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_non_seekable_input_is_read_line_by_line(self, tmp_path):
+        # a pipe cannot rewind, so the reader skips the loadtxt pass and reads lines only
+        def read_through_fifo(text):
+            path = tmp_path / "series.fifo"
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+            writer.start()
+            try:
+                return sv.SeriesMatrix.from_csv(path).values
+            finally:
+                writer.join(timeout=10)
+                path.unlink()
+
+        regular = tmp_path / "series.csv"
+        sv.SeriesMatrix(np.random.default_rng(7).standard_normal((50, 2))).to_csv(regular)
+        piped = read_through_fifo(regular.read_text())
+        assert np.array_equal(piped, sv.SeriesMatrix.from_csv(regular).values)
+        with pytest.raises(ValidationError) as info:
+            read_through_fifo("t,x1\n1,1.5\n3,2.5\n")
+        assert str(info.value) == f"{tmp_path / 'series.fifo'}:3: expected t = 2, got '3'"
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
