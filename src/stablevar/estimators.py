@@ -53,10 +53,10 @@ _REPORT_DECLARATION = re.compile(r"# order=([1-9][0-9]*) dim=([1-9][0-9]*)")
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Estimated coefficient matrices plus solve diagnostics; ``b`` is FLOC's exponent B."""
+    """Estimated A_1 ... A_p as one read-only (p, r, r) array, solve diagnostics, FLOC's B ``b``."""
 
     method: str
-    coeffs: tuple
+    coeffs: np.ndarray
     condition: float
     column_means: np.ndarray
     b: Optional[float] = None
@@ -69,9 +69,6 @@ class EstimationReport:
     def dim(self) -> int:
         return self.coeffs[0].shape[0]
 
-    def coeff_array(self) -> np.ndarray:
-        return np.stack(self.coeffs)
-
     def to_csv(self, path) -> None:
         """Write a self-describing coefficient report.
 
@@ -80,12 +77,12 @@ class EstimationReport:
         (1-based indices), with values as shortest round-trip text.
         """
         rows = ((self.method, k + 1, i + 1, j + 1, v)
-                for (k, i, j), v in np.ndenumerate(self.coeff_array()))
+                for (k, i, j), v in np.ndenumerate(self.coeffs))
         _write_csv(path, _REPORT_HEADER, rows, f"# order={self.order} dim={self.dim}\n")
 
     @staticmethod
-    def read_coeffs_csv(path) -> Tuple[str, list]:
-        """Read back (method, [A_1 ... A_p]) from a report written by `to_csv`.
+    def read_coeffs_csv(path) -> Tuple[str, np.ndarray]:
+        """Read back (method, A_1 ... A_p as a read-only (p, r, r) array) written by `to_csv`.
 
         The report must start with its `# order=P dim=R` declaration and the
         `method,k,i,j,value` header, then hold exactly P*R*R rows in the order
@@ -133,7 +130,9 @@ class EstimationReport:
                 f"{path}:{lineno}: report ends without row k={k}, i={i}, j={j} "
                 f"(declared order={p} dim={r} needs {p * r * r} rows, got {len(values)})"
             )
-        return method, list(np.array(values).reshape(p, r, r))
+        coeffs = np.array(values).reshape(p, r, r)
+        coeffs.flags.writeable = False
+        return method, coeffs
 
     def summary_text(self) -> str:
         lines = [
@@ -286,7 +285,8 @@ def _estimate_one(method: str, series: SeriesMatrix, p: int, b: Optional[float] 
     coeffs, condition, errors = _fit(corrected, failed, p, method, b)
     if errors:
         raise errors[0]
-    coeffs = tuple(np.ascontiguousarray(a) for a in coeffs[0])
+    coeffs = coeffs[0]
+    coeffs.flags.writeable = False
     return EstimationReport(method, coeffs, float(condition[0]), means[0], b)
 
 

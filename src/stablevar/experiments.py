@@ -1,9 +1,10 @@
 """Monte Carlo harness and end-to-end pipeline.
 
 ``run_monte_carlo`` simulates many realisations of a known model, estimates
-the coefficients with each requested method, and reports per-coefficient
-means and RMSEs. It simulates a block of replications as arrays at a time
-and fits every method on the block through the estimators' stacked core.
+the coefficients with each requested method, and reports each estimator's
+mean and RMSE as (p, r, r) arrays, which ``cell`` and the tables read. It
+simulates a block of replications at a time and fits every method on the
+block through the estimators' stacked core.
 Replication i always draws from substream (seed, i), so adding methods or
 changing the block size never perturbs the simulated paths, and reports
 are reproducible byte for byte.
@@ -25,7 +26,7 @@ import warnings
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .estimators import EstimationReport, _estimate_stack, estimate_floc, residu
 from .floc import _check_b
 from .seeding import _check_seed, _child_seed, substream_blocks
 from .series import SeriesMatrix, _open_text, _write_csv
-from .stable_noise import StableParams, SymmetricStableNoiseSpec, fit_stable_params
+from .stable_noise import StableParams, SymmetricStableNoiseSpec, _fit_stack
 from .var_core import VarModel, _resolve_burn_in, _simulate_paths, mean_correct
 
 __all__ = [
@@ -112,6 +113,8 @@ class ExperimentConfig:
             raise ValidationError(f"B values must not repeat, got {b_values}")
         if "floc" in methods and not b_values:
             raise ValidationError("b_values must be nonempty for FLOC runs")
+        if b_values and "floc" not in methods:
+            raise ValidationError(f"B values apply only to FLOC, got {b_values} for {methods}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "b_values", b_values)
 
@@ -121,15 +124,9 @@ def coefficient_label(k: int, i: int, j: int, r: int) -> str:
     return f"a{(k - 1) * r * r + (j - 1) * r + i}"
 
 
-@dataclass(frozen=True)
-class CellStats:
-    method: str
-    b: Optional[float]
-    k: int
-    i: int
-    j: int
-    label: str
-    true_value: float
+class CellStats(NamedTuple):
+    """One coefficient under one estimator: mean and RMSE over the ``used`` replications."""
+
     mean: float
     rmse: float
     used: int
@@ -154,8 +151,12 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
+    """``mean`` and ``rmse`` map each (method, B) of ``_estimate_keys`` to a (p, r, r) array
+    over the replications that estimator did not fail."""
+
     config: ExperimentConfig
-    cells: tuple
+    mean: Dict[Tuple[str, Optional[float]], np.ndarray]
+    rmse: Dict[Tuple[str, Optional[float]], np.ndarray]
     failure_records: Tuple[FailureRecord, ...] = ()
 
     @property
@@ -172,18 +173,26 @@ class MonteCarloReport:
         return len({rec.replication for rec in self.failure_records})
 
     def cell(self, method: str, b: Optional[float], k: int, i: int, j: int) -> CellStats:
-        for c in self.cells:
-            if (c.method, c.b, c.k, c.i, c.j) == (method, b, k, i, j):
-                return c
-        raise KeyError((method, b, k, i, j))
+        """Statistics of A_k[i, j] (indices from 1) under the estimator (method, B)."""
+        mean, kij = self.mean.get((method, b)), (k, i, j)
+        if mean is None or not all(v in range(1, n + 1) for v, n in zip(kij, mean.shape)):
+            raise KeyError((method, b, k, i, j))
+        at = tuple(int(v) - 1 for v in kij)
+        return CellStats(float(mean[at]), float(self.rmse[method, b][at]),
+                         self.config.replications - self.failures[method, b])
+
+    def _places(self):
+        """Label, indices (k, i, j) from 1 and true value of each coefficient, in the
+        table's row order: lag, then column, then row."""
+        truth = self.config.model.coeffs
+        for k, j, i in np.ndindex(truth.shape):
+            kij = (k + 1, i + 1, j + 1)
+            yield coefficient_label(*kij, self.config.model.dim), kij, truth[k, i, j]
 
     def to_long_csv(self, path) -> None:
         """`method,b,coefficient,k,i,j,true,mean,rmse,used` rows."""
-        rows = (
-            (c.method, "" if c.b is None else c.b, c.label, c.k, c.i, c.j,
-             c.true_value, c.mean, c.rmse, c.used)
-            for c in self.cells
-        )
+        rows = ((m, "" if b is None else b, label, *kij, true, *self.cell(m, b, *kij))
+                for m, b in self.mean for label, kij, true in self._places())
         _write_csv(path, "method,b,coefficient,k,i,j,true,mean,rmse,used", rows)
 
     def to_wide_csv(self, path, method: str) -> None:
@@ -193,12 +202,8 @@ class MonteCarloReport:
         bs = [b for m, b in _estimate_keys(self.config) if m == method]
         cols = ["mean,rmse" if b is None else "B={0} mean,B={0} rmse".format(_b_text(b))
                 for b in bs]
-        # the cells of each (method, B) run k, j, i: the table's row order
-        per_b = [[c for c in self.cells if (c.method, c.b) == (method, b)] for b in bs]
-        rows = (
-            (row[0].label, row[0].true_value, *(f"{x:.6g}" for c in row for x in (c.mean, c.rmse)))
-            for row in zip(*per_b)
-        )
+        rows = ((label, true, *(f"{x:.6g}" for b in bs for x in self.cell(method, b, *kij)[:2]))
+                for label, kij, true in self._places())
         _write_csv(path, "coefficient,true," + ",".join(cols), rows)
 
     def summary_text(self) -> str:
@@ -262,25 +267,17 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
             ]
 
     records.sort(key=lambda rec: (rec.replication, keys.index((rec.method, rec.b))))
-    truth = cfg.model.coeff_array()
-    cells = []
-    for method, b in keys:
-        failing = [rec for rec in records if (rec.method, rec.b) == (method, b)]
+    mean, rmse = {}, {}
+    for key in keys:
+        failing = [rec for rec in records if (rec.method, rec.b) == key]
         if len(failing) > 0.01 * cfg.replications:
-            raise NumericalError(f"{_key_name(method, b)} failed in {len(failing)} of "
+            raise NumericalError(f"{_key_name(*key)} failed in {len(failing)} of "
                                  f"{cfg.replications} replications (> 1%); first: "
                                  f"{_record_text(failing[0])}")
-        stack = np.delete(estimates[(method, b)], [rec.replication for rec in failing], axis=0)
-        mean = stack.mean(axis=0)
-        rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
-        for k, j, i in np.ndindex(p, r, r):  # lag, column, row: the table's row order
-            cells.append(CellStats(
-                method=method, b=b, k=k + 1, i=i + 1, j=j + 1,
-                label=coefficient_label(k + 1, i + 1, j + 1, r),
-                true_value=float(truth[k, i, j]), mean=float(mean[k, i, j]),
-                rmse=float(rmse[k, i, j]), used=stack.shape[0],
-            ))
-    return MonteCarloReport(cfg, tuple(cells), tuple(records))
+        stack = np.delete(estimates[key], [rec.replication for rec in failing], axis=0)
+        mean[key] = stack.mean(axis=0)
+        rmse[key] = np.sqrt(((stack - cfg.model.coeffs) ** 2).mean(axis=0))
+    return MonteCarloReport(cfg, mean, rmse, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +320,7 @@ def floc_config(series: SeriesMatrix, b: Optional[float] = None) -> Tuple[float,
     A + B = 1 + B reaches the smallest estimate: the fractional moment may not exist.
     """
     b = None if b is None else _check_b(b)
-    corrected = mean_correct(series).values
-    alphas = np.array([fit_stable_params(corrected[:, j]).alpha for j in range(series.dim)])
+    alphas = _fit_stack(np.ascontiguousarray(mean_correct(series).values.T))[0]
     b = default_b(alphas) if b is None else b
     alpha = float(np.min(alphas))
     if 1.0 + b >= alpha:

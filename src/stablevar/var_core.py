@@ -44,15 +44,15 @@ _PSI_TOL, _PSI_CAP = 1e-12, 100_000  # psi_count_for_tolerance's level and longe
 class VarModel:
     """Causal order-p vector autoregression with stable noise.
 
-    ``coeffs`` holds the p coefficient matrices A_1 ... A_p, each r x r, and
-    ``is_causal(coeffs)`` must hold: other coefficients are refused here.
+    ``coeffs`` takes A_1 ... A_p, each r x r, and holds them as one read-only
+    (p, r, r) array; ``is_causal(coeffs)`` must hold: others are refused here.
     """
 
-    coeffs: tuple
+    coeffs: np.ndarray
     noise: SymmetricStableNoiseSpec
 
     def __post_init__(self) -> None:
-        mats = tuple(np.array(a, dtype=float) for a in self.coeffs)
+        mats = [np.array(a, dtype=float) for a in self.coeffs]
         if len(mats) < 1:
             raise ValidationError("model needs at least one coefficient matrix")
         r = mats[0].shape[0] if mats[0].ndim == 2 else -1
@@ -61,7 +61,6 @@ class VarModel:
                 raise ValidationError(f"A_{k} must be {r}x{r}, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValidationError(f"A_{k} contains non-finite entries")
-            a.flags.writeable = False
         if self.noise.dim != r:
             raise ValidationError(f"noise dimension {self.noise.dim} != model dimension {r}")
         check = is_causal(mats)
@@ -69,7 +68,8 @@ class VarModel:
             raise ValidationError(
                 f"model is not causal: companion spectral radius {check.spectral_radius:.6f} >= 1"
             )
-        object.__setattr__(self, "coeffs", mats)
+        object.__setattr__(self, "coeffs", np.stack(mats))
+        self.coeffs.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -78,10 +78,6 @@ class VarModel:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def coeff_array(self) -> np.ndarray:
-        """Coefficients stacked as a (p, r, r) array."""
-        return np.stack(self.coeffs)
 
 
 class CausalityResult(NamedTuple):
@@ -122,7 +118,7 @@ def psi_matrices(model: VarModel, count: int) -> np.ndarray:
     r = model.dim
     impulse = np.zeros((r, count + 1, r))
     impulse[:, 0] = np.eye(r)
-    return _kernels.var_recursion(model.coeff_array(), impulse).transpose(1, 2, 0)
+    return _kernels.var_recursion(model.coeffs, impulse).transpose(1, 2, 0)
 
 
 def psi_count_for_tolerance(model: VarModel) -> int:
@@ -167,7 +163,7 @@ def _simulate_paths(model: VarModel, n: int, burn_in, generators) -> np.ndarray:
     noise = np.stack(
         [sample_noise_matrix(model.noise, n + burn_in, g).values for g in generators]
     )
-    return _kernels.var_recursion(model.coeff_array(), noise)[:, burn_in:]
+    return _kernels.var_recursion(model.coeffs, noise)[:, burn_in:]
 
 
 def simulate(

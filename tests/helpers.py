@@ -54,6 +54,25 @@ def brute_psi(model: sv.VarModel, count: int) -> list:
     return psi
 
 
+def covariation_lags(model: sv.VarModel, lags, count: int = 400) -> np.ndarray:
+    """Population covariations [x_i,t, x_j,t-k]_alpha of a model whose noise components share
+    one alpha, at each lag k of ``lags``, as a (len(lags), r, r) array: the sum over m and c of
+    Psi_m[i,c] (Psi_(m-k)[j,c])^<alpha-1> sigma_c^alpha, with Psi_0 ... Psi_count from
+    ``psi_matrices`` and Psi_m = 0 for m < 0."""
+    alphas = {c.alpha for c in model.noise.components}
+    assert len(alphas) == 1, "covariation_lags needs one alpha for all noise components"
+    alpha = alphas.pop()
+    scale = np.array([c.sigma for c in model.noise.components]) ** alpha
+    psi = sv.psi_matrices(model, count)
+    out = []
+    for k in lags:
+        m = np.arange(max(k, 0), count + 1 + min(k, 0))
+        lagged = psi[m - k]
+        out.append(np.einsum("mic,mjc,c->ij", psi[m],
+                             np.sign(lagged) * np.abs(lagged) ** (alpha - 1), scale))
+    return np.array(out)
+
+
 def worst_abs_error(coeffs: np.ndarray, truth: np.ndarray):
     """Each replication's worst |error| over the coefficients of a stack of estimates
     (R, p, r, r) against ``truth`` (p, r, r), and the median of those R values."""

@@ -269,6 +269,22 @@ class TestMonteCarlo:
         for name in ("floc_table.csv", "ls_table.csv", "cells_long.csv", "summary.txt"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_files_equal_the_library_writers(self, tmp_path):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(MC_CFG)
+        out, lib = tmp_path / "cli", tmp_path / "lib"
+        assert main(["montecarlo", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report = sv.run_monte_carlo(sv.load_experiment_config(cfg))
+        lib.mkdir()
+        for method in ("floc", "ls"):
+            report.to_wide_csv(lib / f"{method}_table.csv", method)
+        report.to_long_csv(lib / "cells_long.csv")
+        (lib / "summary.txt").write_bytes(report.summary_text().encode())
+        names = ["cells_long.csv", "floc_table.csv", "ls_table.csv", "summary.txt"]
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (lib / name).read_bytes()
+
     def test_infinite_sigma_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text(MC_CFG + "sigma = inf\n")

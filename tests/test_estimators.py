@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stablevar as sv
-from helpers import brute_ls, var2_model, worst_abs_error
+from helpers import brute_ls, covariation_lags, var2_model, worst_abs_error
 from stablevar.errors import NumericalError, ValidationError
 from stablevar.estimators import _estimate_stack, _solve_block, _toeplitz_system
 from stablevar.floc import _floc_moments
@@ -102,7 +102,7 @@ class TestFlocEstimator:
         acc = np.zeros((2, 2, 2))
         for seed in range(100):
             series = sv.simulate(model, 700, 100, substream(900, seed))
-            acc += sv.estimate_floc(series, 2, 0.55).coeff_array()
+            acc += sv.estimate_floc(series, 2, 0.55).coeffs
         assert np.max(np.abs(acc / 100)) < 0.1
 
     def test_block_solve_residual_small(self):
@@ -121,7 +121,7 @@ class TestFlocEstimator:
         shifted = sv.SeriesMatrix(series.values + np.array([13.0, -41.0]))
         a = sv.estimate_floc(series, 2, 0.55)
         b = sv.estimate_floc(shifted, 2, 0.55)
-        assert np.max(np.abs(a.coeff_array() - b.coeff_array())) < 1e-10
+        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
         assert np.allclose(b.column_means, series.values.mean(axis=0) + [13.0, -41.0])
 
     def test_too_short(self):
@@ -160,15 +160,15 @@ class TestMethodAgreement:
         by_n = gammas * ((2000 - np.abs(np.arange(-1, 3))) / 2000)[:, None, None]
         f = sv.estimate_floc(series, 2, 1.0)
         y = sv.estimate_yw(series, 2)
-        assert np.array_equal(f.coeff_array(), _solve_block(*_toeplitz_system(gammas[None]))[0][0])
-        assert np.array_equal(y.coeff_array(), _solve_block(*_toeplitz_system(by_n[None]))[0][0])
-        assert not np.array_equal(f.coeff_array(), y.coeff_array())
+        assert np.array_equal(f.coeffs, _solve_block(*_toeplitz_system(gammas[None]))[0][0])
+        assert np.array_equal(y.coeffs, _solve_block(*_toeplitz_system(by_n[None]))[0][0])
+        assert not np.array_equal(f.coeffs, y.coeffs)
 
     def test_yw_white_noise_near_zero(self):
         spec = sv.SymmetricStableNoiseSpec.iid(2, 2.0)
         series = sv.sample_noise_matrix(spec, 5000, 18)
         report = sv.estimate_yw(series, 2)
-        assert np.max(np.abs(report.coeff_array())) < 0.05
+        assert np.max(np.abs(report.coeffs)) < 0.05
 
     def test_ls_condition_is_design_condition(self):
         series = sv.simulate(var2_model(1.6), 300, 100, 21)
@@ -220,6 +220,26 @@ class TestMethodAgreement:
             sv.estimate_ls(series, 1)
 
 
+class TestCovariationOracle:
+    @pytest.mark.parametrize(
+        "p, r, alpha", [(1, 1, 1.5), (2, 2, 1.6), (3, 2, 1.2), (2, 3, 1.9), (1, 3, 1.05)]
+    )
+    def test_block_solve_at_population_covariations_returns_a(self, p, r, alpha):
+        # For 1 < 1 + B < alpha, E[x_i,t x_j,t-k^<B>] is the covariation [x_i,t, x_j,t-k]_alpha
+        # times a factor of column j alone, so the block system at the covariations of lags
+        # -(p-1)..p, FLOC's population moments up to that factor, returns the true A_1..A_p.
+        rng = np.random.default_rng(10 * p + r)
+        # each row sum of |A_k| is at most 0.25, so the radius is at most 0.25 p <= 0.75
+        coeffs = rng.uniform(-0.25, 0.25, (p, r, r)) / r
+        laws = [sv.StableParams.symmetric(alpha, sigma) for sigma in (1.0, 0.5, 2.0)[:r]]
+        noise = sv.SymmetricStableNoiseSpec(tuple(laws))
+        model = sv.VarModel(coeffs, noise)
+        gammas = covariation_lags(model, range(1 - p, p + 1))
+        solved, condition, bad = _solve_block(*_toeplitz_system(gammas[None]))
+        assert not bad[0]
+        assert np.max(np.abs(solved[0] - model.coeffs)) < 1e-12
+
+
 class TestConsistencyAlongN:
     def test_median_worst_error_falls_from_n_500_to_4000(self):
         """FLOC's error falls like n^-(1 - 1/alpha) and LS's like n^(-1/alpha), up to logs
@@ -237,7 +257,7 @@ class TestConsistencyAlongN:
             paths = _simulate_paths(model, n, 500, [substream(0, r) for r in range(100)])
             for key, (coeffs, _, errors) in _estimate_stack(paths, 2, keys).items():
                 assert not errors
-                median[key, n] = worst_abs_error(coeffs, model.coeff_array())[1]
+                median[key, n] = worst_abs_error(coeffs, model.coeffs)[1]
         for key in keys:
             rate = 1 / alpha if key in (("floc", 1.0), ("ls", None)) else 1 - 1 / alpha
             assert median[key, 500] / median[key, 4000] >= 8**rate / 1.5, key
@@ -254,6 +274,11 @@ class TestReportCsv:
         assert len(coeffs) == 2
         for got, want in zip(coeffs, report.coeffs):
             assert np.array_equal(got, want)
+        # both hold A_1 ... A_p as one read-only (p, r, r) float array
+        for held in (coeffs, report.coeffs):
+            assert held.shape == (2, 2, 2) and held.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0, 0] = 0.0
 
     def test_summary_contains_condition(self):
         series = sv.simulate(var2_model(1.6), 300, 100, 21)

@@ -47,6 +47,22 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def fail_first_solve(monkeypatch):
+    """Make the first ``_solve_block`` call of a run report replication 2 as singular
+    (condition inf)."""
+    real = estimators._solve_block
+    calls = {"i": -1}
+
+    def flaky(block, rhs):
+        coeffs, condition, bad = real(block, rhs)
+        calls["i"] += 1
+        if calls["i"] == 0:
+            condition[2], bad[2] = np.inf, True
+        return coeffs, condition, bad
+
+    monkeypatch.setattr(estimators, "_solve_block", flaky)
+
+
 def assert_cells_match_per_replication(report, cfg, skip):
     """Cells of ``cfg.methods`` equal mean and RMSE of per-replication estimate_*
     calls, leaving out ``skip``."""
@@ -62,11 +78,11 @@ def assert_cells_match_per_replication(report, cfg, skip):
     }
     fits[("ls", None)] = lambda s: sv.estimate_ls(s, p)
     fits[("yw", None)] = lambda s: sv.estimate_yw(s, p)
-    truth = cfg.model.coeff_array()
+    truth = cfg.model.coeffs
     for (method, b), fit in fits.items():
         if method not in cfg.methods:
             continue
-        stack = np.stack([fit(s).coeff_array() for s in series])
+        stack = np.stack([fit(s).coeffs for s in series])
         mean = stack.mean(axis=0)
         rmse = np.sqrt(((stack - truth) ** 2).mean(axis=0))
         for k, i, j in np.ndindex(truth.shape):
@@ -93,6 +109,13 @@ class TestConfigFile:
         path = tmp_path / "mc.cfg"
         path.write_text(MC_CONFIG_TEXT.replace("b_values = 0.0, 0.55", "b_values = nan"))
         with pytest.raises(ValidationError, match="finite"):
+            sv.load_experiment_config(path)
+
+    def test_b_values_without_floc(self, tmp_path):
+        path = tmp_path / "mc.cfg"
+        path.write_text(MC_CONFIG_TEXT.replace("methods = floc, ls, yw", "methods = ls"))
+        message = f"{path}: B values apply only to FLOC, got (0.0, 0.55) for ('ls',)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             sv.load_experiment_config(path)
 
     @pytest.mark.parametrize(
@@ -306,6 +329,13 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValidationError, match="sequence of method names, got 'ls'"):
             small_config(methods="ls", b_values=())
 
+    @pytest.mark.parametrize("methods", [("ls",), ("ls", "yw")])
+    def test_b_values_without_floc_rejected(self, methods):
+        with pytest.raises(ValidationError, match=re.escape(
+            f"B values apply only to FLOC, got (0.5,) for {methods}"
+        )):
+            small_config(methods=methods, b_values=(0.5,))
+
     def test_ls_only_without_b_ok(self):
         cfg = small_config(methods=("ls",), b_values=())
         assert cfg.methods == ("ls",)
@@ -379,19 +409,26 @@ class TestRunMonteCarlo:
     def test_single_replication_rmse_is_abs_error(self):
         cfg = small_config(replications=1)
         report = sv.run_monte_carlo(cfg)
-        for c in report.cells:
-            assert c.rmse == pytest.approx(abs(c.mean - c.true_value), abs=1e-12)
-            assert c.used == 1
+        for key, mean in report.mean.items():
+            error = np.abs(mean - cfg.model.coeffs)
+            assert np.allclose(report.rmse[key], error, rtol=0.0, atol=1e-12)
+            for k, i, j in np.ndindex(mean.shape):
+                assert report.cell(*key, k + 1, i + 1, j + 1).used == 1
 
     def test_rmse_lower_bound_invariant(self):
-        report = sv.run_monte_carlo(small_config(replications=8))
-        for c in report.cells:
-            assert c.rmse >= abs(c.mean - c.true_value) - 1e-12
+        cfg = small_config(replications=8)
+        report = sv.run_monte_carlo(cfg)
+        for key, mean in report.mean.items():
+            assert np.all(report.rmse[key] >= np.abs(mean - cfg.model.coeffs) - 1e-12)
 
     def test_deterministic(self):
         a = sv.run_monte_carlo(small_config())
         b = sv.run_monte_carlo(small_config())
-        assert a.cells == b.cells
+        assert list(a.mean) == list(b.mean) == list(a.rmse) == list(b.rmse)
+        for key in a.mean:
+            assert np.array_equal(a.mean[key], b.mean[key])
+            assert np.array_equal(a.rmse[key], b.rmse[key])
+        assert a.failures == b.failures
 
     # blocks of one replication, of four (6 = 4 + 2) and of all six
     @pytest.mark.parametrize("block_values", [1, 4 * 250 * 2, 10**9])
@@ -405,26 +442,18 @@ class TestRunMonteCarlo:
     def test_adding_methods_keeps_floc_cells(self):
         a = sv.run_monte_carlo(small_config(methods=("floc",)))
         b = sv.run_monte_carlo(small_config(methods=("floc", "ls")))
-        floc_a = [c for c in a.cells if c.method == "floc"]
-        floc_b = [c for c in b.cells if c.method == "floc"]
-        assert floc_a == floc_b
+        key = ("floc", 0.55)
+        assert list(a.mean) == [key]
+        assert np.array_equal(a.mean[key], b.mean[key])
+        assert np.array_equal(a.rmse[key], b.rmse[key])
+        assert a.failures[key] == b.failures[key]
 
     def test_failure_accounting(self, monkeypatch):
-        real = estimators._solve_block
-        calls = {"i": -1}
-
-        def flaky(block, rhs):
-            coeffs, condition, bad = real(block, rhs)
-            calls["i"] += 1
-            if calls["i"] == 0:  # the FLOC solve of the one block of 150
-                condition[2], bad[2] = np.inf, True
-            return coeffs, condition, bad
-
-        monkeypatch.setattr(estimators, "_solve_block", flaky)
+        fail_first_solve(monkeypatch)  # the FLOC solve of the one block of 150
         report = sv.run_monte_carlo(small_config(replications=150))
         assert report.failed_replications == 1
         assert report.failures[("floc", 0.55)] == 1
-        cell = report.cells[0]
+        cell = report.cell("floc", 0.55, 1, 1, 1)
         assert cell.used == 149
         (record,) = report.failure_records
         assert (record.replication, record.method, record.b) == (2, "floc", 0.55)
@@ -511,7 +540,8 @@ class TestRunMonteCarlo:
             sv.run_monte_carlo(small_config(n=8))
         report = sv.run_monte_carlo(small_config(n=8, methods=("ls",), b_values=()))
         assert report.failures == {("ls", None): 0}
-        assert all(c.used == 6 for c in report.cells)
+        for k, i, j in np.ndindex(report.mean["ls", None].shape):
+            assert report.cell("ls", None, k + 1, i + 1, j + 1).used == 6
 
     def test_summary_without_failures(self):
         report = sv.run_monte_carlo(small_config())
@@ -555,6 +585,51 @@ class TestRunMonteCarlo:
         assert len(rows) == 1 + 8 * 3  # 8 coefficients x (floc@B + ls + yw)
         assert "ls,," in rows[9]
 
+    def test_tables_read_back_the_arrays(self, monkeypatch, tmp_path):
+        fail_first_solve(monkeypatch)  # the FLOC B=0 solve of the one block of 150
+        cfg = small_config(replications=150, b_values=(0.0, 0.55))
+        report = sv.run_monte_carlo(cfg)
+        keys = [("floc", 0.0), ("floc", 0.55), ("ls", None), ("yw", None)]
+        assert report.failures == {**dict.fromkeys(keys, 0), ("floc", 0.0): 1}
+        truth = cfg.model.coeffs
+        places = [(k, i, j) for k, j, i in np.ndindex(truth.shape)]  # lag, column, row
+
+        report.to_long_csv(tmp_path / "long.csv")
+        rows = [line.split(",") for line in (tmp_path / "long.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(keys) * len(places)
+        expected = [(key, place) for key in keys for place in places]
+        for row, ((method, b), (k, i, j)) in zip(rows, expected):
+            assert row[:6] == [method, "" if b is None else str(b),
+                               coefficient_label(k + 1, i + 1, j + 1, 2), str(k + 1), str(i + 1),
+                               str(j + 1)]
+            assert float(row[6]) == truth[k, i, j]
+            assert float(row[7]) == report.mean[method, b][k, i, j]
+            assert float(row[8]) == report.rmse[method, b][k, i, j]
+            assert int(row[9]) == (149 if (method, b) == ("floc", 0.0) else 150)
+
+        for method in cfg.methods:
+            report.to_wide_csv(tmp_path / "wide.csv", method)
+            lines = (tmp_path / "wide.csv").read_text().splitlines()[1:]
+            assert len(lines) == len(places)
+            bs = [b for m, b in keys if m == method]
+            for line, (k, i, j) in zip(lines, places):
+                fields = line.split(",")
+                assert fields[0] == coefficient_label(k + 1, i + 1, j + 1, 2)
+                assert float(fields[1]) == truth[k, i, j]
+                assert fields[2:] == [f"{stat[method, b][k, i, j]:.6g}"
+                                      for b in bs for stat in (report.mean, report.rmse)]
+
+    @pytest.mark.parametrize(
+        "kij", [(3, 1, 1), (0, 1, 1), (1, 3, 1), (1, 1, 0), (1, -1, 1), (1.5, 1, 1), ("1", 1, 1)]
+    )
+    def test_cell_outside_the_model_raises_key_error(self, kij):
+        report = sv.run_monte_carlo(small_config(methods=("ls",), b_values=(), replications=2))
+        assert report.cell("ls", None, 2, 2, 2).used == 2
+        # an index equal to an integer in range reads that entry
+        assert report.cell("ls", None, 2.0, np.int64(2), 2) == report.cell("ls", None, 2, 2, 2)
+        with pytest.raises(KeyError, match=re.escape(repr(("ls", None, *kij)))):
+            report.cell("ls", None, *kij)
+
     def test_absent_cell_and_method_raise_key_error(self, tmp_path):
         report = sv.run_monte_carlo(small_config(methods=("ls",), b_values=(), replications=2))
         assert report.cell("ls", None, 1, 1, 1).used == 2
@@ -590,7 +665,7 @@ class TestRunPipeline:
                             band_replicates=20, qq_grid=0)
         b = sv.run_pipeline(from_file, 2, b=0.5, rng_seed=1, ks_repetitions=100,
                             band_replicates=20, qq_grid=0)
-        assert np.array_equal(a.estimation.coeff_array(), b.estimation.coeff_array())
+        assert np.array_equal(a.estimation.coeffs, b.estimation.coeffs)
         assert a.columns[0].ks.p_value == b.columns[0].ks.p_value
 
     def test_scalar_gaussian_noise_near_zero(self):

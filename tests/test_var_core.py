@@ -79,6 +79,20 @@ class TestValidation:
             sv.VarModel(coeffs=coeffs, noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
 
 
+class TestCoefficientLayout:
+    @pytest.mark.parametrize("wrap", [tuple, list, np.array], ids=["tuple", "list", "array"])
+    def test_one_read_only_stack(self, wrap):
+        a1, a2 = A1.copy(), A2.copy()
+        model = sv.VarModel(coeffs=wrap([a1, a2]), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
+        assert isinstance(model.coeffs, np.ndarray) and model.coeffs.dtype == float
+        assert model.coeffs.shape == (2, 2, 2) and (model.order, model.dim) == (2, 2)
+        assert np.array_equal(model.coeffs[0], A1) and np.array_equal(model.coeffs[1], A2)
+        with pytest.raises(ValueError, match="read-only"):
+            model.coeffs[0, 0, 0] = 0.5
+        a1[0, 0] = 0.5  # the model holds its own copy
+        assert model.coeffs[0, 0, 0] == A1[0, 0]
+
+
 class TestCausality:
     def test_diagonal_var1(self):
         model = sv.VarModel(coeffs=(0.5 * np.eye(2),), noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
@@ -221,7 +235,7 @@ class TestSimulate:
         assert burn_in > DEFAULT_BURN_IN
         path = sv.simulate(model, n, rng_seed=3).values
         noise = sv.sample_noise_matrix(model.noise, burn_in + n, 3).values
-        coeffs = model.coeff_array()
+        coeffs = model.coeffs
         assert np.array_equal(path, _kernels.var_recursion(coeffs, noise)[burn_in:])
         # the same noise after a 3,000-row history instead of a zero start
         history = sv.sample_noise_matrix(model.noise, 3000, 4).values
