@@ -12,9 +12,9 @@ The subcommands only read inputs and write outputs; the numbers come from
 the library. estimate picks FLOC's exponent B with ``experiments.floc_config``,
 as ``run_pipeline`` does: the same default B and the same warning when
 A + B = 1 + B reaches a column alpha estimate;
-diagnose makes ``run_pipeline``'s one call, ``experiments.diagnose_residuals``, which also
-refuses a report of another dimension, so ``diagnose --seed s`` writes the residuals and
-diagnostics of ``run_pipeline(..., rng_seed=s)`` for the same series and coefficients.
+diagnose makes ``run_pipeline``'s one call, ``experiments.diagnose_residuals``, which
+refuses a report of another dimension; a settings flag left out takes its default, so
+``diagnose --seed s`` writes what ``run_pipeline(..., rng_seed=s)`` gives on the same data.
 ``--qq-grid 0`` skips the QQ files; a grid of 1 is rejected, as in the library. estimate
 rejects ``--b-exp`` for LS and YW instead of ignoring it; FLOC divides lag k by n - |k|
 and YW by n, as the library does. A seed must be a non-negative integer. Exit codes:
@@ -41,6 +41,8 @@ from .experiments import (
 )
 from .series import SeriesMatrix
 from .var_core import simulate
+
+_DIAGNOSE_SETTINGS = ("rng_seed", "ks_repetitions", "max_lag", "band_replicates", "qq_grid")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,11 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--data", required=True, help="input series CSV")
     diag.add_argument("--report", required=True, help="coefficient report CSV from 'estimate'")
     diag.add_argument("--out-dir", required=True, help="directory for diagnostics CSVs")
-    diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("--ks-repetitions", type=int, default=100)
-    diag.add_argument("--max-lag", type=int, default=20)
-    diag.add_argument("--band-replicates", type=int, default=200)
-    diag.add_argument("--qq-grid", type=int, default=99)
+    for name in _DIAGNOSE_SETTINGS:  # unset flags stay off args: the library's defaults hold
+        flag = "--seed" if name == "rng_seed" else "--" + name.replace("_", "-")
+        diag.add_argument(flag, dest=name, type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -154,8 +154,8 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_diagnose(args) -> int:
     series = SeriesMatrix.from_csv(args.data)
     _, coeffs = EstimationReport.read_coeffs_csv(args.report)
-    res, columns = diagnose_residuals(series, coeffs, args.seed, args.ks_repetitions,
-                                      args.max_lag, args.band_replicates, args.qq_grid)
+    settings = {name: getattr(args, name) for name in _DIAGNOSE_SETTINGS if hasattr(args, name)}
+    res, columns = diagnose_residuals(series, coeffs, **settings)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     res.to_csv(out / "residuals.csv")

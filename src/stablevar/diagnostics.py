@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutoFlocSeries:
     """Auto-FLOC values of one column at lags 0..L, at FLOC exponent ``b``."""
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, _check_int
 from .floc import _check_b, lag_matrix_set
 from .series import SeriesMatrix, _csv_rows, _float_field, _open_text, _write_csv
+from .var_core import _coeff_stack
 
 __all__ = [
     "EstimationReport",
@@ -51,7 +52,7 @@ _REPORT_HEADER = "method,k,i,j,value"
 _REPORT_DECLARATION = re.compile(r"# order=([1-9][0-9]*) dim=([1-9][0-9]*)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationReport:
     """Estimated A_1 ... A_p as one read-only (p, r, r) array, solve diagnostics, FLOC's B ``b``."""
 
@@ -154,13 +155,11 @@ def _lagged(x: np.ndarray, p: int) -> np.ndarray:
 
 def residuals(series: SeriesMatrix, coeffs: Sequence[np.ndarray]) -> SeriesMatrix:
     """z[t] = x[t] - sum_k A_k x[t-k] for t > p; length n - p."""
-    p, r = _check_int(len(coeffs), "order", 1), series.dim
-    for k, mat in enumerate(coeffs, start=1):
-        if np.shape(mat) != (r, r):
-            raise ValidationError(f"A_{k} has shape {np.shape(mat)}; the series has dimension {r}")
+    stack = _coeff_stack(coeffs, series.dim)
+    p = len(stack)
     if series.n <= p:
         raise ValidationError(f"series of length {series.n} too short for order {p}")
-    return SeriesMatrix(series.values[p:] - _lagged(series.values, p) @ np.hstack(coeffs).T)
+    return SeriesMatrix(series.values[p:] - _lagged(series.values, p) @ np.hstack(stack).T)
 
 
 def _prepare(values: np.ndarray, p: int):

@@ -149,7 +149,7 @@ class FailureRecord:
     condition: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloReport:
     """``mean`` and ``rmse`` map each (method, B) of ``_estimate_keys`` to a (p, r, r) array
     over the replications that estimator did not fail."""
@@ -285,7 +285,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> MonteCarloReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnDiagnostics:
     fitted: StableParams
     auto_floc: AutoFlocSeries
@@ -295,7 +295,7 @@ class ColumnDiagnostics:
     qq: Optional[QqData]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineReport:
     estimation: EstimationReport
     alpha_estimates: np.ndarray
@@ -358,27 +358,20 @@ def diagnose_residuals(
     return res, tuple(columns)
 
 
-def run_pipeline(
-    series: SeriesMatrix,
-    p: int,
-    b: Optional[float] = None,
-    rng_seed: int = 0,
-    ks_repetitions: int = 100,
-    max_lag: int = 20,
-    band_replicates: int = 200,
-    qq_grid: int = 99,
-) -> PipelineReport:
+def run_pipeline(series: SeriesMatrix, p: int, b: Optional[float] = None,
+                 **settings) -> PipelineReport:
     """Estimate a FLOC VAR(p) on observed data and diagnose the residuals.
 
-    The exponent B comes from ``floc_config``, so it defaults to ``default_b``
-    of the per-column stability estimates. The residuals and their diagnostics
-    come from one ``diagnose_residuals`` call, the one ``stablevar diagnose`` makes.
+    B comes from ``floc_config``, so it defaults to ``default_b`` of the per-column
+    stability estimates. The residuals and their diagnostics come from one
+    ``diagnose_residuals`` call, the one ``stablevar diagnose`` makes, which gets ``settings``
+    as given: ``rng_seed``, ``ks_repetitions``, ``max_lag``, ``band_replicates`` and
+    ``qq_grid``, with its defaults; any other key is a TypeError.
     """
     b, alphas = floc_config(series, b)
     estimation = estimate_floc(series, p, b)
-    return PipelineReport(estimation, alphas, *diagnose_residuals(
-        series, estimation.coeffs, rng_seed, ks_repetitions, max_lag, band_replicates, qq_grid
-    ))
+    return PipelineReport(estimation, alphas,
+                          *diagnose_residuals(series, estimation.coeffs, **settings))
 
 
 # ---------------------------------------------------------------------------

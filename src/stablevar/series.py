@@ -67,7 +67,7 @@ def _float_field(path, lineno: int, text: str) -> float:
     raise ValidationError(f"{path}:{lineno}: could not convert string to float: {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesMatrix:
     """An n x r sample path: row t is the observation at time t, column j a component."""
 

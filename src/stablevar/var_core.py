@@ -40,7 +40,7 @@ DEFAULT_CAUSALITY_MARGIN = 1e-8
 _PSI_TOL, _PSI_CAP = 1e-12, 100_000  # psi_count_for_tolerance's level and longest search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarModel:
     """Causal order-p vector autoregression with stable noise.
 
@@ -52,24 +52,14 @@ class VarModel:
     noise: SymmetricStableNoiseSpec
 
     def __post_init__(self) -> None:
-        mats = [np.array(a, dtype=float) for a in self.coeffs]
-        if len(mats) < 1:
-            raise ValidationError("model needs at least one coefficient matrix")
-        r = mats[0].shape[0] if mats[0].ndim == 2 else -1
-        for k, a in enumerate(mats, start=1):
-            if a.ndim != 2 or a.shape != (r, r):
-                raise ValidationError(f"A_{k} must be {r}x{r}, got shape {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValidationError(f"A_{k} contains non-finite entries")
-        if self.noise.dim != r:
-            raise ValidationError(f"noise dimension {self.noise.dim} != model dimension {r}")
-        check = is_causal(mats)
+        object.__setattr__(self, "coeffs", _coeff_stack(self.coeffs))
+        if self.noise.dim != self.dim:
+            raise ValidationError(f"noise dimension {self.noise.dim} != model dimension {self.dim}")
+        check = is_causal(self.coeffs)
         if not check.causal:
             raise ValidationError(
                 f"model is not causal: companion spectral radius {check.spectral_radius:.6f} >= 1"
             )
-        object.__setattr__(self, "coeffs", np.stack(mats))
-        self.coeffs.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -85,14 +75,28 @@ class CausalityResult(NamedTuple):
     spectral_radius: float
 
 
+def _coeff_stack(coeffs: Sequence[np.ndarray], r: Optional[int] = None) -> np.ndarray:
+    """A_1 ... A_p as one read-only (p, r, r) float copy. ValidationError for a bare matrix
+    and for all but one or more finite r x r matrices, r the series dimension or A_1's size."""
+    mats = [np.array(a, dtype=float) for a in coeffs]
+    if not mats or mats[0].ndim != 2:  # a bare matrix would read as rows A_1, A_2, ...
+        got = f"A_1 of shape {mats[0].shape}" if mats else "none"
+        raise ValidationError(f"coefficients must be a sequence of matrices A_1 ... A_p, got {got}")
+    r, why = (mats[0].shape[0], "") if r is None else (r, f"; the series has dimension {r}")
+    for k, a in enumerate(mats, start=1):
+        if a.shape != (r, r) or not np.all(np.isfinite(a)):
+            raise ValidationError(f"A_{k} of shape {a.shape} must be a finite {r}x{r} matrix{why}")
+    stack = np.stack(mats)
+    stack.flags.writeable = False
+    return stack
+
+
 def companion_matrix(coeffs: Sequence[np.ndarray]) -> np.ndarray:
-    """pr x pr companion form [[A_1 ... A_p], [I 0 ...], ...]."""
-    p = len(coeffs)
-    r = coeffs[0].shape[0]
-    comp = np.zeros((p * r, p * r))
-    comp[:r] = np.hstack(coeffs)
-    if p > 1:
-        comp[r:, : (p - 1) * r] = np.eye((p - 1) * r)
+    """pr x pr companion form [[A_1 ... A_p], [I 0 ...], ...] of checked coefficients."""
+    stack = _coeff_stack(coeffs)
+    p, r = stack.shape[:2]
+    comp = np.eye(p * r, k=-r)  # the identity blocks below the first block row
+    comp[:r] = np.hstack(stack)
     return comp
 
 

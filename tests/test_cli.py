@@ -362,6 +362,29 @@ class TestDiagnose:
         for name in names:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
+    def test_defaults_match_run_pipeline_defaults(self, model_cfg, tmp_path):
+        # no settings flags and no settings keywords: both take diagnose_residuals' defaults,
+        # so the files agree only while the CLI holds no default of its own
+        data, report, out = tmp_path / "series.csv", tmp_path / "report.csv", tmp_path / "diag"
+        main(["simulate", "--config", str(model_cfg), "--out", str(data)])
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.618")):
+            main(["estimate", "--data", str(data), "--order", "2", "--out", str(report)])
+        assert main(["diagnose", "--data", str(data), "--report", str(report),
+                     "--out-dir", str(out)]) == 0
+        with pytest.warns(UserWarning, match=MOMENT_WARNING.format("1.618")):
+            lib = sv.run_pipeline(sv.SeriesMatrix.from_csv(data), 2)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        lib.residuals.to_csv(ref / "residuals.csv")
+        for j, col in enumerate(lib.columns, start=1):
+            write_auto_floc_csv(ref / f"autofloc_x{j}.csv", col.auto_floc, (col.band_lo, col.band_hi))
+            write_qq_csv(ref / f"qq_x{j}.csv", col.qq)
+        ks_lines = [f"x{j}: {ks_summary_line(col.ks)}" for j, col in enumerate(lib.columns, start=1)]
+        (ref / "ks.txt").write_text("\n".join(ks_lines) + "\n")
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
+        for path in ref.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_near_gaussian_residuals_fit_no_full_skew(self, tmp_path):
         # the packaging smoke series at alpha 2 (n 2000, seed 1): its x2 residuals fit
         # alpha 1.986, where tan(pi alpha / 2) all but cancels the skew column and the
@@ -388,7 +411,7 @@ class TestDiagnose:
                      "--out-dir", str(tmp_path / "d")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: A_1 has shape (1, 1); the series has dimension 2\n"
+            "error: A_1 of shape (1, 1) must be a finite 2x2 matrix; the series has dimension 2\n"
         )
         assert not (tmp_path / "d").exists()
 

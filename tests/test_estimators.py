@@ -75,12 +75,12 @@ class TestResiduals:
         assert np.array_equal(res.values, x[2:])
 
     def test_shape_mismatch(self):
-        message = "A_2 has shape (3, 3); the series has dimension 2"
+        message = "A_2 of shape (3, 3) must be a finite 2x2 matrix; the series has dimension 2"
         with pytest.raises(ValidationError, match=re.escape(message)):
             sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), [np.eye(2), np.ones((3, 3))])
         with pytest.raises(ValidationError, match="series of length 2 too short for order 2"):
             sv.residuals(sv.SeriesMatrix(np.ones((2, 2))), [np.eye(2), np.eye(2)])
-        with pytest.raises(ValidationError, match="order must be an integer >= 1, got 0"):
+        with pytest.raises(ValidationError, match="matrices A_1 ... A_p, got none"):
             sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), [])
 
     def test_ls_residuals_meet_the_normal_equations(self):
@@ -238,6 +238,26 @@ class TestCovariationOracle:
         solved, condition, bad = _solve_block(*_toeplitz_system(gammas[None]))
         assert not bad[0]
         assert np.max(np.abs(solved[0] - model.coeffs)) < 1e-12
+
+    def test_sample_floc_moments_approach_the_covariation_ratio(self):
+        """At B = 0.25 and alpha 1.6 (1 < 1 + B < alpha), E[x_i,t x_j,t-k^<B>] is the covariation
+        [x_i,t, x_j,t-k]_alpha times E|x_j|^(1+B) / ||x_j||_alpha^alpha, a factor of column j
+        alone, so dividing column j of every lag by the lag-0 entry (j, j) removes it. Sample:
+        the entrywise median of 9 mean-corrected paper-model series of n = 10^5. Over base
+        seeds 0-31 its worst distance to the covariation ratio was 0.018-0.048 (median 0.030);
+        at B = 0.9, past the moment condition, it was 0.20-0.37; the second-moment ratio
+        sum_m Psi_m Psi_(m-k)^T lies 0.29 away. The bound 0.1 sits between.
+        """
+        def by_lag0_diagonal(mats):
+            return mats / np.diagonal(mats[..., 1, :, :], axis1=-2, axis2=-1)[..., None, None, :]
+
+        model = var2_model(1.6)
+        theory = by_lag0_diagonal(covariation_lags(model, range(-1, 3)))
+        second = by_lag0_diagonal(covariation_lags(var2_model(2.0), range(-1, 3)))
+        paths = _simulate_paths(model, 100_000, 500, [substream(0, i) for i in range(9)])
+        paths -= paths.mean(axis=1, keepdims=True)
+        sample = np.median(by_lag0_diagonal(sv.lag_matrix_set(paths, 2, 0.25)), axis=0)
+        assert np.max(np.abs(sample - theory)) < 0.1 < np.max(np.abs(second - theory)) / 2
 
 
 class TestConsistencyAlongN:

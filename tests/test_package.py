@@ -46,3 +46,19 @@ def test_sizes_refuse_floats_and_bools(entry, bad):
     value = valid + bad if isinstance(bad, float) else bad
     with pytest.raises(ValidationError, match=f"{name} must be (an|a non-negative) integer"):
         call(value)
+
+
+def test_array_holding_values_compare_by_identity_and_hash():
+    # the generated __eq__ compared array fields with ==, whose truth value numpy refuses
+    def make():
+        series = sv.simulate(var2_model(1.6), 200, 50, 3)
+        cfg = sv.ExperimentConfig(var2_model(1.6), 100, (0.25,), 2, 0)
+        pipeline = sv.run_pipeline(series, 2, 0.25, ks_repetitions=100, max_lag=2,
+                                   band_replicates=5)
+        column = pipeline.columns[0]
+        return [series, var2_model(1.6), sv.estimate_ls(series, 2), sv.run_monte_carlo(cfg),
+                column, pipeline, column.auto_floc]
+
+    for a, b in zip(make(), make()):
+        assert a == a and not (a == b) and a != b, type(a).__name__
+        assert hash(a) == hash(a) and len({a, b}) == 2, type(a).__name__

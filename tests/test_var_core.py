@@ -69,14 +69,40 @@ class TestValidation:
     @pytest.mark.parametrize(
         "coeffs, message",
         [
-            ((), "model needs at least one coefficient matrix"),
+            ((), "coefficients must be a sequence of matrices A_1 ... A_p, got none"),
             ((np.eye(2) * 0.5, np.array([[0.1, np.nan], [0.0, 0.1]])),
-             "A_2 contains non-finite entries"),
+             re.escape("A_2 of shape (2, 2) must be a finite 2x2 matrix")),
         ],
     )
     def test_missing_or_non_finite_coeffs(self, coeffs, message):
         with pytest.raises(ValidationError, match=message):
             sv.VarModel(coeffs=coeffs, noise=sv.SymmetricStableNoiseSpec.iid(2, 1.6))
+
+
+COEFF_ENTRIES = {
+    "is_causal": sv.is_causal,
+    "residuals": lambda coeffs: sv.residuals(sv.SeriesMatrix(np.ones((10, 2))), coeffs),
+    "VarModel": lambda coeffs: sv.VarModel(coeffs, sv.SymmetricStableNoiseSpec.iid(2, 1.6)),
+}
+
+
+class TestCoefficientCheck:
+    @pytest.mark.parametrize("entry", list(COEFF_ENTRIES))
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            # a bare matrix once read as rows A_1 = (0.5, 0), A_2 = (0, 0.5): "radius 1.0"
+            (np.eye(2) * 0.5, "sequence of matrices A_1 ... A_p, got A_1 of shape (2,)"),
+            ([], "sequence of matrices A_1 ... A_p, got none"),
+            ([np.eye(2) * 0.5, np.eye(3) * 0.1], "A_2 of shape (3, 3) must be a finite 2x2 matrix"),
+            ([np.zeros((2, 3))], "A_1 of shape (2, 3) must be a finite 2x2 matrix"),
+            ([np.full((2, 2), np.nan)], "A_1 of shape (2, 2) must be a finite 2x2 matrix"),
+        ],
+        ids=["bare", "empty", "mismatched", "non-square", "nan"],
+    )
+    def test_one_check_at_every_entry(self, entry, coeffs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            COEFF_ENTRIES[entry](coeffs)
 
 
 class TestCoefficientLayout:
@@ -303,16 +329,18 @@ class TestBatchedRecursion:
                 # a stack gives each series the bits it gets alone
                 assert np.array_equal(path[i], _kernels.var_recursion(coeffs, noise[i]))
 
-    @pytest.mark.parametrize("p, r", [(1, 1), (2, 3), (3, 2)])
-    def test_block_boundaries(self, p, r):
+    @pytest.mark.parametrize(
+        "p, r, reps", [(1, 1, 4), (2, 3, 4), (3, 2, 4), (3, 3, 100)], ids=["1-1", "2-3", "3-2", "3-3"]
+    )
+    def test_block_boundaries(self, p, r, reps):
         rng = np.random.default_rng(10 * p + r)
         coeffs = rng.uniform(-0.4, 0.4, (p, r, r)) / p
         size = _kernels._BLOCK
         # m <= p, m < L, exactly L, one past L, several blocks with a partial last one
         for m in (1, p, size // 2, size, size + 1, 3 * size + 5):
-            noise = rng.standard_cauchy((4, m, r))
+            noise = rng.standard_cauchy((reps, m, r))
             path = _kernels.var_recursion(coeffs, noise)
-            for i in range(4):
+            for i in range(reps):
                 oracle = brute_var_recursion(coeffs, noise[i])
                 assert np.max(np.abs(path[i] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
                 assert np.array_equal(path[i], _kernels.var_recursion(coeffs, noise[i]))
